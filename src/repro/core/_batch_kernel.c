@@ -1,11 +1,13 @@
-/* C translation of repro.core._batch_kernel.advance_member.
+/* The compiled batch cascade kernel.
  *
- * Line-for-line port of the packed scalar cascade kernel; see the
- * Python module for the state layout and the resumability contract.
- * Built by _batch_kernel._build_clib() with -ffp-contract=off
- * -fno-fast-math: every float operation must round exactly like the
- * interpreted backends (no fused multiply-adds, no reassociation).
- * Lehmer arithmetic stays in int64 (products < 2^46 here).
+ * Line-for-line C port of the scalar cascade kernel
+ * (repro.core.batch.BatchCascade._advance_slice) over packed arrays;
+ * see repro/core/_batch_kernel.py for the state layout and the
+ * resumability contract.  Built by _batch_kernel._build() with
+ * -ffp-contract=off -fno-fast-math: every float operation must round
+ * exactly like the python backend (no fused multiply-adds, no
+ * reassociation).  Lehmer arithmetic stays in int64 (products < 2^46
+ * here).
  */
 
 #include <math.h>

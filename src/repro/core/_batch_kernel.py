@@ -1,27 +1,26 @@
-"""Optional compiled providers for the batch cascade kernel.
+"""The compiled provider for the batch cascade kernel.
 
 :mod:`repro.core.batch`'s ``backend="compiled"`` runs the scalar
-cascade kernel as machine code.  Two providers, tried in order:
+cascade kernel as machine code: ``_batch_kernel.c`` (same directory)
+is a line-for-line C port of ``BatchCascade._advance_slice`` over
+packed arrays, built on demand with the system compiler and loaded
+through :mod:`ctypes`.  The build forbids FP contraction
+(``-ffp-contract=off -fno-fast-math``) so no fused multiply-adds can
+perturb the float stream — the kernel must stay byte-identical to the
+python backend.
 
-``numba``
-    :func:`advance_member` below is written in the nopython subset —
-    packed flat arrays, no objects, no dicts — so when numba is
-    importable it is ``njit``-compiled as-is.  A warmup call at
-    resolve time forces compilation and demotes any numba failure to
-    "unavailable" instead of a crash mid-run.
-``c``
-    When numba is absent, the line-for-line C translation in
-    ``_batch_kernel.c`` (same directory) is built on demand with the
-    system compiler and loaded through :mod:`ctypes`.  The build
-    forbids FP contraction (``-ffp-contract=off -fno-fast-math``) so
-    no fused multiply-adds can perturb the float stream — the kernel
-    must stay byte-identical to the interpreted backends.
+:func:`resolve_compiled` returns ``("c", kernel)`` or None, cached for
+the process.  NumPy is required (the packed state lives in ndarrays);
+environments without it use the python backend.
 
-Both providers expose the same callable signature as
-:func:`advance_member`; :func:`resolve_compiled` returns ``(provider
-name, callable)`` or None, cached for the process.  NumPy is required
-either way (the packed state lives in ndarrays); environments without
-it use the pure-Python backend.
+Build cache
+-----------
+Built libraries live in ``REPRO_CKERNEL_CACHE`` (default
+``$XDG_CACHE_HOME/repro-ckernel``) under a name that hashes the C
+source, the compiler flags and the machine architecture.  A cached
+library that fails to load or to pass the smoke test is rebuilt once;
+when no library can be had, one ``batch.compiled_unavailable``
+warning event carries the compiler's stderr or the load error.
 
 State packing
 -------------
@@ -45,6 +44,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -56,14 +56,10 @@ except ImportError:  # pragma: no cover - compiled backend needs numpy
 
 __all__ = [
     "MemberState",
-    "advance_member",
     "drive_member",
     "resolve_compiled",
 ]
 
-_MOD = 2**31 - 1
-_MUL = 16807
-_INF = float("inf")
 _NAN = float("nan")
 
 # istate layout.
@@ -81,218 +77,6 @@ STATUS_HORIZON = 0
 STATUS_STOPPED = 1
 STATUS_ROUNDS_FULL = 2
 STATUS_GROUPS_FULL = 3
-
-
-def advance_member(
-    expiry,
-    rng,
-    n,
-    tc,
-    low,
-    span,
-    tol,
-    until,
-    stop_sync,
-    stop_unsync,
-    keep_history,
-    fstate,
-    istate,
-    win_sizes,
-    win_cnts,
-    win_meta,
-    ftal,
-    ftam,
-    round_times,
-    round_largest,
-    round_meta,
-    group_times,
-    group_sizes,
-    group_meta,
-    idx_scratch,
-    time_scratch,
-):
-    """Advance one packed member to ``until`` or a stop condition.
-
-    The exact arithmetic of ``BatchCascade._advance_slice`` over flat
-    arrays.  Returns a ``STATUS_*`` code; on ``ROUNDS_FULL`` /
-    ``GROUPS_FULL`` no state from the pending cascade has been
-    written, so the caller can grow the buffer and simply call again.
-    """
-    cap = n + 1  # window ring capacity
-    rt_cap = round_times.shape[0]
-    gt_cap = group_times.shape[0]
-
-    now = fstate[0]
-    open_time = fstate[1]
-    open_size = istate[I_OPEN_SIZE]
-    wres = istate[I_WINDOW_RESETS]
-    wmax = istate[I_WMAX]
-    ftal_max = istate[I_FTAL_MAX]
-    ftam_min = istate[I_FTAM_MIN]
-    rfill = istate[I_ROUND_FILL]
-    rmax = istate[I_ROUND_MAX]
-    head = win_meta[0]
-    count = win_meta[1]
-
-    status = -1
-    while True:
-        # Headroom reservation: one round slot, two group slots (one
-        # close during the cascade + one for the trailing finish).
-        if round_meta[0] + 1 > rt_cap:
-            status = STATUS_ROUNDS_FULL
-            break
-        if keep_history != 0 and group_meta[0] + 2 > gt_cap:
-            status = STATUS_GROUPS_FULL
-            break
-
-        # Earliest pending expiry; strict < keeps the first (lowest
-        # node id) minimum, matching the heap's (time, node) order.
-        e1 = expiry[0]
-        i1 = 0
-        for i in range(1, n):
-            if expiry[i] < e1:
-                e1 = expiry[i]
-                i1 = i
-        if e1 > until:
-            if now < until:
-                now = until
-            status = STATUS_HORIZON
-            break
-
-        expiry[i1] = _INF
-        idx_scratch[0] = i1
-        time_scratch[0] = e1
-        g = 1
-        window = e1 + tc
-        while True:
-            e = expiry[0]
-            ii = 0
-            for i in range(1, n):
-                if expiry[i] < e:
-                    e = expiry[i]
-                    ii = i
-            if e > window:
-                break
-            expiry[ii] = _INF
-            idx_scratch[g] = ii
-            time_scratch[g] = e
-            g += 1
-            window += tc
-        if window > until:
-            # Busy period outlives the horizon: restore and stop.
-            for j in range(g):
-                expiry[idx_scratch[j]] = time_scratch[j]
-            now = until
-            status = STATUS_HORIZON
-            break
-
-        istate[I_TOTAL_CASCADES] += 1
-        now = window
-        t = window
-
-        # -- fused tracker: record_reset x g at time t ----------------
-        if open_time == open_time and abs(t - open_time) <= tol:
-            s = open_size
-            li = head + count - 1
-            if li >= cap:
-                li -= cap
-        else:
-            if open_time == open_time:
-                if keep_history != 0:
-                    gi = group_meta[0]
-                    group_times[gi] = open_time
-                    group_sizes[gi] = open_size
-                    group_meta[0] = gi + 1
-            li = head + count
-            if li >= cap:
-                li -= cap
-            win_sizes[li] = 0
-            win_cnts[li] = 0
-            count += 1
-            s = 0
-        for _ in range(g):
-            s += 1
-            win_sizes[li] = s
-            win_cnts[li] += 1
-            wres += 1
-            if s > wmax:
-                wmax = s
-            while wres > n:
-                win_cnts[head] -= 1
-                wres -= 1
-                if win_cnts[head] == 0:
-                    esize = win_sizes[head]
-                    head += 1
-                    if head >= cap:
-                        head -= cap
-                    count -= 1
-                    if esize >= wmax and wmax > 1:
-                        wmax = 1
-                        q = head
-                        for _ in range(count):
-                            if win_sizes[q] > wmax:
-                                wmax = win_sizes[q]
-                            q += 1
-                            if q >= cap:
-                                q -= cap
-            if s > ftal_max:
-                ftal[s] = t
-                ftal_max = s
-            if wres >= n and wmax < ftam_min:
-                for v in range(wmax, ftam_min):
-                    ftam[v] = t
-                ftam_min = wmax
-            rfill += 1
-            if s > rmax:
-                rmax = s
-            if rfill >= n:
-                ri = round_meta[0]
-                round_times[ri] = t
-                round_largest[ri] = rmax
-                round_meta[0] = ri + 1
-                rfill = 0
-                rmax = 0
-        open_time = t
-        open_size = s
-        istate[I_TOTAL_RESETS] += g
-
-        # -- redraw, in pop order -------------------------------------
-        for j in range(g):
-            i = idx_scratch[j]
-            state = (_MUL * rng[i]) % _MOD
-            rng[i] = state
-            expiry[i] = window + (low + span * (state / _MOD))
-
-        if stop_sync != 0 and (s >= n or (wres >= n and wmax >= n)):
-            status = STATUS_STOPPED
-            break
-        if stop_unsync != 0 and wres >= n and wmax <= 1:
-            status = STATUS_STOPPED
-            break
-
-    if status == STATUS_HORIZON or status == STATUS_STOPPED:
-        # ClusterTracker.finish(): close the trailing open group.
-        if open_time == open_time:
-            if keep_history != 0:
-                gi = group_meta[0]
-                group_times[gi] = open_time
-                group_sizes[gi] = open_size
-                group_meta[0] = gi + 1
-            open_time = _NAN
-            open_size = 0
-
-    fstate[0] = now
-    fstate[1] = open_time
-    istate[I_OPEN_SIZE] = open_size
-    istate[I_WINDOW_RESETS] = wres
-    istate[I_WMAX] = wmax
-    istate[I_FTAL_MAX] = ftal_max
-    istate[I_FTAM_MIN] = ftam_min
-    istate[I_ROUND_FILL] = rfill
-    istate[I_ROUND_MAX] = rmax
-    win_meta[0] = head
-    win_meta[1] = count
-    return status
 
 
 class MemberState:
@@ -344,48 +128,18 @@ class MemberState:
         self.idx_scratch = np.empty(n, dtype=np.int64)
         self.time_scratch = np.empty(n, dtype=np.float64)
 
-    def _grow(self, values_attr, sizes_attr, meta):
-        for attr in (values_attr, sizes_attr):
+    def _grow(self, *attrs):
+        for attr in attrs:
             old = getattr(self, attr)
             new = _np.empty(max(2 * old.shape[0], 16), dtype=old.dtype)
             new[: old.shape[0]] = old
             setattr(self, attr, new)
 
     def grow_rounds(self):
-        self._grow("round_times", "round_largest", self.round_meta)
+        self._grow("round_times", "round_largest")
 
     def grow_groups(self):
-        self._grow("group_times", "group_sizes", self.group_meta)
-
-    def kernel_args(self, tc, low, span, tol, until, stop_sync, stop_unsync):
-        return (
-            self.expiry,
-            self.rng,
-            self.n,
-            tc,
-            low,
-            span,
-            tol,
-            until,
-            1 if stop_sync else 0,
-            1 if stop_unsync else 0,
-            self.keep_history,
-            self.fstate,
-            self.istate,
-            self.win_sizes,
-            self.win_cnts,
-            self.win_meta,
-            self.ftal,
-            self.ftam,
-            self.round_times,
-            self.round_largest,
-            self.round_meta,
-            self.group_times,
-            self.group_sizes,
-            self.group_meta,
-            self.idx_scratch,
-            self.time_scratch,
-        )
+        self._grow("group_times", "group_sizes")
 
     def sync_member(self, member):
         """Unpack this state into a ``BatchMember``'s public fields."""
@@ -425,9 +179,7 @@ class MemberState:
 def drive_member(kernel, state, tc, low, span, tol, until, stop_sync, stop_unsync):
     """Run the kernel to completion, growing buffers as it asks."""
     while True:
-        status = kernel(
-            *state.kernel_args(tc, low, span, tol, until, stop_sync, stop_unsync)
-        )
+        status = kernel(state, tc, low, span, tol, until, stop_sync, stop_unsync)
         if status == STATUS_ROUNDS_FULL:
             state.grow_rounds()
         elif status == STATUS_GROUPS_FULL:
@@ -436,63 +188,42 @@ def drive_member(kernel, state, tc, low, span, tol, until, stop_sync, stop_unsyn
             return status
 
 
-# -- provider resolution -------------------------------------------------
+# -- resolution ----------------------------------------------------------
+
+#: The C build's flags.  No FMA contraction, no fast-math value
+#: changes: the kernel must round exactly like the python backend.
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
+_LDLIBS = ("-lm",)
+
+#: What loading or building a library can raise: ``dlopen`` failures
+#: (junk, truncated or foreign files) and filesystem errors are
+#: OSError, a library without the entry point is AttributeError, and a
+#: failed compile or smoke test is RuntimeError.
+_KERNEL_ERRORS = (OSError, AttributeError, RuntimeError)
 
 _RESOLVED: object = "unset"
 
 
-def resolve_compiled(force: str | None = None):
-    """``(provider_name, kernel)`` or None, cached per process.
+def resolve_compiled():
+    """``("c", kernel)`` or None, cached per process.
 
-    ``force`` (or the ``REPRO_COMPILED_PROVIDER`` env var) pins one
-    provider ("numba" / "c") instead of trying both — the hook the CI
-    compiled-backend job uses to assert which provider it exercised.
+    None without NumPy (quietly: the python backend is the expected
+    path there) or when the C kernel cannot be built or loaded (with
+    one ``batch.compiled_unavailable`` warning event naming the cause).
     """
     global _RESOLVED
     if _RESOLVED == "unset":
-        _RESOLVED = _resolve(
-            force or os.environ.get("REPRO_COMPILED_PROVIDER", "").strip() or None
-        )
+        kernel = _load_or_build() if _np is not None else None
+        _RESOLVED = None if kernel is None else ("c", kernel)
     return _RESOLVED
 
 
-def _resolve(force):
-    if _np is None:
-        return None
-    if force not in (None, "numba", "c"):
-        raise ValueError(f"unknown compiled provider {force!r}")
-    if force in (None, "numba"):
-        kernel = _try_numba()
-        if kernel is not None:
-            return ("numba", kernel)
-    if force in (None, "c"):
-        kernel = _try_cmodule()
-        if kernel is not None:
-            return ("c", kernel)
-    return None
-
-
 def _warmup(kernel):
-    """Force-compile / smoke-test a candidate kernel on a tiny case."""
+    """Smoke-test a freshly loaded kernel on a tiny case."""
     state = MemberState([0.25, 0.75], [11, 12], 2, True, rounds_cap=4)
     status = drive_member(kernel, state, 0.1, 0.9, 0.2, 1e-7, 5.0, False, False)
     if status != STATUS_HORIZON:
         raise RuntimeError(f"warmup returned status {status}")
-
-
-def _try_numba():
-    try:
-        import numba
-    except ImportError:
-        return None
-    try:
-        # fastmath stays off: reassociation/contraction would break
-        # bit-identity with the interpreted backends.
-        kernel = numba.njit(cache=False, fastmath=False)(advance_member)
-        _warmup(kernel)
-    except Exception:  # pragma: no cover - depends on numba install health
-        return None
-    return kernel
 
 
 def _c_source_path():
@@ -510,61 +241,77 @@ def _cache_dir():
     )
 
 
-def _build_clib():
-    """Compile ``_batch_kernel.c`` into a cached shared library."""
-    src = _c_source_path()
-    with open(src, "rb") as fh:
-        source = fh.read()
-    tag = hashlib.sha256(source).hexdigest()[:16]
-    cache = _cache_dir()
-    lib_path = os.path.join(cache, f"batch_kernel_{tag}.so")
-    if os.path.exists(lib_path):
-        return lib_path
+def _lib_path():
+    """Where the library built from this source, flags and machine lives."""
+    with open(_c_source_path(), "rb") as fh:
+        digest = hashlib.sha256(fh.read())
+    digest.update(repr((_CFLAGS, _LDLIBS, platform.machine())).encode())
+    return os.path.join(_cache_dir(), f"batch_kernel_{digest.hexdigest()[:16]}.so")
+
+
+def _load(lib_path):
+    kernel = _c_adapter(ctypes.CDLL(lib_path))
+    _warmup(kernel)
+    return kernel
+
+
+def _build(lib_path):
+    """Compile, smoke-test and publish the kernel at ``lib_path``."""
     cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if cc is None:
-        raise RuntimeError("no C compiler on PATH")
+        raise RuntimeError("no C compiler (cc, gcc or clang) on PATH")
+    cache = os.path.dirname(lib_path)
     os.makedirs(cache, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
     os.close(fd)
     try:
-        subprocess.run(
-            [
-                cc,
-                "-O2",
-                "-fPIC",
-                "-shared",
-                # No FMA contraction, no fast-math value changes: the
-                # kernel must round exactly like the Python backends.
-                "-ffp-contract=off",
-                "-fno-fast-math",
-                src,
-                "-o",
-                tmp,
-                "-lm",
-            ],
-            check=True,
+        proc = subprocess.run(
+            [cc, *_CFLAGS, _c_source_path(), "-o", tmp, *_LDLIBS],
             capture_output=True,
+            text=True,
+            errors="replace",
         )
+        if proc.returncode != 0:
+            raise RuntimeError(
+                f"{cc} exited with status {proc.returncode}: {proc.stderr.strip()}"
+            )
+        # Load the fresh build before publishing it, so a library that
+        # fails the smoke test never reaches the cache.
+        kernel = _load(tmp)
         os.replace(tmp, lib_path)  # atomic publish; racers converge
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    return lib_path
-
-
-def _try_cmodule():
-    try:
-        lib_path = _build_clib()
-        lib = ctypes.CDLL(lib_path)
-        kernel = _c_adapter(lib)
-        _warmup(kernel)
-    except Exception:
-        return None
     return kernel
 
 
+def _load_or_build():
+    """The cached kernel, rebuilt once if missing or unloadable."""
+    stale = ""
+    try:
+        lib_path = _lib_path()
+        if os.path.exists(lib_path):
+            try:
+                return _load(lib_path)
+            except _KERNEL_ERRORS as error:
+                stale = f"; cached {lib_path} failed to load ({error})"
+        return _build(lib_path)
+    except _KERNEL_ERRORS as error:
+        reason = f"{error}{stale}"
+        from ..obs import WARNING, obs
+
+        obs().emit(
+            "batch.compiled_unavailable",
+            "C batch kernel unavailable; the batch engine falls back to "
+            f"the python backend: {reason}",
+            level=WARNING,
+            reason=reason,
+        )
+        return None
+
+
 def _c_adapter(lib):
-    """Wrap the C entry point behind the Python kernel's signature."""
+    """Wrap the C entry point as ``kernel(state, tc, ..., stop_unsync)``."""
     fn = lib.repro_advance_member
     c_ll = ctypes.c_longlong
     c_d = ctypes.c_double
@@ -608,63 +355,36 @@ def _c_adapter(lib):
     def lp(a):
         return a.ctypes.data_as(p_ll)
 
-    def kernel(
-        expiry,
-        rng,
-        n,
-        tc,
-        low,
-        span,
-        tol,
-        until,
-        stop_sync,
-        stop_unsync,
-        keep_history,
-        fstate,
-        istate,
-        win_sizes,
-        win_cnts,
-        win_meta,
-        ftal,
-        ftam,
-        round_times,
-        round_largest,
-        round_meta,
-        group_times,
-        group_sizes,
-        group_meta,
-        idx_scratch,
-        time_scratch,
-    ):
+    def kernel(state, tc, low, span, tol, until, stop_sync, stop_unsync):
         return fn(
-            dp(expiry),
-            lp(rng),
-            n,
+            dp(state.expiry),
+            lp(state.rng),
+            state.n,
             tc,
             low,
             span,
             tol,
             until,
-            stop_sync,
-            stop_unsync,
-            keep_history,
-            dp(fstate),
-            lp(istate),
-            lp(win_sizes),
-            lp(win_cnts),
-            lp(win_meta),
-            dp(ftal),
-            dp(ftam),
-            dp(round_times),
-            lp(round_largest),
-            lp(round_meta),
-            round_times.shape[0],
-            dp(group_times),
-            lp(group_sizes),
-            lp(group_meta),
-            group_times.shape[0],
-            lp(idx_scratch),
-            dp(time_scratch),
+            1 if stop_sync else 0,
+            1 if stop_unsync else 0,
+            state.keep_history,
+            dp(state.fstate),
+            lp(state.istate),
+            lp(state.win_sizes),
+            lp(state.win_cnts),
+            lp(state.win_meta),
+            dp(state.ftal),
+            dp(state.ftam),
+            dp(state.round_times),
+            lp(state.round_largest),
+            lp(state.round_meta),
+            state.round_times.shape[0],
+            dp(state.group_times),
+            lp(state.group_sizes),
+            lp(state.group_meta),
+            state.group_times.shape[0],
+            lp(state.idx_scratch),
+            dp(state.time_scratch),
         )
 
     return kernel

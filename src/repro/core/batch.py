@@ -11,33 +11,6 @@ statistics are maintained by a fused tracker that keeps an
 incremental window maximum instead of rescanning the window on every
 reset.
 
-Event vectorization (the ``numpy`` backend)
--------------------------------------------
-Between cascades every router's next expiry is an independent draw,
-so the dynamics decompose into *inter-cascade epochs* (Lyu's
-pulse-coupled-oscillator structure): as long as consecutive expiries
-are more than ``Tc`` apart, each expiry is a singleton cascade that
-resets exactly one router and cannot interact with any other pending
-or redrawn timer.  The vectorized kernel exploits this: each epoch it
-
-1. sorts every member's slice of the slab once (one
-   ``argsort``/compare over the whole SoA slab — the *boundary
-   scan*),
-2. advances each quiescent member through its whole run of singleton
-   resets in bulk — tracker statistics are updated with closed-form
-   per-run arithmetic, and the consumed interval draws come from
-   precomputed per-stream RNG blocks (the exact Lehmer jump), and
-3. drops into the scalar per-member path only for the rare members
-   actually inside a cascade window (two expiries within ``Tc``),
-   which process one cascade and rejoin the bulk path next epoch.
-
-A run of singleton resets is provably non-interacting when (a) each
-sorted gap exceeds ``Tc`` (no window capture), and (b) every
-processed expiry precedes ``e_min + (Tp - Tr)`` — the earliest time
-any redrawn timer could re-enter (redraws land at ``t + Tc + draw``
-with ``draw > Tp - Tr``).  Members violating either bound fall back
-to the scalar path, so the invariant is structural, not statistical.
-
 Bit-for-bit identity
 --------------------
 Each member's trajectory is identical to ``CascadeModel(params,
@@ -52,59 +25,42 @@ backend replays the exact same arithmetic in the exact same order:
   m)`` with the same operand order, so every float rounds the same
   way.
 * The heap's ``(time, node)`` tie-break is reproduced by taking the
-  *first* minimum in node order within the member's slice (a stable
-  argsort in the vectorized path).
+  *first* minimum in node order within the member's slice.
 * The busy window grows by sequential ``window += tc`` additions (no
-  closed form), accumulating the identical rounding; the bulk path's
-  singleton windows are the same single ``e + tc`` add.
+  closed form), accumulating the identical rounding.
 * The fused tracker is an algebraic rewrite of
   :class:`~repro.core.clusters.ClusterTracker` — same window deque,
-  same eviction order, same first-passage backfills — and the bulk
-  path's closed-form updates reproduce its per-reset arithmetic
-  exactly (suffix-maximum over the evicted window prefix).  All of it
-  is verified against the DES by
-  ``tests/test_engine_differential.py``, including consumed-RNG
-  positions.
+  same eviction order, same first-passage backfills.  All of it is
+  verified against the DES by ``tests/test_engine_differential.py``,
+  including consumed-RNG positions.
 
 Backends
 --------
 ``python``
     Pure-Python scalar kernel, no third-party dependencies.  Always
     available; the portable reference.
-``numpy``
-    The event-vectorized kernel above, with a streaming per-stream
-    RNG block bank (:class:`_RngBank`).  Auto-selected when NumPy is
-    importable.
 ``compiled``
-    The scalar kernel compiled to machine code — ``numba`` when
-    importable, else a small C module built on demand with the system
-    compiler (see :mod:`repro.core._batch_kernel`).  Optional: it is
-    never auto-selected; request it with ``backend="compiled"`` (or
-    the ``REPRO_BATCH_BACKEND`` environment variable) and check
-    :func:`compiled_backend_available` first.
+    The same scalar kernel as a small C module, built on demand with
+    the system compiler and loaded through :mod:`ctypes` (see
+    :mod:`repro.core._batch_kernel`).  Needs NumPy for its packed
+    state.
 
-:data:`BACKEND` reports which backend new :class:`BatchCascade`
-instances use by default; any can be forced with ``backend=...``, and
-all produce byte-identical results.
+:func:`default_backend` picks ``compiled`` whenever the C kernel
+resolves on this platform and ``python`` otherwise.  The choice is
+made on first use and cached for the process, so importing this
+module never runs a compiler.  Either backend can be forced with
+``backend=...``; both produce byte-identical results.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from collections import deque
 from typing import Sequence
 
 from .clusters import RESET_TIME_TOLERANCE, ClusterGroup, ClusterTracker
 from .parameters import RouterTimingParameters
 
-try:  # NumPy is optional: the pure-Python path is always available.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
 __all__ = [
-    "BACKEND",
     "BACKENDS",
     "BatchCascade",
     "BatchMember",
@@ -113,56 +69,29 @@ __all__ = [
 ]
 
 #: Every backend name :class:`BatchCascade` accepts.
-BACKENDS = ("python", "numpy", "compiled")
+BACKENDS = ("python", "compiled")
 
 _MOD = 2**31 - 1  # == repro.rng.lehmer.MODULUS
 _MUL = 16807  # == repro.rng.lehmer.MULTIPLIER
 _INF = float("inf")
 
-#: Soft cap on the total number of precomputed uniforms held by the
-#: RNG block bank (floats across all member×router streams).  Beyond
-#: it the bank *streams*: block length is floored at
-#: :data:`_MIN_BLOCK` and exhausted streams refill in vectorized
-#: groups, so very large ensembles amortize refill cost instead of
-#: degenerating toward per-draw refills.
-_BLOCK_BUDGET = 4_000_000
-
-#: Blocks never shrink below this many draws per stream, whatever the
-#: ensemble size — the streaming-refil floor.
-_MIN_BLOCK = 64
-
-#: And never grow beyond this, whatever the horizon.
-_MAX_BLOCK = 16384
-
 
 def default_backend() -> str:
     """The backend new instances use when none is forced.
 
-    ``REPRO_BATCH_BACKEND`` overrides the auto-detection ("numpy" when
-    NumPy imported, else "python") — the hook the numpy-free and
-    compiled-backend CI jobs use to pin the path under test.
+    ``"compiled"`` when the C kernel resolves (NumPy importable and the
+    kernel builds or loads from its cache), else ``"python"``.  The
+    platform decides, not an option; the first call resolves the
+    kernel and the answer is cached for the process.
     """
-    forced = os.environ.get("REPRO_BATCH_BACKEND", "").strip()
-    if forced:
-        if forced not in BACKENDS:
-            raise ValueError(
-                f"REPRO_BATCH_BACKEND={forced!r} is not a known batch "
-                f"backend; known backends: {', '.join(BACKENDS)}"
-            )
-        return forced
-    return "numpy" if _np is not None else "python"
-
-
-#: The backend new instances use when none is forced (resolved once at
-#: import; see :func:`default_backend`).
-BACKEND = default_backend()
+    return "compiled" if compiled_backend_available() else "python"
 
 
 def compiled_backend_available() -> bool:
     """Whether ``backend="compiled"`` would work in this environment.
 
-    True when either numba is importable or the bundled C kernel can
-    be (or already has been) built with the system compiler.
+    True when NumPy imports and the bundled C kernel can be (or
+    already has been) built with the system compiler.
     """
     from . import _batch_kernel
 
@@ -201,7 +130,6 @@ class BatchMember:
         "_ftam_min",
         "_round_fill",
         "_round_max",
-        "_sing_head",
     )
 
     def __init__(self, seed: int, n_nodes: int) -> None:
@@ -230,12 +158,6 @@ class BatchMember:
         self._ftam_min = n_nodes + 1
         self._round_fill = 0
         self._round_max = 0
-        # Proven lower bound on how many of the window's *oldest*
-        # resets belong to singleton groups.  The vector kernel's
-        # steady-state shortcuts maintain it exactly (making their
-        # "may we rotate?" prefix walks O(1)); every slow path just
-        # resets it to the trivially-safe 0.
-        self._sing_head = 0
 
     @property
     def synchronization_time(self) -> float | None:
@@ -246,98 +168,6 @@ class BatchMember:
     def breakup_time(self) -> float | None:
         """First time a full window of lone resets occurred."""
         return self.first_time_at_most.get(1)
-
-
-class _RngBank:
-    """Streaming per-stream Lehmer block bank (numpy backend).
-
-    Each of the ``members × routers`` streams gets a block of
-    precomputed interval draws.  Block states come from jumping the
-    recurrence — ``x_j = (a^j * x_0) mod m``, exact in int64 because
-    ``a^j mod m < 2**31`` and ``x_0 < 2**31`` keep every product under
-    ``2**62`` — and the uniform transform divides by the modulus and
-    applies ``low + span * u`` elementwise: the same float64
-    operations in the same order as the scalar path, so block values
-    are bit-identical to sequential draws.
-
-    Streaming refill: when a stream's block is exhausted it is
-    regenerated by jumping its base state one block forward.  Refills
-    are *grouped* — all streams that ran dry in the same bulk
-    consumption refill through one vectorized jump — so arbitrarily
-    large ensembles pay amortized O(1) per draw even when the block
-    budget caps the per-stream length (see :data:`_MIN_BLOCK`).
-    """
-
-    __slots__ = (
-        "low",
-        "span",
-        "length",
-        "powers",
-        "jump",
-        "base",
-        "pos",
-        "values",
-        "refills",
-        "refill_seconds",
-    )
-
-    def __init__(
-        self, states: Sequence[int], low: float, span: float, length: int
-    ) -> None:
-        self.low = low
-        self.span = span
-        self.length = length
-        powers = []
-        p = 1
-        for _ in range(length):
-            p = (p * _MUL) % _MOD
-            powers.append(p)
-        self.powers = _np.array(powers, dtype=_np.int64)
-        self.jump = pow(_MUL, length, _MOD)
-        self.base = _np.array(states, dtype=_np.int64)
-        self.pos = _np.zeros(len(states), dtype=_np.int64)
-        self.values = self.low + self.span * (
-            (self.base[:, None] * self.powers[None, :]) % _MOD / _MOD
-        )
-        self.refills = 0
-        self.refill_seconds = 0.0
-
-    def _refill(self, streams) -> None:
-        """Jump the given streams' banks one block forward (grouped)."""
-        start = time.perf_counter()
-        self.refills += 1
-        fresh = (self.base[streams] * self.jump) % _MOD
-        self.base[streams] = fresh
-        self.values[streams] = self.low + self.span * (
-            (fresh[:, None] * self.powers[None, :]) % _MOD / _MOD
-        )
-        self.pos[streams] = 0
-        self.refill_seconds += time.perf_counter() - start
-
-    def draw_many(self, streams):
-        """One draw from each listed stream (streams must be unique)."""
-        pos = self.pos
-        exhausted = streams[pos[streams] >= self.length]
-        if exhausted.size:
-            self._refill(exhausted)
-        p = pos[streams]
-        values = self.values[streams, p]
-        pos[streams] = p + 1
-        return values
-
-    def draw_one(self, stream: int) -> float:
-        """One draw from one stream (the scalar-fallback path)."""
-        p = int(self.pos[stream])
-        if p >= self.length:
-            self._refill(_np.array([stream]))
-            p = 0
-        value = float(self.values[stream, p])
-        self.pos[stream] = p + 1
-        return value
-
-    def state(self, stream: int) -> int:
-        """The stream's Lehmer state after the draws consumed so far."""
-        return (pow(_MUL, int(self.pos[stream]), _MOD) * int(self.base[stream])) % _MOD
 
 
 class BatchCascade:
@@ -357,10 +187,10 @@ class BatchCascade:
     keep_cluster_history:
         When True, each member retains its closed reset groups.
     backend:
-        One of :data:`BACKENDS`, or None to use the module default
-        (:data:`BACKEND`).  All backends produce identical bytes;
-        "numpy" raises if NumPy is not importable, "compiled" raises
-        if neither numba nor a working C toolchain is available.
+        One of :data:`BACKENDS`, or None for :func:`default_backend`.
+        Both backends produce identical bytes; "compiled" raises if
+        the C kernel is unavailable (no NumPy or no working C
+        toolchain).
     topology:
         Optional :class:`~repro.topo.TopologySpec` (or canonical
         string).  ``None`` and complete couplings run the original
@@ -371,7 +201,7 @@ class BatchCascade:
         ``CascadeModel`` uses, so cascade-vs-batch byte-identity on
         graphs is structural.  Topology runs draw from the scalar
         stream path on every backend (consumed positions unchanged),
-        so backends remain trivially identical.
+        so the backends remain trivially identical.
     """
 
     def __init__(
@@ -384,18 +214,16 @@ class BatchCascade:
         topology=None,
     ) -> None:
         if backend is None:
-            backend = BACKEND
+            backend = default_backend()
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown batch backend {backend!r}; known backends: "
                 f"{', '.join(BACKENDS)}"
             )
-        if backend == "numpy" and _np is None:
-            raise RuntimeError("numpy backend requested but numpy is not importable")
         if backend == "compiled" and not compiled_backend_available():
             raise RuntimeError(
-                "compiled backend requested but neither numba nor a "
-                "working C toolchain is available"
+                "compiled backend requested but the C kernel is "
+                "unavailable (it needs numpy and a working C toolchain)"
             )
         seeds = [int(s) for s in seeds]
         if not seeds:
@@ -419,7 +247,6 @@ class BatchCascade:
         self._topo_trackers: list | None = None
         self._n = n
         self._m = len(seeds)
-        self._tp = params.tp
         self._tc = params.tc
         # The interval draw's operands, fixed once: CascadeModel passes
         # (tp - tr, tp + tr) into uniform(), which multiplies by
@@ -471,22 +298,12 @@ class BatchCascade:
         self._phase_states = phase_states
         self._members = members
 
-        # Event vectorization is sound only when windows are strictly
-        # wider than the cluster tolerance and there are >= 2 routers;
-        # otherwise the numpy backend runs the scalar kernel (drawing
-        # from the block bank, so consumed positions stay identical).
-        self._vector_ok = n >= 2 and self._tc > RESET_TIME_TOLERANCE
-
-        # Lazily-built vector state (numpy backend): SoA expiry slab +
-        # streaming RNG bank, sized to the first run()'s horizon.
-        self._E = None
-        self._bank: _RngBank | None = None
         # Lazily-built packed per-member state (compiled backend).
         self._cstate: list | None = None
         self._cimpl = None
-        #: Wall-clock spent per kernel phase (numpy backend): RNG block
-        #: refills, the vectorized boundary scan, and cascade
-        #: resolution (the per-member bulk/scalar updates).
+        #: Per-phase kernel seconds.  Neither scalar kernel splits its
+        #: time into phases, so every key stays at 0.0; the mapping is
+        #: kept for the benchmark tracer, which reads it.
         self.phase_seconds = {
             "rng_refill": 0.0,
             "boundary_scan": 0.0,
@@ -507,11 +324,9 @@ class BatchCascade:
         equivalent ``CascadeModel`` at the same point — the witness
         that both engines consumed each stream to the same position.
         """
-        base = k * self._n
-        if self.backend == "compiled" and self._cstate is not None:
+        if self._cstate is not None:
             return [int(v) for v in self._cstate[k].rng]
-        if self._bank is not None:
-            return [self._bank.state(i) for i in range(base, base + self._n)]
+        base = k * self._n
         return self._rng_state[base : base + self._n]
 
     def phase_rng_state(self, k: int) -> int:
@@ -537,8 +352,6 @@ class BatchCascade:
         until = float(until)
         if self._coupling is not None:
             self._run_topology(until, stop_on_full_sync, stop_on_full_unsync)
-        elif self.backend == "numpy":
-            self._run_vector(until, stop_on_full_sync, stop_on_full_unsync)
         elif self.backend == "compiled":
             self._run_compiled(until, stop_on_full_sync, stop_on_full_unsync)
         else:
@@ -555,7 +368,6 @@ class BatchCascade:
                     until,
                     stop_on_full_sync,
                     stop_on_full_unsync,
-                    None,
                 )
         return [member.now for member in self._members]
 
@@ -618,7 +430,7 @@ class BatchCascade:
             member.total_resets = tracker.total_resets
             member.now = stop_time if stopped else max(member.now, until)
 
-    # -- scalar kernel (python backend + vector fallback) ----------------
+    # -- scalar kernel (python backend) ----------------------------------
 
     def _advance_slice(
         self,
@@ -630,23 +442,19 @@ class BatchCascade:
         until: float,
         stop_sync: bool,
         stop_unsync: bool,
-        max_cascades: int | None,
-    ) -> bool:
+    ) -> None:
         """Replay of ``CascadeModel.run`` over one member's slice.
 
         ``exp`` is a mutable flat sequence; the member's routers occupy
         ``[lo, hi)`` and ``draw(i)`` consumes one interval draw from
-        flat stream ``i``.  Processes at most ``max_cascades`` cascades
-        (None = unbounded); returns True when the member is done for
-        this ``run()`` call (horizon reached or stop condition met),
-        False when the cascade budget ran out first.
+        flat stream ``i``.  Returns when the member is done for this
+        ``run()`` call (horizon reached or stop condition met).
         """
         n = self._n
         tc = self._tc
         tol = RESET_TIME_TOLERANCE
         keep = self._keep_history
         win = member._win
-        member._sing_head = 0  # scalar path mutates the window freely
         while True:
             # Earliest pending expiry; first minimum in the slice is
             # the lowest node id, matching the heap's (time, node) order.
@@ -654,7 +462,7 @@ class BatchCascade:
             if e1 > until:
                 member.now = max(member.now, until)
                 self._finish(member)
-                return True
+                return
             i1 = exp.index(e1, lo, hi)
             exp[i1] = _INF
             idxs = [i1]
@@ -678,7 +486,7 @@ class BatchCascade:
                     exp[i] = e
                 member.now = until
                 self._finish(member)
-                return True
+                return
             member.total_cascades += 1
             member.now = window
             t = window
@@ -762,14 +570,10 @@ class BatchCascade:
                 s >= n or (wres >= n and wmax >= n)
             ):
                 self._finish(member)
-                return True
+                return
             if stop_unsync and wres >= n and wmax <= 1:
                 self._finish(member)
-                return True
-            if max_cascades is not None:
-                max_cascades -= 1
-                if max_cascades <= 0:
-                    return False
+                return
 
     def _finish(self, member: BatchMember) -> None:
         """ClusterTracker.finish(): close the trailing open group."""
@@ -788,802 +592,7 @@ class BatchCascade:
         self._rng_state[idx] = s
         return self._low + self._span * (s / _MOD)
 
-    # -- event-vectorized kernel (numpy backend) -------------------------
-
-    def _ensure_vector(self, until: float) -> None:
-        """Build the SoA slab and the streaming RNG bank (first run)."""
-        if self._E is not None:
-            return
-        m, n = self._m, self._n
-        self._E = _np.array(self._expiry, dtype=_np.float64).reshape(m, n)
-        streams = m * n
-        est = int(until / self._tp) + 32 if self._tp > 0 else 64
-        length = min(_MAX_BLOCK, max(_MIN_BLOCK, _BLOCK_BUDGET // streams))
-        length = max(16, min(length, max(16, est)))
-        self._bank = _RngBank(self._rng_state, self._low, self._span, length)
-
-    def _run_vector(
-        self, until: float, stop_sync: bool, stop_unsync: bool
-    ) -> None:
-        np = _np
-        n = self._n
-        self._ensure_vector(until)
-        bank = self._bank
-        if not self._vector_ok:
-            # Degenerate parameters (Tc within the cluster tolerance,
-            # or a single router): the epoch decomposition does not
-            # apply, so run the scalar kernel off the block bank.
-            for k, member in enumerate(self._members):
-                row = self._E[k].tolist()
-                base = k * n
-                self._advance_slice(
-                    member,
-                    row,
-                    0,
-                    n,
-                    lambda i, _b=base: bank.draw_one(_b + i),
-                    until,
-                    stop_sync,
-                    stop_unsync,
-                    None,
-                )
-                self._E[k] = row
-            return
-
-        E = self._E
-        flat = E.reshape(-1)
-        tc = self._tc
-        low = self._low
-        m = self._m
-        members = self._members
-        keep = self._keep_history
-        phase = self.phase_seconds
-        refill_before = bank.refill_seconds
-        active = list(range(m))
-        cols = np.arange(n)
-        cols1 = cols[: n - 1]
-        all_idx = np.arange(m, dtype=np.intp)
-        while active:
-            t0 = time.perf_counter()
-            if len(active) == m:
-                idx = all_idx
-                Ea = E
-            else:
-                idx = np.array(active, dtype=np.intp)
-                Ea = E[idx]
-            order = np.argsort(Ea, axis=1, kind="stable")
-            ts = np.take_along_axis(Ea, order, axis=1)
-            T = ts + tc
-            # Singleton-run lengths: (a) every gap in the run must
-            # exceed Tc (compared exactly as the scalar kernel does:
-            # next expiry vs this window), (b) processed expiries must
-            # precede the earliest possible redraw re-entry, (c)
-            # windows must not outlive the horizon.
-            gaps_ok = ts[:, 1:] > T[:, :-1]
-            # nf[i, j]: first sorted position >= j whose gap collides
-            # (n when none) — gives the gap-limited run length from
-            # *any* starting position, which the loop needs to retire
-            # a trailing singleton run after an in-epoch cascade.
-            nf = np.minimum.accumulate(
-                np.where(gaps_ok, n, cols1)[:, ::-1], axis=1
-            )[:, ::-1]
-            r_gap = nf[:, 0]
-            relim = T[:, :1] + low
-            r_re_raw = (T < relim).sum(axis=1)
-            r_re = np.maximum(r_re_raw, 1)
-            if bool((T[:, -1] > until).any()):
-                r_until = (T <= until).sum(axis=1)
-                runs = np.minimum(np.minimum(r_gap, r_re), r_until)
-                runtil_l = r_until.tolist()
-            else:
-                # Horizon still beyond every window in the slab (the
-                # common case): skip the per-event comparison.
-                runs = np.minimum(r_gap, r_re)
-                runtil_l = None
-            runs_l = runs.tolist()
-            # When every window fits the horizon no member can finish
-            # this epoch, so the per-visit horizon checks are skipped
-            # wholesale (e0 < T[0] <= until).
-            e0_l = ts[:, 0].tolist() if runtil_l is not None else None
-            relim_l = relim.ravel().tolist()
-            rre_l = r_re_raw.tolist()
-
-            # Capture chain for every member whose singleton run is
-            # broken by a gap collision at sorted position s = runs:
-            # the busy window starts at expiry s and grows by
-            # sequential ``+= tc`` adds.  Zero-padding the first s
-            # steps keeps np.cumsum's accumulation order identical to
-            # the scalar kernel's (adding 0.0 is exact), so W
-            # reproduces the scalar windows bit for bit.  g is the
-            # number of sorted expiries the chain captures, W[s+g-1]
-            # the closing window — together they resolve the whole
-            # cascade without any scalar re-scan, and (gated on the
-            # horizon and redraw re-entry bounds) let one epoch retire
-            # a member's run *and* the cascade that ended it.
-            cand = np.nonzero((r_gap == runs) & (runs < n))[0]
-            if cand.size:
-                s = runs[cand]
-                tsz = ts[cand]
-                ar = np.arange(cand.size)
-                steps = np.full(tsz.shape, tc)
-                steps[cols[None, :] < s[:, None]] = 0.0
-                steps[ar, s] = tsz[ar, s] + tc
-                Wz = np.cumsum(steps, axis=1)
-                fail = tsz[:, 1:] > Wz[:, :-1]
-                fail[cols[None, : n - 1] < s[:, None]] = False
-                has = fail.any(axis=1)
-                jf = np.argmax(fail, axis=1)
-                gz = np.where(has, jf + 1 - s, n - s)
-                wz = Wz[ar, s + gz - 1]
-                chain = dict(zip(cand.tolist(), zip(gz.tolist(), wz.tolist())))
-            else:
-                chain = {}
-            phase["boundary_scan"] += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            proc: list[tuple[int, int, int, int, float]] = []
-            proc_append = proc.append
-            finished: list[int] = []
-            chain_get = chain.get
-            for i, k in enumerate(active):
-                member = members[k]
-                if e0_l is not None and e0_l[i] > until:
-                    if member.now < until:
-                        member.now = until
-                    self._finish(member)
-                    finished.append(k)
-                    continue
-                r = runs_l[i]
-                done = False
-                rs = 0  # leading singleton-run length
-                gc = 0  # cascade size (0: none this epoch)
-                w = 0.0  # cascade closing window
-                processed = 0
-                if r > 0 and not (stop_sync and member._wmax >= n):
-                    # A run of non-interacting singleton cascades.
-                    # (When a full-sync stop could fire mid-run — wmax
-                    # already saturated — divert to the cascade path
-                    # below, which checks stops per cascade; the
-                    # diverted member's chain length is necessarily 1.)
-                    # Steady-state shortcuts, inline because this is
-                    # the hottest spot of the whole kernel (their
-                    # slow-path twins live in _bulk_update).
-                    fast = False
-                    if not keep and member._window_resets == n:
-                        wmax = member._wmax
-                        if wmax <= 1:
-                            # Unsynchronized steady state: the window
-                            # is n singleton groups and both frontiers
-                            # are saturated — the update is O(1).
-                            fast = (
-                                not stop_unsync
-                                and member._ftam_min == 1
-                                and len(member._win) == n
-                            )
-                            if fast:
-                                member._sing_head = n
-                        elif member._ftam_min <= wmax:
-                            # Mixed steady state: every evicted reset
-                            # belongs to a singleton group, so the
-                            # cluster entry pinning the window maximum
-                            # survives and nothing moves — rotate the
-                            # window and advance the round series.
-                            # The cached singleton-prefix bound makes
-                            # the check O(1) once the cycle locks in;
-                            # the walk (which recomputes it exactly)
-                            # only runs on a cache miss.
-                            sh = member._sing_head
-                            if sh >= r:
-                                fast = True
-                                member._win.rotate(-r)
-                                member._sing_head = sh - r
-                            else:
-                                c = 0
-                                for entry in member._win:
-                                    if entry[0] > 1:
-                                        break
-                                    c += entry[1]
-                                if c >= r:
-                                    fast = True
-                                    member._win.rotate(-r)
-                                    member._sing_head = c - r
-                                else:
-                                    member._sing_head = c
-                    if fast:
-                        rfill = member._round_fill
-                        jstar = n - rfill
-                        if r >= jstar:
-                            member.round_times.append(float(T[i, jstar - 1]))
-                            rmax = member._round_max
-                            member.round_largest.append(rmax if rmax > 1 else 1)
-                            left = r - jstar
-                            member._round_fill = left
-                            member._round_max = 1 if left else 0
-                        else:
-                            member._round_fill = rfill + r
-                            if member._round_max < 1:
-                                member._round_max = 1
-                        t_last = float(T[i, r - 1])
-                        member._open_time = t_last
-                        member._open_size = 1
-                        member.total_cascades += r
-                        member.total_resets += r
-                        member.now = t_last
-                    else:
-                        r, done = self._bulk_update(
-                            member, T[i], r, stop_unsync
-                        )
-                    rs = r
-                    processed = r
-                    if not done:
-                        # If the run was ended by a gap collision,
-                        # resolve that cascade in the same epoch —
-                        # sound whenever its closing window stays
-                        # inside the horizon and below the earliest
-                        # possible redraw re-entry (redraws land at or
-                        # beyond fl(T[0] + low), so none of this
-                        # epoch's redraws can be captured).
-                        gw = chain_get(i)
-                        if gw is not None:
-                            g, wv = gw
-                            if wv <= until and wv < relim_l[i]:
-                                gc = g
-                elif r > 0:
-                    # Diverted sync-guard member: process the first
-                    # expiry as a one-router cascade so the stop is
-                    # checked right after it (T[0] <= until since
-                    # runs >= 1).
-                    g, wv = 1, float(T[i, 0])
-                    gc = 1
-                else:
-                    gw = chain_get(i)
-                    if gw is None:
-                        # No collision at the first expiry: a chain of
-                        # one whose window T[0] necessarily outlives
-                        # the horizon (that is the only way runs can
-                        # be 0 without a leading collision).
-                        g, wv = 1, float(T[i, 0])
-                    else:
-                        g, wv = gw
-                    if wv > until:
-                        # Busy period outlives the horizon; nothing
-                        # was mutated, so this is the serial engine's
-                        # restore-and-stop, for free.
-                        member.now = until
-                        self._finish(member)
-                        finished.append(k)
-                        continue
-                    gc = g
-                if gc:
-                    win = member._win
-                    h = win[0] if win else None
-                    if (
-                        g >= 2
-                        and h is not None
-                        and h[0] == g
-                        and h[1] == g
-                        and member._window_resets == n
-                        and member._ftal_max >= g
-                        and member._ftam_min <= member._wmax
-                    ):
-                        # Cyclic steady state, inline because this is
-                        # the kernel's hottest cascade shape (see
-                        # _apply_cascade for the slow-path twin and
-                        # the invariant argument).
-                        if member._open_time is not None and keep:
-                            member.groups.append(
-                                ClusterGroup(
-                                    member._open_time, member._open_size
-                                )
-                            )
-                        win.popleft()
-                        win.append([g, g])
-                        # n - g resets over len - 1 non-tail entries:
-                        # equal counts mean they are all singletons.
-                        member._sing_head = (
-                            n - g if len(win) == n - g + 1 else 0
-                        )
-                        member._open_time = wv
-                        member._open_size = g
-                        rfill = member._round_fill
-                        rmax = member._round_max
-                        jstar = n - rfill
-                        if g >= jstar:
-                            member.round_times.append(wv)
-                            member.round_largest.append(
-                                rmax if rmax > jstar else jstar
-                            )
-                            left = g - jstar
-                            member._round_fill = left
-                            member._round_max = g if left else 0
-                        else:
-                            member._round_fill = rfill + g
-                            if rmax < g:
-                                member._round_max = g
-                        member.total_cascades += 1
-                        member.total_resets += g
-                        member.now = wv
-                        done = stop_sync and (g >= n or member._wmax >= n)
-                    else:
-                        done = self._apply_cascade(
-                            member, wv, g, stop_sync, stop_unsync
-                        )
-                    w = wv
-                    processed += g
-                if not done and gc > 0:
-                    # Trailing singleton run after the cascade, under
-                    # the same gap / re-entry / horizon caps (nf gives
-                    # the gap cap from any starting position).
-                    p = processed
-                    if p < n and not (stop_sync and member._wmax >= n):
-                        cap = rre_l[i]
-                        if runtil_l is not None and runtil_l[i] < cap:
-                            cap = runtil_l[i]
-                        r2 = cap - p
-                        if r2 > 0 and p <= n - 2:
-                            f = int(nf[i, p]) - p
-                            if f < r2:
-                                r2 = f
-                        if r2 > 0:
-                            # Mixed-steady shortcut, inlined once more:
-                            # after the cyclic cascade the singleton
-                            # prefix is known exactly, so the trailing
-                            # run is a rotate plus round bookkeeping
-                            # (stops cannot fire while the window
-                            # maximum is pinned above 1).
-                            sh = member._sing_head
-                            wmax = member._wmax
-                            if (
-                                sh >= r2
-                                and not keep
-                                and wmax > 1
-                                and member._window_resets == n
-                                and member._ftam_min <= wmax
-                            ):
-                                member._win.rotate(-r2)
-                                member._sing_head = sh - r2
-                                rfill = member._round_fill
-                                jstar = n - rfill
-                                if r2 >= jstar:
-                                    member.round_times.append(
-                                        float(T[i, p + jstar - 1])
-                                    )
-                                    rmax = member._round_max
-                                    member.round_largest.append(
-                                        rmax if rmax > 1 else 1
-                                    )
-                                    left = r2 - jstar
-                                    member._round_fill = left
-                                    member._round_max = 1 if left else 0
-                                else:
-                                    member._round_fill = rfill + r2
-                                    if member._round_max < 1:
-                                        member._round_max = 1
-                                t_last = float(T[i, p + r2 - 1])
-                                member._open_time = t_last
-                                member._open_size = 1
-                                member.total_cascades += r2
-                                member.total_resets += r2
-                                member.now = t_last
-                            else:
-                                r2, done = self._bulk_update(
-                                    member, T[i, p:], r2, stop_unsync
-                                )
-                            processed += r2
-                proc_append((i, processed, rs, gc, w))
-                if done:
-                    self._finish(member)
-                    finished.append(k)
-            phase["cascade_resolution"] += time.perf_counter() - t0
-
-            if proc:
-                t0 = time.perf_counter()
-                np_fromiter = np.fromiter
-                count = len(proc)
-                rows_t, cnt_t, run_t, g_t, val_t = zip(*proc)
-                rows = np_fromiter(rows_t, dtype=np.intp, count=count)
-                cnt = np_fromiter(cnt_t, dtype=np.int64, count=count)
-                runcnt = np_fromiter(run_t, dtype=np.int64, count=count)
-                gcnt = np_fromiter(g_t, dtype=np.int64, count=count)
-                vals = np_fromiter(val_t, dtype=np.float64, count=count)
-                valid = cols[None, :] < cnt[:, None]
-                routers = order[rows]
-                streams = (idx[rows][:, None] * n + routers)[valid]
-                # Singleton-run events (leading and trailing segments)
-                # redraw at their own reset time; the cascade captures
-                # (sorted positions [proc_run, proc_run + proc_g))
-                # redraw at the common closing window.  Stream order
-                # within a member is irrelevant: each stream consumes
-                # exactly one draw.
-                in_casc = (cols[None, :] >= runcnt[:, None]) & (
-                    cols[None, :] < (runcnt + gcnt)[:, None]
-                )
-                tvals = np.where(in_casc, vals[:, None], T[rows])[valid]
-                draws = bank.draw_many(streams)
-                flat[streams] = tvals + draws
-                phase["boundary_scan"] += time.perf_counter() - t0
-            if finished:
-                gone = set(finished)
-                active = [k for k in active if k not in gone]
-        phase["rng_refill"] += bank.refill_seconds - refill_before
-        phase["boundary_scan"] -= bank.refill_seconds - refill_before
-
-    def _apply_cascade(
-        self, member: BatchMember, t: float, g: int, stop_sync: bool,
-        stop_unsync: bool,
-    ) -> bool:
-        """Apply one resolved cascade (``g`` resets at ``t``) to a member.
-
-        Takes the O(1) cyclic-steady-state shortcut when the cascade
-        evicts exactly its own previous firing — the head window entry
-        is a full group of the same size, so the window maximum never
-        moves and both first-passage frontiers stay put (full
-        synchronization is the ``g == n`` case) — and falls back to the
-        fused per-reset tracker otherwise.  Returns whether a stop
-        condition fired.
-        """
-        n = self._n
-        win = member._win
-        if (
-            g >= 2
-            and member._window_resets == n
-            and win
-            and win[0][0] == g
-            and win[0][1] == g
-            and member._ftal_max >= g
-            and member._ftam_min <= member._wmax
-        ):
-            if member._open_time is not None and self._keep_history:
-                member.groups.append(
-                    ClusterGroup(member._open_time, member._open_size)
-                )
-            win.popleft()
-            win.append([g, g])
-            member._sing_head = n - g if len(win) == n - g + 1 else 0
-            member._open_time = t
-            member._open_size = g
-            rfill = member._round_fill
-            rmax = member._round_max
-            jstar = n - rfill
-            if g >= jstar:
-                member.round_times.append(t)
-                member.round_largest.append(rmax if rmax > jstar else jstar)
-                left = g - jstar
-                member._round_fill = left
-                member._round_max = g if left else 0
-            else:
-                member._round_fill = rfill + g
-                if rmax < g:
-                    member._round_max = g
-            member.total_cascades += 1
-            member.total_resets += g
-            member.now = t
-            return stop_sync and (g >= n or member._wmax >= n)
-        return self._cascade_update(member, t, g, stop_sync, stop_unsync)
-
-    def _bulk_update(
-        self, member: BatchMember, times_row, r: int, stop_unsync: bool
-    ) -> tuple[int, bool]:
-        """Apply ``r`` singleton resets' tracker updates in closed form.
-
-        ``times_row`` holds the (already ``+ Tc``) reset times of the
-        member's sorted run.  Reproduces exactly what ``r`` iterations
-        of the fused per-reset loop would do — group closures, window
-        evictions with suffix maxima, first-passage backfills, round
-        series — and returns the possibly-truncated run length plus
-        whether a stop condition fired at its last event.
-        """
-        n = self._n
-        win = member._win
-        wres_pre = member._window_resets
-        wmax_pre = member._wmax
-
-        # Mixed steady state, taken by the overwhelming majority of
-        # calls once a persistent cluster coexists with stragglers:
-        # full window, the evicted prefix all singletons (so the
-        # window maximum is pinned by a surviving cluster entry and
-        # nothing can trigger an unsync stop or move a frontier), no
-        # history kept.  The whole run is a rotate plus round-series
-        # bookkeeping.
-        if (
-            wres_pre == n
-            and wmax_pre > 1
-            and member._ftam_min <= wmax_pre
-            and not self._keep_history
-        ):
-            c = member._sing_head
-            if c < r:
-                c = 0
-                for size, cnt in win:
-                    if size > 1:
-                        break
-                    c += cnt
-            if c >= r:
-                win.rotate(-r)
-                member._sing_head = c - r
-                rfill = member._round_fill
-                jstar = n - rfill
-                if r >= jstar:
-                    member.round_times.append(float(times_row[jstar - 1]))
-                    rmax = member._round_max
-                    member.round_largest.append(rmax if rmax > 1 else 1)
-                    left = r - jstar
-                    member._round_fill = left
-                    member._round_max = 1 if left else 0
-                else:
-                    member._round_fill = rfill + r
-                    if member._round_max < 1:
-                        member._round_max = 1
-                member._open_time = float(times_row[r - 1])
-                member._open_size = 1
-                member.total_cascades += r
-                member.total_resets += r
-                member.now = member._open_time
-                return r, False
-            member._sing_head = c
-
-        evict0 = wres_pre - n
-
-        # Suffix maxima over the pre-run window: sm[d] = largest group
-        # size still in the window after evicting the d oldest resets.
-        # Only needed while old clusters are actually draining: when
-        # every reset the run will evict belongs to a singleton group,
-        # the entry holding the maximum survives untouched and the
-        # window maximum is constant across the whole run (const_max).
-        # The all-singleton steady state (wmax <= 1) skips both.
-        sm = None
-        const_max = False
-        if wmax_pre > 1:
-            evicted_pre = wres_pre + r - n
-            if evicted_pre <= 0:
-                const_max = True
-            elif member._sing_head >= evicted_pre:
-                const_max = True
-            else:
-                c = 0
-                for size, cnt in win:
-                    if size > 1:
-                        break
-                    c += cnt
-                    if c >= evicted_pre:
-                        const_max = True
-                        break
-            if not const_max:
-                sm = [0] * (wres_pre + 1)
-                d = wres_pre
-                run_max = 0
-                for size, cnt in reversed(win):
-                    if size > run_max:
-                        run_max = size
-                    for _ in range(cnt):
-                        d -= 1
-                        sm[d] = run_max
-
-        done = False
-        if stop_unsync:
-            # The run must stop at the first reset where the window
-            # holds N resets all in singleton groups.  With a constant
-            # window maximum > 1 that can never happen inside the run.
-            jmin = n - wres_pre if wres_pre < n else 1
-            if jmin <= r:
-                trigger = None
-                if wmax_pre <= 1:
-                    trigger = jmin
-                elif sm is not None:
-                    for j in range(jmin, r + 1):
-                        ev = evict0 + j
-                        if ev < 0:
-                            ev = 0
-                        if (sm[ev] if ev <= wres_pre else 0) <= 1:
-                            trigger = j
-                            break
-                if trigger is not None:
-                    r = trigger
-                    done = True
-
-        # first_time_at_most: extended whenever the window maximum
-        # drops below the recorded frontier with a full window.
-        ftam_min = member._ftam_min
-        if ftam_min > 1:
-            jstart = n - wres_pre if wres_pre < n else 1
-            if jstart <= r:
-                ftam = member.first_time_at_most
-                if wmax_pre <= 1:
-                    t = float(times_row[jstart - 1])
-                    for v in range(1, ftam_min):
-                        ftam[v] = t
-                    member._ftam_min = 1
-                elif const_max:
-                    # wmax_j == wmax_pre for every reset of the run:
-                    # a single fill at the first full-window reset.
-                    if wmax_pre < ftam_min:
-                        t = float(times_row[jstart - 1])
-                        for v in range(wmax_pre, ftam_min):
-                            ftam[v] = t
-                        member._ftam_min = wmax_pre
-                else:
-                    for j in range(jstart, r + 1):
-                        ev = evict0 + j
-                        if ev < 0:
-                            ev = 0
-                        wmax_j = sm[ev] if ev <= wres_pre else 0
-                        if wmax_j < 1:
-                            wmax_j = 1
-                        if wmax_j < ftam_min:
-                            t = float(times_row[j - 1])
-                            for v in range(wmax_j, ftam_min):
-                                ftam[v] = t
-                            ftam_min = wmax_j
-                            if ftam_min <= 1:
-                                break
-                    member._ftam_min = ftam_min
-
-        # Window deque: evict the oldest (wres_pre + r - n) resets,
-        # append r singleton groups.  In the steady state the window
-        # is already n singleton entries and the exchange is a no-op.
-        evicted = wres_pre + r - n
-        if evicted < 0:
-            evicted = 0
-        if evicted == r and wmax_pre <= 1 and len(win) == wres_pre:
-            # Full singleton window: the exchange is a no-op (and the
-            # eviction count pins wres_pre == n, so the prefix is n).
-            member._sing_head = n
-        elif evicted == r and const_max:
-            # The const_max walk proved the r evicted head entries are
-            # all [1, 1] — identical to the r appended ones, so recycle
-            # them instead of reallocating (rotate runs in C).
-            win.rotate(-r)
-            sh = member._sing_head
-            member._sing_head = sh - r if sh >= r else 0
-        else:
-            d = evicted
-            while d:
-                head = win[0]
-                if head[1] <= d:
-                    d -= head[1]
-                    win.popleft()
-                else:
-                    head[1] -= d
-                    d = 0
-            for _ in range(r):
-                win.append([1, 1])
-            member._sing_head = 0
-        member._window_resets = wres_pre + r - evicted
-        if wmax_pre <= 1:
-            member._wmax = 1
-        elif const_max:
-            member._wmax = wmax_pre
-        else:
-            ev = evict0 + r
-            if ev < 0:
-                ev = 0
-            wmax_r = sm[ev] if ev <= wres_pre else 0
-            member._wmax = wmax_r if wmax_r > 1 else 1
-
-        # Group closures: each reset closes the previously open group.
-        open_time = member._open_time
-        if self._keep_history:
-            groups = member.groups
-            if open_time is not None:
-                groups.append(ClusterGroup(open_time, member._open_size))
-            if r > 1:
-                for t in times_row[: r - 1].tolist():
-                    groups.append(ClusterGroup(t, 1))
-        member._open_time = float(times_row[r - 1])
-        member._open_size = 1
-
-        # first_time_at_least: singleton resets only ever establish
-        # size 1, at the very first reset of the trajectory.
-        if member._ftal_max == 0:
-            member.first_time_at_least[1] = float(times_row[0])
-            member._ftal_max = 1
-
-        # Round series: at most one round completes per run (r <= n).
-        rfill = member._round_fill
-        jstar = n - rfill
-        if r >= jstar:
-            member.round_times.append(float(times_row[jstar - 1]))
-            rmax = member._round_max
-            member.round_largest.append(rmax if rmax > 1 else 1)
-            left = r - jstar
-            member._round_fill = left
-            member._round_max = 1 if left else 0
-        else:
-            member._round_fill = rfill + r
-            if member._round_max < 1:
-                member._round_max = 1
-
-        member.total_cascades += r
-        member.total_resets += r
-        member.now = float(times_row[r - 1])
-        return r, done
-
-    def _cascade_update(
-        self, member: BatchMember, t: float, g: int, stop_sync: bool,
-        stop_unsync: bool,
-    ) -> bool:
-        """One cascade of ``g`` resets at time ``t``: the fused tracker.
-
-        Identical arithmetic to the tracker section of
-        ``_advance_slice`` (the vectorized boundary scan has already
-        established which routers the window captured); returns whether
-        a stop condition fired.
-        """
-        n = self._n
-        win = member._win
-        member._sing_head = 0  # mutates the window head freely
-        member.total_cascades += 1
-        member.now = t
-        open_time = member._open_time
-        if open_time is not None and abs(t - open_time) <= RESET_TIME_TOLERANCE:
-            s = member._open_size
-            cur = win[-1]
-        else:
-            if open_time is not None:
-                if self._keep_history:
-                    member.groups.append(
-                        ClusterGroup(open_time, member._open_size)
-                    )
-            cur = [0, 0]
-            win.append(cur)
-            s = 0
-        wres = member._window_resets
-        wmax = member._wmax
-        ftal = member.first_time_at_least
-        ftal_max = member._ftal_max
-        ftam = member.first_time_at_most
-        ftam_min = member._ftam_min
-        rfill = member._round_fill
-        rmax = member._round_max
-        for _ in range(g):
-            s += 1
-            cur[0] = s
-            cur[1] += 1
-            wres += 1
-            if s > wmax:
-                wmax = s
-            while wres > n:
-                oldest = win[0]
-                oldest[1] -= 1
-                wres -= 1
-                if not oldest[1]:
-                    win.popleft()
-                    if oldest[0] >= wmax and wmax > 1:
-                        wmax = 1
-                        for entry in win:
-                            if entry[0] > wmax:
-                                wmax = entry[0]
-            if s > ftal_max:
-                ftal[s] = t
-                ftal_max = s
-            if wres >= n and wmax < ftam_min:
-                for v in range(wmax, ftam_min):
-                    ftam[v] = t
-                ftam_min = wmax
-            rfill += 1
-            if s > rmax:
-                rmax = s
-            if rfill >= n:
-                member.round_times.append(t)
-                member.round_largest.append(rmax)
-                rfill = 0
-                rmax = 0
-        member._open_time = t
-        member._open_size = s
-        member._window_resets = wres
-        member._wmax = wmax
-        member._ftal_max = ftal_max
-        member._ftam_min = ftam_min
-        member._round_fill = rfill
-        member._round_max = rmax
-        member.total_resets += g
-        if stop_sync and (s >= n or (wres >= n and wmax >= n)):
-            return True
-        if stop_unsync and wres >= n and wmax <= 1:
-            return True
-        return False
-
-    # -- compiled kernel (numba / C) -------------------------------------
+    # -- compiled kernel (C) ---------------------------------------------
 
     def _ensure_compiled(self) -> None:
         if self._cstate is not None:

@@ -20,13 +20,12 @@ Engines
 ``batch``
     :class:`~repro.core.batch.BatchCascade`: the cascade rule over a
     struct-of-arrays ensemble — many seeds advanced by one kernel,
-    bit-identical to ``cascade`` member by member.  Three backends
-    (see :data:`repro.core.batch.BACKENDS`): ``python`` (portable
-    reference), ``numpy`` (event-vectorized epochs + RNG bank, the
-    default when NumPy imports), and ``compiled`` (numba- or C-built
-    scalar kernel, opt-in via ``backend="compiled"`` or
-    ``REPRO_BATCH_BACKEND``).  All three are enforced byte-identical
-    by ``tests/test_engine_differential.py``.
+    bit-identical to ``cascade`` member by member.  Two backends
+    (see :data:`repro.core.batch.BACKENDS`): ``compiled`` (the scalar
+    kernel as a C module built with the system compiler, the default
+    wherever it builds) and ``python`` (the portable reference, the
+    default where it does not).  Both are enforced byte-identical by
+    ``tests/test_engine_differential.py``.
 """
 
 from __future__ import annotations

@@ -303,8 +303,8 @@ def run_batch(
     :func:`batch_group_key`; only the seeds differ.  Results come back
     in job order and are bit-identical to running each job alone —
     the jobs stay individually cacheable and checkpointable.
-    ``backend`` forces the RNG bank ("python"/"numpy"/"compiled");
-    None uses the module default (:data:`repro.core.batch.BACKEND`).
+    ``backend`` forces the kernel ("python"/"compiled"); None uses
+    :func:`repro.core.batch.default_backend`.
 
     ``out`` — an optional ``(slab, row_indices)`` pair (see
     :class:`repro.parallel.shm.ResultSlab`) — streams each member's

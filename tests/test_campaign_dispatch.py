@@ -23,7 +23,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.core import RouterTimingParameters
-from repro.core.batch import BACKEND
+from repro.core.batch import default_backend
 from repro.core.sweeps import sweep_tr
 from repro.parallel import ResultCache, SimulationJob
 from repro.parallel.job import MODEL_VERSION, run_job
@@ -258,7 +258,9 @@ FIG12_TR = (0.5 * FIG12.tc, 0.9 * FIG12.tc, 1.5 * FIG12.tc)
 FIG12_HORIZON = 1.0e5
 
 
-@pytest.mark.skipif(BACKEND != "numpy", reason="vectorized kernel needs numpy")
+@pytest.mark.skipif(
+    default_backend() != "compiled", reason="fig12 scale needs the compiled kernel"
+)
 def test_fig12_scale_campaign_matches_local_and_sweep_drivers(tmp_path):
     """The PR's acceptance criterion: a Fig-12-scale grid run via
     ``run_campaign`` with a ServeDispatcher against a 2-worker fleet

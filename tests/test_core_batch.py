@@ -2,19 +2,25 @@
 
 Bit-identity with the serial engines lives in
 ``test_engine_differential.py``; this module covers the batch layer's
-own machinery — backend selection and forcing, constructor
-validation, the ``run_batch`` grouping contract, the runner's
-transparent regrouping (serial and pooled), and the per-job fallback
-when a whole group fails.
+own machinery — backend selection and forcing, the C kernel's build
+cache and fallback, constructor validation, the ``run_batch`` grouping
+contract, the runner's transparent regrouping (serial and pooled), and
+the per-job fallback when a whole group fails.
 """
 
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro.core._batch_kernel as kernel_mod
 import repro.core.batch as batch_mod
+import repro.obs as obs_mod
 from repro.core import BatchCascade, RouterTimingParameters
-from repro.core.batch import BACKEND
+from repro.core.batch import compiled_backend_available, default_backend
 from repro.core.sweeps import time_to_break_up, time_to_synchronize
 from repro.parallel import (
     ParallelRunner,
@@ -37,65 +43,19 @@ def jobs_for(seeds, engine="batch", direction="up", horizon=2000.0, tr=0.3):
     ]
 
 
-class TestRngBankStreaming:
-    """The `_BLOCK_BUDGET` soft cap must stream, not degenerate.
-
-    Regression for the refill path at budget-exceeding ensemble sizes
-    (members x routers x draws beyond the soft cap): block length is
-    floored at ``_MIN_BLOCK`` instead of shrinking toward 1-draw
-    blocks, exhausted streams refill in vectorized groups, and none
-    of it may move a single float.
-    """
-
-    def test_budget_exceeding_ensemble_streams_blocks(self, monkeypatch):
-        if BACKEND != "numpy":
-            pytest.skip("numpy not importable")
-        params = RouterTimingParameters(n_nodes=5, tp=20.0, tc=0.11, tr=0.3)
-        seeds = list(range(1, 31))  # 30 members x 5 routers = 150 streams
-        horizon = 30_000.0
-        reference = BatchCascade(params, seeds, backend="numpy")
-        reference.run(until=horizon)
-
-        # 150 streams against a 600-float budget would naively mean
-        # 4-draw blocks; the floor must hold the block at _MIN_BLOCK
-        # and the bank must refill (stream) repeatedly instead.
-        monkeypatch.setattr(batch_mod, "_BLOCK_BUDGET", 600)
-        squeezed = BatchCascade(params, seeds, backend="numpy")
-        squeezed.run(until=horizon)
-        bank = squeezed._bank
-        assert bank is not None
-        assert bank.length == batch_mod._MIN_BLOCK
-        assert bank.refills >= 2
-
-        for k in range(len(seeds)):
-            ref = reference.members[k]
-            got = squeezed.members[k]
-            assert got.first_time_at_least == ref.first_time_at_least
-            assert got.round_times == ref.round_times
-            assert got.total_resets == ref.total_resets
-            assert squeezed.rng_states(k) == reference.rng_states(k)
-
-
 class TestConstruction:
     def test_backend_constant_is_coherent(self):
-        assert BACKEND in batch_mod.BACKENDS
-        # Vectorized/compiled defaults need numpy; without it the
-        # auto-detected (or env-forced) default can only be python.
-        if batch_mod._np is None:
-            assert BACKEND == "python"
-        elif "REPRO_BATCH_BACKEND" not in os.environ:
-            assert BACKEND == "numpy"
+        assert batch_mod.BACKENDS == ("python", "compiled")
+        # The platform decides: compiled iff the C kernel resolves.
+        expected = "compiled" if compiled_backend_available() else "python"
+        assert default_backend() == expected
+        assert BatchCascade(PARAMS, [1]).backend == expected
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown batch backend"):
             BatchCascade(PARAMS, [1], backend="fortran")
-
-    def test_numpy_backend_requires_numpy(self, monkeypatch):
-        monkeypatch.setattr(batch_mod, "_np", None)
-        with pytest.raises(RuntimeError, match="numpy backend requested"):
+        with pytest.raises(ValueError, match="unknown batch backend"):
             BatchCascade(PARAMS, [1], backend="numpy")
-        # The pure-Python backend stays available.
-        BatchCascade(PARAMS, [1], backend="python").run(until=100.0)
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds must be non-empty"):
@@ -123,9 +83,9 @@ class TestRunBatch:
         assert [r.first_passages for r in python] == [
             r.first_passages for r in run_batch(jobs)
         ]
-        if BACKEND == "numpy":
-            numpy = run_batch(jobs, backend="numpy")
-            assert [r.first_passages for r in numpy] == [
+        if compiled_backend_available():
+            compiled = run_batch(jobs, backend="compiled")
+            assert [r.first_passages for r in compiled] == [
                 r.first_passages for r in python
             ]
 
@@ -245,3 +205,94 @@ class TestSweepFastPath:
             loose, horizon=50_000.0, seed=3, engine="cascade"
         )
         assert break_batch == break_cascade
+
+
+def _no_compiler_path(tmp_path):
+    """A PATH with no cc, gcc or clang on it."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    return str(bin_dir)
+
+
+def _unavailable_events():
+    return [
+        e for e in obs_mod.obs().events.events if e.name == "batch.compiled_unavailable"
+    ]
+
+
+class TestCompiledResolution:
+    """The C kernel's build cache, its rebuild and its loud fallback."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch, tmp_path):
+        """An empty kernel cache, an unresolved kernel, a sinkless obs."""
+        if kernel_mod._np is None:
+            pytest.skip("the compiled backend needs numpy")
+        cache = tmp_path / "ckernel"
+        cache.mkdir()
+        monkeypatch.setenv("REPRO_CKERNEL_CACHE", str(cache))
+        monkeypatch.setattr(kernel_mod, "_RESOLVED", "unset")
+        # Sinkless: warning events surface through warnings.warn.
+        monkeypatch.setattr(obs_mod, "_GLOBAL", obs_mod.Obs())
+        return cache
+
+    def test_import_runs_no_compiler(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import repro.core.batch, repro.parallel, repro.core._batch_kernel as k; "
+            "assert k._RESOLVED == 'unset', k._RESOLVED"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", probe], check=True, env=env)
+
+    def test_junk_cached_library_is_rebuilt(self, fresh):
+        if not (shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")):
+            pytest.skip("no C compiler on PATH")
+        lib_path = Path(kernel_mod._lib_path())
+        assert lib_path.parent == fresh
+        lib_path.write_bytes(b"0123456789")
+        resolved = kernel_mod.resolve_compiled()
+        assert resolved is not None and resolved[0] == "c"
+        assert lib_path.stat().st_size > 10  # the rebuild replaced the junk
+        assert default_backend() == "compiled"
+
+    def test_tag_covers_flags_and_machine(self, fresh, monkeypatch):
+        paths = {kernel_mod._lib_path()}
+        monkeypatch.setattr(kernel_mod, "_CFLAGS", kernel_mod._CFLAGS + ("-g",))
+        paths.add(kernel_mod._lib_path())
+        monkeypatch.setattr(kernel_mod.platform, "machine", lambda: "pdp11")
+        paths.add(kernel_mod._lib_path())
+        assert len(paths) == 3
+
+    def test_numpy_free_host_resolves_python_quietly(self, monkeypatch):
+        monkeypatch.setattr(kernel_mod, "_np", None)
+        monkeypatch.setattr(kernel_mod, "_RESOLVED", "unset")
+        monkeypatch.setattr(obs_mod, "_GLOBAL", obs_mod.Obs())
+        assert default_backend() == "python"
+        assert not _unavailable_events()
+
+    def test_no_compiler_falls_back_to_python_with_warning(
+        self, fresh, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("PATH", _no_compiler_path(tmp_path))
+        with pytest.warns(RuntimeWarning, match="no C compiler"):
+            assert default_backend() == "python"
+        assert default_backend() == "python"  # cached: no second warning
+        assert len(_unavailable_events()) == 1
+        assert not any(fresh.iterdir())  # nothing was cached
+        with pytest.raises(RuntimeError, match="C kernel is unavailable"):
+            BatchCascade(PARAMS, [1], backend="compiled")
+        # The python backend still runs.
+        BatchCascade(PARAMS, [1]).run(until=100.0)
+
+    def test_compiler_error_carries_stderr(self, fresh, monkeypatch, tmp_path):
+        bin_dir = Path(_no_compiler_path(tmp_path))
+        fake = bin_dir / "cc"
+        fake.write_text("#!/bin/sh\necho 'kernel.c:1: error: broken toolchain' >&2\nexit 1\n")
+        fake.chmod(0o755)
+        monkeypatch.setenv("PATH", str(bin_dir))
+        with pytest.warns(RuntimeWarning, match="broken toolchain"):
+            assert kernel_mod.resolve_compiled() is None
+        (event,) = _unavailable_events()
+        assert event.level == obs_mod.WARNING
+        assert "broken toolchain" in event.fields["reason"]

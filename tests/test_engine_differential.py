@@ -3,7 +3,7 @@
 Three (four, counting both batch backends) entirely different programs
 claim to produce the *same floating-point trajectory* from the same
 seed: the discrete-event queue, the cascade-rule heap, the pure-Python
-struct-of-arrays kernel, and the NumPy-banked kernel.  This module is
+struct-of-arrays kernel, and its compiled C port.  This module is
 the single place that claim is enforced — a parametrized grid over
 (N, Tp, Tc, Tr) x initial phases x censoring, comparing first-passage
 times, cluster histories, round series, and the *consumed positions of
@@ -24,16 +24,17 @@ from repro.core import (
     PeriodicMessagesModel,
     RouterTimingParameters,
 )
-from repro.core.batch import BACKEND, compiled_backend_available
+from repro.core.batch import compiled_backend_available
 
 from tests._gen import CaseGen, model_cases
 
-HAVE_NUMPY = BACKEND == "numpy"
 # The compiled backend joins the matrix automatically wherever it can
-# build (numba or a system C compiler); the dedicated CI job exports
+# build (numpy plus a system C compiler); the tier-1 CI job exports
 # REPRO_EXPECT_COMPILED=1 so "could not build" fails loudly there
 # instead of silently shrinking the matrix.
 HAVE_COMPILED = compiled_backend_available()
+#: The batch backends every matrix row runs through.
+BACKENDS = ["python"] + (["compiled"] if HAVE_COMPILED else [])
 EXPECT_COMPILED = os.environ.get("REPRO_EXPECT_COMPILED", "").strip() == "1"
 
 #: (n_nodes, tp, tc, tr) — paper parameters plus corners: no jitter,
@@ -131,15 +132,10 @@ def assert_matrix_identical(params, seed, horizon, phases, stops):
     """Run every engine and compare the full traces with ``==``."""
     des = run_des(params, seed, horizon, phases, stops)
     cascade = run_cascade(params, seed, horizon, phases, stops)
-    rows = {"cascade": cascade, "batch-python": run_batch(
-        params, seed, horizon, phases, stops, "python")}
-    if HAVE_NUMPY:
-        rows["batch-numpy"] = run_batch(
-            params, seed, horizon, phases, stops, "numpy"
-        )
-    if HAVE_COMPILED:
-        rows["batch-compiled"] = run_batch(
-            params, seed, horizon, phases, stops, "compiled"
+    rows = {"cascade": cascade}
+    for backend in BACKENDS:
+        rows[f"batch-{backend}"] = run_batch(
+            params, seed, horizon, phases, stops, backend
         )
     for name, row in rows.items():
         for field in des:
@@ -188,22 +184,17 @@ def test_batch_members_match_singletons():
 
 def test_batch_backends_identical_mid_run():
     """Backends agree not just at the end but across resumed horizons."""
-    if not HAVE_NUMPY:
-        pytest.skip("numpy not importable")
+    if not HAVE_COMPILED:
+        pytest.skip("compiled backend unavailable")
     params = RouterTimingParameters(n_nodes=8, tp=20.0, tc=0.3, tr=1.0)
     py = BatchCascade(params, [5, 6], backend="python")
-    others = {"numpy": BatchCascade(params, [5, 6], backend="numpy")}
-    if HAVE_COMPILED:
-        others["compiled"] = BatchCascade(params, [5, 6], backend="compiled")
+    compiled = BatchCascade(params, [5, 6], backend="compiled")
     for horizon in (500.0, 1500.0, 4000.0):
         ends = py.run(until=horizon)
-        for name, other in others.items():
-            assert other.run(until=horizon) == ends, name
-            for k in range(2):
-                assert py.rng_states(k) == other.rng_states(k), name
-                assert (
-                    py.members[k].round_times == other.members[k].round_times
-                ), name
+        assert compiled.run(until=horizon) == ends
+        for k in range(2):
+            assert py.rng_states(k) == compiled.rng_states(k)
+            assert py.members[k].round_times == compiled.members[k].round_times
 
 
 def run_cascade_topo(params, seed, horizon, phases, stops, topology):
@@ -263,9 +254,7 @@ def test_complete_topology_is_byte_identical_to_clique_engines(
         topo = run_cascade_topo(params, seed, horizon, phases, {}, topology)
         assert topo == baseline
         batch_baseline = run_batch(params, seed, horizon, phases, {}, "python")
-        for backend in ["python"] + (["numpy"] if HAVE_NUMPY else []) + (
-            ["compiled"] if HAVE_COMPILED else []
-        ):
+        for backend in BACKENDS:
             row = run_batch_topo(
                 params, seed, horizon, phases, {}, backend, topology
             )
@@ -285,9 +274,7 @@ def test_sparse_topology_cascade_equals_batch(topology, censor):
                 reference = run_cascade_topo(
                     params, seed, horizon, mode, stops, topology
                 )
-                for backend in ["python"] + (
-                    ["numpy"] if HAVE_NUMPY else []
-                ) + (["compiled"] if HAVE_COMPILED else []):
+                for backend in BACKENDS:
                     row = run_batch_topo(
                         params, seed, horizon, mode, stops, backend, topology
                     )
@@ -308,10 +295,11 @@ def test_sparse_topology_fuzz():
         params = RouterTimingParameters(n_nodes=n, tp=20.0, tc=tc, tr=tr)
         horizon = _horizon(20.0, tc)
         reference = run_cascade_topo(params, seed, horizon, phases, {}, topology)
-        row = run_batch_topo(
-            params, seed, horizon, phases, {}, BACKEND, topology
-        )
-        assert _drop_phase(row) == _drop_phase(reference), topology
+        for backend in BACKENDS:
+            row = run_batch_topo(
+                params, seed, horizon, phases, {}, backend, topology
+            )
+            assert _drop_phase(row) == _drop_phase(reference), (topology, backend)
 
 
 def test_topology_batch_resume_matches_single_run():
@@ -331,14 +319,11 @@ def test_topology_batch_resume_matches_single_run():
 
 
 def test_compiled_backend_present_when_required():
-    """The compiled-backend CI job must actually test the compiled path.
+    """CI with a compiler must actually test the compiled path.
 
     REPRO_EXPECT_COMPILED=1 turns "backend could not be resolved"
     from a silent matrix shrink into a hard failure.
     """
     if not EXPECT_COMPILED:
         pytest.skip("REPRO_EXPECT_COMPILED not set")
-    assert HAVE_COMPILED, (
-        "REPRO_EXPECT_COMPILED=1 but no compiled kernel (numba or C) "
-        "could be resolved"
-    )
+    assert HAVE_COMPILED, "REPRO_EXPECT_COMPILED=1 but the C kernel could not be resolved"

@@ -1,6 +1,6 @@
 """A fig12-style sweep at batch-kernel scale, end to end.
 
-The acceptance scenario for the event-vectorized kernel: a Tr sweep
+The acceptance scenario for the compiled batch kernel: a Tr sweep
 at the paper's Figure 12 parameter point with an ensemble size that
 was impractical event-by-event, driven through the full production
 path — ``sweep_tr`` -> ``ParallelRunner`` -> batch kernel, with the
@@ -11,7 +11,7 @@ serial cascade engine at every spot-checked grid point.
 import pytest
 
 from repro.core import RouterTimingParameters
-from repro.core.batch import BACKEND
+from repro.core.batch import default_backend
 from repro.core.sweeps import sweep_tr, time_to_synchronize
 from repro.parallel import CheckpointJournal, ParallelRunner, ResultCache, SimulationJob
 
@@ -23,7 +23,9 @@ TR_VALUES = [0.5 * TC, 0.9 * TC, 1.5 * TC]
 SEEDS = tuple(range(1, 26))  # 3 points x 25 seeds = 75 simulations
 
 
-@pytest.mark.skipif(BACKEND != "numpy", reason="vectorized kernel needs numpy")
+@pytest.mark.skipif(
+    default_backend() != "compiled", reason="fig12 scale needs the compiled kernel"
+)
 def test_fig12_sweep_completes_through_runner_cache_checkpoint(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     journal = CheckpointJournal(tmp_path / "sweep.journal")
@@ -65,7 +67,9 @@ def test_fig12_sweep_completes_through_runner_cache_checkpoint(tmp_path):
     assert cache.hits >= len(results)
 
 
-@pytest.mark.skipif(BACKEND != "numpy", reason="vectorized kernel needs numpy")
+@pytest.mark.skipif(
+    default_backend() != "compiled", reason="fig12 scale needs the compiled kernel"
+)
 def test_fig12_sweep_resumes_from_checkpoint(tmp_path):
     # The same grid through the same runner path, interrupted halfway:
     # a second runner sharing the journal serves the first half as
