@@ -36,7 +36,7 @@ try:  # Python 3.11+; TOML *reading* degrades gracefully without it.
 except ImportError:  # pragma: no cover - exercised only on 3.10
     tomllib = None  # type: ignore[assignment]
 
-from ..core.engines import resolve_engine
+from ..core.engines import check_engine_topology, resolve_engine
 from ..core.parameters import RouterTimingParameters
 from ..parallel.job import MODEL_VERSION, SimulationJob
 
@@ -144,16 +144,7 @@ class CampaignSpec:
         RouterTimingParameters(
             max(self.n_nodes), min(self.tp), max(self.tc), max(self.tr)
         )
-        if self.engine == "des" and self.topology != "clique":
-            from ..topo import Coupling
-
-            for n in self.n_nodes:
-                if not Coupling(self.topology, n).is_complete:
-                    raise ValueError(
-                        "engine 'des' only models the fully-coupled "
-                        f"(clique) case; topology {self.topology!r} is "
-                        f"not complete at n={n}"
-                    )
+        check_engine_topology(self.engine, self.topology, self.n_nodes)
 
     # -- size and identity ----------------------------------------------------
 

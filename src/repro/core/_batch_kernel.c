@@ -1,13 +1,14 @@
 /* The compiled batch cascade kernel.
  *
- * Line-for-line C port of the scalar cascade kernel
- * (repro.core.batch.BatchCascade._advance_slice) over packed arrays;
- * see repro/core/_batch_kernel.py for the state layout and the
- * resumability contract.  Built by _batch_kernel._build() with
- * -ffp-contract=off -fno-fast-math: every float operation must round
- * exactly like the python backend (no fused multiply-adds, no
- * reassociation).  Lehmer arithmetic stays in int64 (products < 2^46
- * here).
+ * The cascade rule of repro.core.fastsim.advance_dense plus the
+ * ClusterTracker statistics (repro.core.clusters), over packed arrays;
+ * checked against CascadeModel and the DES by
+ * tests/test_engine_differential.py.  See repro/core/_batch_kernel.py
+ * for the state layout and the resumability contract.  Built by
+ * _batch_kernel._build() with -ffp-contract=off -fno-fast-math: every
+ * float operation must round exactly like the python backend (no fused
+ * multiply-adds, no reassociation).  Lehmer arithmetic stays in int64
+ * (products < 2^46 here).
  */
 
 #include <math.h>

@@ -2,12 +2,14 @@
 
 :mod:`repro.core.batch`'s ``backend="compiled"`` runs the scalar
 cascade kernel as machine code: ``_batch_kernel.c`` (same directory)
-is a line-for-line C port of ``BatchCascade._advance_slice`` over
-packed arrays, built on demand with the system compiler and loaded
-through :mod:`ctypes`.  The build forbids FP contraction
-(``-ffp-contract=off -fno-fast-math``) so no fused multiply-adds can
-perturb the float stream — the kernel must stay byte-identical to the
-python backend.
+mirrors :func:`repro.core.fastsim.advance_dense` plus
+:class:`~repro.core.clusters.ClusterTracker` over packed arrays, and
+is checked against ``CascadeModel`` and the DES by
+``tests/test_engine_differential.py``.  It is built on demand with the
+system compiler and loaded through :mod:`ctypes`.  The build forbids
+FP contraction (``-ffp-contract=off -fno-fast-math``) so no fused
+multiply-adds can perturb the float stream — the kernel must stay
+byte-identical to the python backend.
 
 :func:`resolve_compiled` returns ``("c", kernel)`` or None, cached for
 the process.  NumPy is required (the packed state lives in ndarrays);
@@ -27,7 +29,7 @@ State packing
 Per member (see :class:`MemberState`): ``expiry``/``rng`` are the
 router timers and Lehmer states; ``fstate = [now, open_time]``
 (NaN = no open group) and ``istate`` (indices :data:`I_OPEN_SIZE` …
-:data:`I_TOTAL_CASCADES`) carry the fused tracker's scalars; the
+:data:`I_TOTAL_CASCADES`) carry the tracker's scalars; the
 sliding window deque becomes a ring buffer of ``[size, count]``
 columns with ``win_meta = [head, entries]``; the first-passage dicts
 become dense arrays (their keys are contiguous frontiers); round and
@@ -145,24 +147,18 @@ class MemberState:
         """Unpack this state into a ``BatchMember``'s public fields."""
         from .clusters import ClusterGroup  # local: avoid cycle at import
 
-        n = self.n
         member.now = float(self.fstate[0])
-        open_time = float(self.fstate[1])
-        member._open_time = None if open_time != open_time else open_time
-        member._open_size = int(self.istate[I_OPEN_SIZE])
-        member._window_resets = int(self.istate[I_WINDOW_RESETS])
-        member._wmax = int(self.istate[I_WMAX])
-        member._ftal_max = int(self.istate[I_FTAL_MAX])
-        member._ftam_min = int(self.istate[I_FTAM_MIN])
-        member._round_fill = int(self.istate[I_ROUND_FILL])
-        member._round_max = int(self.istate[I_ROUND_MAX])
         member.total_resets = int(self.istate[I_TOTAL_RESETS])
         member.total_cascades = int(self.istate[I_TOTAL_CASCADES])
+        # The first-passage keys are contiguous: {1..ftal_max} and
+        # {ftam_min..n}.
+        ftal_max = int(self.istate[I_FTAL_MAX])
+        ftam_min = int(self.istate[I_FTAM_MIN])
         member.first_time_at_least = {
-            s: float(self.ftal[s]) for s in range(1, member._ftal_max + 1)
+            s: float(self.ftal[s]) for s in range(1, ftal_max + 1)
         }
         member.first_time_at_most = {
-            s: float(self.ftam[s]) for s in range(member._ftam_min, n + 1)
+            s: float(self.ftam[s]) for s in range(ftam_min, self.n + 1)
         }
         rc = int(self.round_meta[0])
         member.round_times = self.round_times[:rc].tolist()

@@ -1,21 +1,17 @@
-"""Batched struct-of-arrays backend for the cascade rule.
+"""Batched backend for the cascade rule.
 
 One :class:`~repro.core.fastsim.CascadeModel` per seed pays for a
-heap, a :class:`~repro.core.clusters.ClusterTracker`, and an object
-per pending expiry — at ensemble scale that bookkeeping, not the
-model, is the dominant cost.  :class:`BatchCascade` advances a whole
-ensemble of seeds through one kernel instead: every member's pending
-timer expiries live in one SoA slab (member ``k``'s routers occupy
-row ``k``), the cascade rule is applied per member, and the cluster
-statistics are maintained by a fused tracker that keeps an
-incremental window maximum instead of rescanning the window on every
-reset.
+model object, its stream spawning and a Python-level heap per seed.
+:class:`BatchCascade` advances a whole ensemble of seeds instead: it
+derives every member's router streams and initial phases in one pass,
+then runs each member through the bundled C kernel or, where that
+cannot build, through the same scalar loop ``CascadeModel`` runs.
 
 Bit-for-bit identity
 --------------------
 Each member's trajectory is identical to ``CascadeModel(params,
-seed=s)`` — not statistically, *byte for byte* — because every
-backend replays the exact same arithmetic in the exact same order:
+seed=s)`` — not statistically, *byte for byte* — because both
+backends replay the exact same arithmetic in the exact same order:
 
 * Stream derivation repeats :meth:`repro.rng.RandomSource.spawn`
   verbatim: one master Lehmer advance per router, the same
@@ -24,40 +20,44 @@ backend replays the exact same arithmetic in the exact same order:
 * Each router's interval draws are ``low + (high - low) * (state /
   m)`` with the same operand order, so every float rounds the same
   way.
-* The heap's ``(time, node)`` tie-break is reproduced by taking the
-  *first* minimum in node order within the member's slice.
-* The busy window grows by sequential ``window += tc`` additions (no
-  closed form), accumulating the identical rounding.
-* The fused tracker is an algebraic rewrite of
-  :class:`~repro.core.clusters.ClusterTracker` — same window deque,
-  same eviction order, same first-passage backfills.  All of it is
-  verified against the DES by ``tests/test_engine_differential.py``,
-  including consumed-RNG positions.
+* The C kernel reproduces the heap's ``(time, node)`` tie-break by
+  taking the *first* minimum in node order, grows the busy window by
+  sequential ``window += tc`` additions (no closed form), and keeps
+  an algebraic rewrite of :class:`~repro.core.clusters.ClusterTracker`
+  (incremental window maximum, contiguous first-passage frontiers)
+  with the same window, eviction order and backfills.
+
+All of it is verified against ``CascadeModel`` and the DES by
+``tests/test_engine_differential.py``, including consumed-RNG
+positions.
 
 Backends
 --------
-``python``
-    Pure-Python scalar kernel, no third-party dependencies.  Always
-    available; the portable reference.
 ``compiled``
-    The same scalar kernel as a small C module, built on demand with
-    the system compiler and loaded through :mod:`ctypes` (see
+    The cascade kernel as a small C module, built on demand with the
+    system compiler and loaded through :mod:`ctypes` (see
     :mod:`repro.core._batch_kernel`).  Needs NumPy for its packed
     state.
+``python``
+    No third-party dependencies; always available.  Each member runs
+    the heap + :class:`~repro.core.clusters.ClusterTracker` loop of
+    ``CascadeModel`` (:func:`repro.core.fastsim.advance_dense`).
 
 :func:`default_backend` picks ``compiled`` whenever the C kernel
 resolves on this platform and ``python`` otherwise.  The choice is
 made on first use and cached for the process, so importing this
 module never runs a compiler.  Either backend can be forced with
-``backend=...``; both produce byte-identical results.
+``backend=...``; both produce byte-identical results.  Members on a
+non-complete coupling run :func:`repro.topo.advance_coupled` on
+either backend.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 from .clusters import RESET_TIME_TOLERANCE, ClusterGroup, ClusterTracker
+from .fastsim import advance_dense
 from .parameters import RouterTimingParameters
 
 __all__ = [
@@ -73,7 +73,6 @@ BACKENDS = ("python", "compiled")
 
 _MOD = 2**31 - 1  # == repro.rng.lehmer.MODULUS
 _MUL = 16807  # == repro.rng.lehmer.MULTIPLIER
-_INF = float("inf")
 
 
 def default_backend() -> str:
@@ -121,15 +120,6 @@ class BatchMember:
         "first_time_at_most",
         "round_times",
         "round_largest",
-        "_open_time",
-        "_open_size",
-        "_win",
-        "_window_resets",
-        "_wmax",
-        "_ftal_max",
-        "_ftam_min",
-        "_round_fill",
-        "_round_max",
     )
 
     def __init__(self, seed: int, n_nodes: int) -> None:
@@ -143,21 +133,6 @@ class BatchMember:
         self.first_time_at_most: dict[int, float] = {}
         self.round_times: list[float] = []
         self.round_largest: list[int] = []
-        self._open_time: float | None = None
-        self._open_size = 0
-        # Sliding window of the last N resets' group sizes, exactly as
-        # ClusterTracker keeps it: [group_size, resets_in_window] pairs.
-        self._win: deque[list] = deque()
-        self._window_resets = 0
-        # Incremental max over window entry sizes (== largest_in_window).
-        self._wmax = 0
-        # first_time_at_least keys are contiguous {1..max}; at_most keys
-        # contiguous {min..n}.  Tracking the frontiers replaces the
-        # per-reset dict membership probes and backfill loops.
-        self._ftal_max = 0
-        self._ftam_min = n_nodes + 1
-        self._round_fill = 0
-        self._round_max = 0
 
     @property
     def synchronization_time(self) -> float | None:
@@ -193,15 +168,13 @@ class BatchCascade:
         toolchain).
     topology:
         Optional :class:`~repro.topo.TopologySpec` (or canonical
-        string).  ``None`` and complete couplings run the original
-        fully-coupled kernels byte for byte.  Non-complete couplings
-        run every member through the shared generalized kernel
-        (:func:`repro.topo.advance_coupled`) with per-member
-        :class:`ClusterTracker` state — the same code path
-        ``CascadeModel`` uses, so cascade-vs-batch byte-identity on
-        graphs is structural.  Topology runs draw from the scalar
-        stream path on every backend (consumed positions unchanged),
-        so the backends remain trivially identical.
+        string).  ``None`` and complete couplings run the
+        fully-coupled rule on the chosen backend.  Non-complete
+        couplings run every member through the shared generalized
+        kernel (:func:`repro.topo.advance_coupled`) with per-member
+        :class:`ClusterTracker` state on either backend — the code
+        path ``CascadeModel`` uses, so cascade-vs-batch byte-identity
+        on graphs is structural.
     """
 
     def __init__(
@@ -241,10 +214,10 @@ class BatchCascade:
             coupling = Coupling(self.topology, n)
             if not coupling.is_complete:
                 self._coupling = coupling
-        # Per-member generalized-kernel state (lazily built on the
-        # first topology run): pending-expiry heaps and real trackers.
-        self._topo_heaps: list | None = None
-        self._topo_trackers: list | None = None
+        # Per-member scalar-path state (lazily built on the first
+        # scalar run): pending-expiry heaps and real trackers.
+        self._heaps: list | None = None
+        self._trackers: list | None = None
         self._n = n
         self._m = len(seeds)
         self._tc = params.tc
@@ -264,7 +237,7 @@ class BatchCascade:
                 raise ValueError("initial phases must be non-negative")
 
         # -- per-member stream derivation (exact spawn() replay) -------
-        # Flat SoA state: expiries and router RNG states are single
+        # Flat state: initial expiries and router RNG states are single
         # lists of length m*n; member k's router i sits at k*n + i.
         expiry: list[float] = []
         states: list[int] = []
@@ -301,7 +274,7 @@ class BatchCascade:
         # Lazily-built packed per-member state (compiled backend).
         self._cstate: list | None = None
         self._cimpl = None
-        #: Per-phase kernel seconds.  Neither scalar kernel splits its
+        #: Per-phase kernel seconds.  Neither backend splits its
         #: time into phases, so every key stays at 0.0; the mapping is
         #: kept for the benchmark tracer, which reads it.
         self.phase_seconds = {
@@ -350,53 +323,34 @@ class BatchCascade:
         continue, as the serial engine would).
         """
         until = float(until)
-        if self._coupling is not None:
-            self._run_topology(until, stop_on_full_sync, stop_on_full_unsync)
-        elif self.backend == "compiled":
+        if self.backend == "compiled" and self._coupling is None:
             self._run_compiled(until, stop_on_full_sync, stop_on_full_unsync)
         else:
-            exp = self._expiry
-            draw = self._draw_flat
-            n = self._n
-            for k, member in enumerate(self._members):
-                self._advance_slice(
-                    member,
-                    exp,
-                    k * n,
-                    k * n + n,
-                    draw,
-                    until,
-                    stop_on_full_sync,
-                    stop_on_full_unsync,
-                )
+            self._run_scalar(until, stop_on_full_sync, stop_on_full_unsync)
         return [member.now for member in self._members]
 
-    # -- generalized graph-coupled kernel (all backends) -----------------
+    # -- scalar path (python backend, and graph couplings) ---------------
 
-    def _run_topology(
+    def _run_scalar(
         self, until: float, stop_sync: bool, stop_unsync: bool
     ) -> None:
-        """Advance every member through :func:`repro.topo.advance_coupled`.
+        """Advance every member through the shared scalar loop.
 
-        Member ``k`` reproduces ``CascadeModel(params, seed=seeds[k],
-        topology=...)`` bit for bit: same heap seeding, same
-        per-router stream order (``draw`` maps local node ``i`` to
-        flat stream ``k*n + i``, the exact scalar path), and a real
-        :class:`ClusterTracker` whose output containers *are* the
-        member's views.  Runs the scalar stream path on every backend
-        so consumed-RNG positions stay backend-independent.
+        :func:`repro.core.fastsim.advance_dense` on a complete coupling,
+        :func:`repro.topo.advance_coupled` otherwise.  Member ``k``
+        reproduces ``CascadeModel(params, seed=seeds[k], topology=...)``
+        bit for bit: same heap seeding, same per-router stream order
+        (``draw`` maps local node ``i`` to flat stream ``k*n + i``),
+        and a real :class:`ClusterTracker` whose output containers
+        *are* the member's views.
         """
-        from ..topo import advance_coupled
-
         n = self._n
-        if self._topo_heaps is None:
-            self._topo_heaps = []
-            self._topo_trackers = []
+        if self._heaps is None:
+            self._heaps = []
+            self._trackers = []
             for k, member in enumerate(self._members):
                 base = k * n
-                heap = sorted(
-                    (self._expiry[base + i], i) for i in range(n)
-                )
+                heap = sorted((self._expiry[base + i], i) for i in range(n))
                 tracker = ClusterTracker(n, keep_history=self._keep_history)
                 # The tracker's containers become the member's views:
                 # further mutation on either side is shared.
@@ -405,192 +359,39 @@ class BatchCascade:
                 member.round_times = tracker.round_times
                 member.round_largest = tracker.round_largest
                 member.groups = tracker.groups
-                self._topo_heaps.append(heap)
-                self._topo_trackers.append(tracker)
-        coupling = self._coupling
-        tc = self._tc
+                self._heaps.append(heap)
+                self._trackers.append(tracker)
+        from ..topo import advance_coupled
+
+        rng = self._rng_state
+        low, span = self._low, self._span
+        stops = {
+            "stop_on_full_sync": stop_sync,
+            "stop_on_full_unsync": stop_unsync,
+        }
         for k, member in enumerate(self._members):
-            base = k * n
-            tracker = self._topo_trackers[k]
+            heap = self._heaps[k]
+            tracker = self._trackers[k]
 
-            def draw(node: int, _base: int = base) -> float:
-                return self._draw_flat(_base + node)
+            def draw(node: int, _base: int = k * n) -> float:
+                # RandomSource.uniform(low, high) on flat stream base+node.
+                idx = _base + node
+                s = (_MUL * rng[idx]) % _MOD
+                rng[idx] = s
+                return low + span * (s / _MOD)
 
-            stop_time, closed, stopped = advance_coupled(
-                self._topo_heaps[k],
-                coupling,
-                tracker,
-                draw,
-                tc,
-                until,
-                stop_on_full_sync=stop_sync,
-                stop_on_full_unsync=stop_unsync,
-            )
+            if self._coupling is None:
+                stop_time, closed, stopped = advance_dense(
+                    heap, tracker, draw, self._tc, until, **stops
+                )
+            else:
+                stop_time, closed, stopped = advance_coupled(
+                    heap, self._coupling, tracker, draw, self._tc, until,
+                    **stops,
+                )
             member.total_cascades += closed
             member.total_resets = tracker.total_resets
             member.now = stop_time if stopped else max(member.now, until)
-
-    # -- scalar kernel (python backend) ----------------------------------
-
-    def _advance_slice(
-        self,
-        member: BatchMember,
-        exp: list,
-        lo: int,
-        hi: int,
-        draw,
-        until: float,
-        stop_sync: bool,
-        stop_unsync: bool,
-    ) -> None:
-        """Replay of ``CascadeModel.run`` over one member's slice.
-
-        ``exp`` is a mutable flat sequence; the member's routers occupy
-        ``[lo, hi)`` and ``draw(i)`` consumes one interval draw from
-        flat stream ``i``.  Returns when the member is done for this
-        ``run()`` call (horizon reached or stop condition met).
-        """
-        n = self._n
-        tc = self._tc
-        tol = RESET_TIME_TOLERANCE
-        keep = self._keep_history
-        win = member._win
-        while True:
-            # Earliest pending expiry; first minimum in the slice is
-            # the lowest node id, matching the heap's (time, node) order.
-            e1 = min(exp[lo:hi])
-            if e1 > until:
-                member.now = max(member.now, until)
-                self._finish(member)
-                return
-            i1 = exp.index(e1, lo, hi)
-            exp[i1] = _INF
-            idxs = [i1]
-            times = [e1]
-            window = e1 + tc
-            while True:
-                e = min(exp[lo:hi])
-                if e > window:
-                    break
-                i = exp.index(e, lo, hi)
-                exp[i] = _INF
-                idxs.append(i)
-                times.append(e)
-                window += tc
-            if window > until:
-                # Busy period outlives the horizon: restore the pending
-                # expiries and stop here, exactly as the serial engine
-                # does (which also closes the trailing open group, as
-                # the DES's end-of-run finish() would).
-                for i, e in zip(idxs, times):
-                    exp[i] = e
-                member.now = until
-                self._finish(member)
-                return
-            member.total_cascades += 1
-            member.now = window
-            t = window
-            g = len(idxs)
-
-            # -- fused ClusterTracker.record_reset × g at time t ------
-            open_time = member._open_time
-            if open_time is not None and abs(t - open_time) <= tol:
-                s = member._open_size
-                cur = win[-1]
-            else:
-                if open_time is not None:
-                    if keep:
-                        member.groups.append(
-                            ClusterGroup(open_time, member._open_size)
-                        )
-                cur = [0, 0]
-                win.append(cur)
-                s = 0
-            wres = member._window_resets
-            wmax = member._wmax
-            ftal = member.first_time_at_least
-            ftal_max = member._ftal_max
-            ftam = member.first_time_at_most
-            ftam_min = member._ftam_min
-            rfill = member._round_fill
-            rmax = member._round_max
-            for _ in range(g):
-                s += 1
-                cur[0] = s
-                cur[1] += 1
-                wres += 1
-                if s > wmax:
-                    wmax = s
-                while wres > n:
-                    oldest = win[0]
-                    oldest[1] -= 1
-                    wres -= 1
-                    if not oldest[1]:
-                        win.popleft()
-                        if oldest[0] >= wmax and wmax > 1:
-                            # Evicted the max holder: rescan (rare).
-                            wmax = 1
-                            for entry in win:
-                                if entry[0] > wmax:
-                                    wmax = entry[0]
-                # at_least keys stay contiguous {1..max} because the
-                # open size grows one reset at a time.
-                if s > ftal_max:
-                    ftal[s] = t
-                    ftal_max = s
-                # at_most keys stay contiguous {min..n}; only a new
-                # window maximum below the frontier extends them.
-                if wres >= n and wmax < ftam_min:
-                    for v in range(wmax, ftam_min):
-                        ftam[v] = t
-                    ftam_min = wmax
-                rfill += 1
-                if s > rmax:
-                    rmax = s
-                if rfill >= n:
-                    member.round_times.append(t)
-                    member.round_largest.append(rmax)
-                    rfill = 0
-                    rmax = 0
-            member._open_time = t
-            member._open_size = s
-            member._window_resets = wres
-            member._wmax = wmax
-            member._ftal_max = ftal_max
-            member._ftam_min = ftam_min
-            member._round_fill = rfill
-            member._round_max = rmax
-            member.total_resets += g
-
-            # -- redraw, in pop order (the per-router stream order) ---
-            for i in idxs:
-                exp[i] = window + draw(i)
-
-            if stop_sync and (
-                s >= n or (wres >= n and wmax >= n)
-            ):
-                self._finish(member)
-                return
-            if stop_unsync and wres >= n and wmax <= 1:
-                self._finish(member)
-                return
-
-    def _finish(self, member: BatchMember) -> None:
-        """ClusterTracker.finish(): close the trailing open group."""
-        if member._open_time is None:
-            return
-        if self._keep_history:
-            member.groups.append(
-                ClusterGroup(member._open_time, member._open_size)
-            )
-        member._open_time = None
-        member._open_size = 0
-
-    def _draw_flat(self, idx: int) -> float:
-        """One interval draw from flat stream ``idx`` (pure path)."""
-        s = (_MUL * self._rng_state[idx]) % _MOD
-        self._rng_state[idx] = s
-        return self._low + self._span * (s / _MOD)
 
     # -- compiled kernel (C) ---------------------------------------------
 

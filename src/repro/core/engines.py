@@ -19,18 +19,20 @@ Engines
     the DES, one model per seed.
 ``batch``
     :class:`~repro.core.batch.BatchCascade`: the cascade rule over a
-    struct-of-arrays ensemble — many seeds advanced by one kernel,
-    bit-identical to ``cascade`` member by member.  Two backends
-    (see :data:`repro.core.batch.BACKENDS`): ``compiled`` (the scalar
+    whole ensemble — many seeds advanced by one kernel, bit-identical
+    to ``cascade`` member by member.  Two backends (see
+    :data:`repro.core.batch.BACKENDS`): ``compiled`` (the cascade
     kernel as a C module built with the system compiler, the default
-    wherever it builds) and ``python`` (the portable reference, the
-    default where it does not).  Both are enforced byte-identical by
-    ``tests/test_engine_differential.py``.
+    wherever it builds) and ``python`` (``cascade``'s own loop run per
+    member, the zero-dependency fallback where it does not).  Both
+    are enforced byte-identical by ``tests/test_engine_differential.py``.
 """
 
 from __future__ import annotations
 
-__all__ = ["ENGINES", "resolve_engine"]
+from typing import Iterable
+
+__all__ = ["ENGINES", "check_engine_topology", "resolve_engine"]
 
 #: Known engine names, in reference-to-fastest order.
 ENGINES = ("des", "cascade", "batch")
@@ -48,3 +50,25 @@ def resolve_engine(engine: str) -> str:
             f"unknown engine {engine!r}; known engines: {', '.join(ENGINES)}"
         )
     return engine
+
+
+def check_engine_topology(engine: str, topology, n_nodes: Iterable[int]) -> None:
+    """Raise ``ValueError`` when ``engine`` cannot model ``topology``.
+
+    Only ``des`` is restricted: it models the fully-coupled case, so a
+    topology passes only where its coupling is complete at every N in
+    ``n_nodes`` (``"clique"`` always, a 3-ring, ...).  Like
+    :func:`resolve_engine`, the one place the error is worded.
+    """
+    if engine != "des" or topology == "clique":
+        return
+    from ..topo import Coupling, ensure_spec
+
+    spec = ensure_spec(topology)
+    for n in n_nodes:
+        if not Coupling(spec, n).is_complete:
+            raise ValueError(
+                "engine 'des' only models the fully-coupled (clique) case; "
+                f"topology {spec.canonical()!r} is not complete at n={n} "
+                "(use 'cascade' or 'batch')"
+            )

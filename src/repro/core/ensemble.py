@@ -96,8 +96,8 @@ class FirstPassageEnsemble:
         size (Figure 11).
     engine:
         ``"cascade"`` (default, ~8x faster; bit-for-bit equivalent to
-        the DES for the pure periodic model), ``"batch"`` (the
-        struct-of-arrays kernel: same trajectories bit for bit, seeds
+        the DES for the pure periodic model), ``"batch"`` (one
+        kernel over the ensemble: same trajectories bit for bit, seeds
         sharing a parameter point advance through one kernel per
         worker), or ``"des"`` — the escape hatch for configurations
         the cascade rule cannot express.

@@ -10,7 +10,9 @@ expiry that falls inside it; everyone in the cascade resets together
 when the window closes.
 
 :class:`CascadeModel` simulates exactly that rule with a heap of
-pending expiries — no event queue, no per-message bookkeeping.  Run
+pending expiries — no event queue, no per-message bookkeeping.  The
+loop itself is :func:`advance_dense`, which the batch engine's scalar
+path (:mod:`repro.core.batch`) runs per member as well.  Run
 with the same seed, it consumes each router's random stream in the
 same per-router order as the DES and therefore reproduces the DES
 trajectory *bit for bit* (verified in
@@ -28,9 +30,65 @@ from ..rng import RandomSource
 from .clusters import ClusterTracker
 from .parameters import RouterTimingParameters
 
-__all__ = ["CascadeModel"]
+__all__ = ["CascadeModel", "advance_dense"]
 
 InitialPhases = Literal["unsynchronized", "synchronized"] | Sequence[float]
+
+
+def advance_dense(
+    heap: list,
+    tracker: ClusterTracker,
+    draw,
+    tc: float,
+    until: float,
+    stop_on_full_sync: bool = False,
+    stop_on_full_unsync: bool = False,
+    probe=None,
+) -> tuple[float | None, int, bool]:
+    """Advance fully-coupled cascades until the horizon or a stop.
+
+    The complete-graph special case of
+    :func:`repro.topo.advance_coupled`, with the same arguments and the
+    same return triple: every router hears every reset, so at most one
+    cascade is open at a time.  ``heap`` holds the pending
+    ``(expiry_time, node)`` pairs and is mutated in place; ``tracker``
+    receives every reset and is ``finish()``-ed before return;
+    ``draw(node)`` consumes one interval draw from the node's stream,
+    in pop order.
+
+    Returns ``(stop_time, cascades_closed, stopped)``: ``stop_time`` is
+    the time of the last close when a stop condition fired (None when
+    the run reached the horizon).
+    """
+    closed = 0
+    while heap and heap[0][0] <= until:
+        popped = [heapq.heappop(heap)]
+        window = popped[0][0] + tc
+        while heap and heap[0][0] <= window:
+            popped.append(heapq.heappop(heap))
+            window += tc
+        if window > until:
+            # The cascade's busy period outlives the horizon: the DES
+            # would not process these resets either.  Restore the
+            # pending expiries and stop (a later call with a larger
+            # horizon picks up exactly here).
+            for entry in popped:
+                heapq.heappush(heap, entry)
+            break
+        closed += 1
+        if probe is not None:
+            probe.on_cascade(window, popped)
+        for _expiry, node in popped:
+            tracker.record_reset(window, node)
+        for _expiry, node in popped:
+            heapq.heappush(heap, (window + draw(node), node))
+        if (stop_on_full_sync and tracker.is_fully_synchronized()) or (
+            stop_on_full_unsync and tracker.is_fully_unsynchronized()
+        ):
+            tracker.finish()
+            return window, closed, True
+    tracker.finish()
+    return None, closed, False
 
 
 class CascadeModel:
@@ -60,7 +118,7 @@ class CascadeModel:
         string form) restricting which routers hear which resets.
         ``None`` and any coupling whose generated graph is complete
         (``"clique"``, a 3-ring, ``erdos_renyi`` with p=1, ...) run
-        the original fully-coupled loop byte for byte; everything
+        the fully-coupled loop (:func:`advance_dense`); everything
         else runs the generalized multi-cascade kernel
         (:func:`repro.topo.advance_coupled`).  Stream derivation and
         phase draws are identical either way.
@@ -118,69 +176,40 @@ class CascadeModel:
     ) -> float:
         """Advance cascades until the horizon or a stop condition."""
         params = self.params
-        tc = params.tc
-        heap = self._heap
-        tracker = self.tracker
-        if self._coupling is not None:
-            from ..topo import advance_coupled
+        low = params.tp - params.tr
+        high = params.tp + params.tr
+        rngs = self._rngs
 
-            low = params.tp - params.tr
-            high = params.tp + params.tr
-            rngs = self._rngs
+        def draw(node: int) -> float:
+            return rngs[node].uniform(low, high)
 
-            def draw(node: int) -> float:
-                return rngs[node].uniform(low, high)
-
-            stop_time, closed, stopped = advance_coupled(
-                heap,
-                self._coupling,
-                tracker,
+        if self._coupling is None:
+            stop_time, closed, stopped = advance_dense(
+                self._heap,
+                self.tracker,
                 draw,
-                tc,
+                params.tc,
                 until,
                 stop_on_full_sync=stop_on_full_sync,
                 stop_on_full_unsync=stop_on_full_unsync,
                 probe=self.probe,
             )
-            self.total_cascades += closed
-            self.now = stop_time if stopped else max(self.now, until)
-            return self.now
-        while heap and heap[0][0] <= until:
-            popped = [heapq.heappop(heap)]
-            window = popped[0][0] + tc
-            while heap and heap[0][0] <= window:
-                popped.append(heapq.heappop(heap))
-                window += tc
-            if window > until:
-                # The cascade's busy period outlives the horizon: the
-                # DES would not process these resets either.  Restore
-                # the pending expiries and stop (a later run() call
-                # with a larger horizon picks up exactly here).
-                for entry in popped:
-                    heapq.heappush(heap, entry)
-                self.now = until
-                tracker.finish()
-                return self.now
-            group = [node for _expiry, node in popped]
-            self.total_cascades += 1
-            self.now = window
-            if self.probe is not None:
-                self.probe.on_cascade(window, popped)
-            for node in group:
-                tracker.record_reset(window, node)
-            for node in group:
-                interval = self._rngs[node].uniform(
-                    params.tp - params.tr, params.tp + params.tr
-                )
-                heapq.heappush(heap, (window + interval, node))
-            if stop_on_full_sync and tracker.is_fully_synchronized():
-                tracker.finish()
-                return self.now
-            if stop_on_full_unsync and tracker.is_fully_unsynchronized():
-                tracker.finish()
-                return self.now
-        self.now = max(self.now, until)
-        tracker.finish()
+        else:
+            from ..topo import advance_coupled
+
+            stop_time, closed, stopped = advance_coupled(
+                self._heap,
+                self._coupling,
+                self.tracker,
+                draw,
+                params.tc,
+                until,
+                stop_on_full_sync=stop_on_full_sync,
+                stop_on_full_unsync=stop_on_full_unsync,
+                probe=self.probe,
+            )
+        self.total_cascades += closed
+        self.now = stop_time if stopped else max(self.now, until)
         return self.now
 
     @property

@@ -73,8 +73,8 @@ def time_to_synchronize(
     """Seconds until an unsynchronized start first reaches a full cluster.
 
     ``engine`` selects the implementation: ``"cascade"`` (default,
-    ~8x faster), ``"batch"`` (the struct-of-arrays kernel, a batch of
-    one here), or ``"des"``; all three produce identical trajectories
+    ~8x faster), ``"batch"`` (the ensemble kernel, a batch of one
+    here), or ``"des"``; all three produce identical trajectories
     for the pure periodic model (see
     tests/test_engine_differential.py).  Config overrides (e.g. a
     notification delay) force the DES.

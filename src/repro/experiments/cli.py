@@ -8,7 +8,7 @@ Usage::
     repro-sync fig10 --jobs 4          # fan seed runs over 4 processes
     repro-sync fig10 --no-cache        # force recomputation
     repro-sync fig10 --resume          # journal + resume interrupted runs
-    repro-sync fig10 --engine batch    # batched SoA kernel (same numbers)
+    repro-sync fig10 --engine batch    # one kernel per ensemble (same numbers)
     repro-sync bench                   # parallel-layer perf snapshot
     repro-sync bench --obs             # obs-overhead snapshot (BENCH_obs.json)
     repro-sync bench --serve           # loopback serving snapshot (BENCH_serve.json)

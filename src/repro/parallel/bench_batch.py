@@ -6,9 +6,10 @@ batch kernel exists for; the paper's own figure averages 20 of these
 members — through every execution configuration:
 
 * ``cascade_jobs1``   — the serial cascade engine, the PR-1 baseline.
-* ``batch_python``    — the batch kernel, pure-Python scalar path
-  (the portable floor; no numpy required).
-* ``batch_compiled``  — the scalar kernel as the bundled C module;
+* ``batch_python``    — the batch engine's python backend: the
+  cascade engine's own heap + tracker loop per member (the
+  no-compiler fallback; no numpy required).
+* ``batch_compiled``  — the cascade kernel as the bundled C module;
   reported when it resolves.
 * ``batch_jobsN``     — batch jobs over the process pool, pickle
   transport, on the default backend (``compiled`` wherever it
@@ -215,7 +216,7 @@ def format_batch_table(snapshot: dict) -> str:
     rows = [("configuration", "wall-clock (s)", "speedup vs serial cascade")]
     labels = {
         "cascade_jobs1": "cascade engine, jobs=1 (baseline)",
-        "batch_python": "batch kernel, python backend",
+        "batch_python": "batch engine, python backend (cascade loop)",
         "batch_compiled": "batch kernel, compiled backend",
         "batch_jobsN": f"batch kernel over pool, jobs={snapshot['jobs']}",
         "batch_jobsN_shm": (

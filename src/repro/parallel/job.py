@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..core.batch import BatchCascade
-from ..core.engines import ENGINES, resolve_engine
+from ..core.engines import ENGINES, check_engine_topology, resolve_engine
 from ..core.fastsim import CascadeModel
 from ..core.model import ModelConfig, PeriodicMessagesModel
 from ..core.parameters import RouterTimingParameters
@@ -108,15 +108,7 @@ class SimulationJob:
 
         spec = ensure_spec(self.topology)
         object.__setattr__(self, "topology", spec.canonical())
-        if self.engine == "des" and self.topology != "clique":
-            from ..topo import Coupling
-
-            if not Coupling(spec, self.n_nodes).is_complete:
-                raise ValueError(
-                    "engine 'des' only models the fully-coupled (clique) "
-                    f"case; topology {self.topology!r} needs 'cascade' or "
-                    "'batch'"
-                )
+        check_engine_topology(self.engine, self.topology, (self.n_nodes,))
 
     @classmethod
     def from_params(

@@ -275,11 +275,14 @@ class Supervisor:
         # An interruptible sleep: a drain arriving mid-backoff wins.
         if self._draining.wait(delay):
             return
+        # Spawn first and bump ``restarts`` last: a reader that sees it
+        # move (``SupervisedServer.wait_respawn``) must also see the
+        # new pid and the restart counters.
+        self._spawn(slot)
         self._crashes[slot] = n + 1
-        self.restarts += 1
         self.metrics.counter("serve.workers.restarts").inc()
         obs().metrics.counter("serve.workers.restarts").inc()
-        self._spawn(slot)
+        self.restarts += 1
 
     def drain(self) -> int:
         """SIGTERM every worker, reap them, close the socket.

@@ -33,9 +33,9 @@ On a complete graph at most one cascade is ever active and every
 pending expiry ``<= window`` joins it, so the rule collapses to the
 paper's single-cascade rule — same resets, same redraw order, same
 consumed-RNG positions (proven against the fully-coupled engines in
-``tests/test_topo_properties.py``).  The engines still dispatch
-complete couplings to their original code paths; this kernel is the
-non-clique path.
+``tests/test_topo_properties.py``).  The engines dispatch complete
+couplings to :func:`repro.core.fastsim.advance_dense` (or the C batch
+kernel); this kernel is the non-clique path.
 """
 
 from __future__ import annotations

@@ -62,6 +62,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             spec(tr=(0.055, 200.0))
 
+    def test_des_rejects_sparse_topology(self):
+        with pytest.raises(ValueError, match="engine 'des'.*n=6") as error:
+            spec(engine="des", topology="ring", n_nodes=(3, 6))
+        # The same check, worded once, guards SimulationJob.
+        from repro.parallel.job import SimulationJob
+
+        with pytest.raises(ValueError) as job_error:
+            SimulationJob(6, 121.0, 0.11, 0.055, 1, 2000.0, engine="des",
+                          topology="ring")
+        assert str(job_error.value) == str(error.value)
+        # A ring on 3 nodes is complete, and other engines take any graph.
+        spec(engine="des", topology="ring", n_nodes=3)
+        spec(engine="cascade", topology="ring")
+
     def test_dotted_and_dashed_names_allowed(self):
         assert spec(name="fig12-tr.v2").name == "fig12-tr.v2"
 

@@ -1,4 +1,4 @@
-"""The batched struct-of-arrays kernel: backends, grouping, resume.
+"""The batch engine: backends, grouping, resume.
 
 Bit-identity with the serial engines lives in
 ``test_engine_differential.py``; this module covers the batch layer's
@@ -172,16 +172,25 @@ class TestRunnerIntegration:
 
 
 class TestResume:
-    def test_resumed_horizons_match_one_shot(self):
-        one_shot = BatchCascade(PARAMS, [1, 2], keep_cluster_history=True)
+    @pytest.mark.parametrize("backend", batch_mod.BACKENDS)
+    def test_resumed_horizons_match_one_shot(self, backend):
+        if backend == "compiled" and not compiled_backend_available():
+            pytest.skip("compiled backend unavailable")
+        one_shot = BatchCascade(
+            PARAMS, [1, 2], keep_cluster_history=True, backend=backend
+        )
         one_shot.run(until=4000.0)
-        stepped = BatchCascade(PARAMS, [1, 2], keep_cluster_history=True)
+        stepped = BatchCascade(
+            PARAMS, [1, 2], keep_cluster_history=True, backend=backend
+        )
         for horizon in (1000.0, 2500.0, 4000.0):
             stepped.run(until=horizon)
         for k in range(2):
             assert (
                 one_shot.members[k].round_times == stepped.members[k].round_times
             )
+            assert one_shot.members[k].groups == stepped.members[k].groups
+            assert one_shot.members[k].groups  # history was kept
             assert one_shot.members[k].total_resets == (
                 stepped.members[k].total_resets
             )

@@ -1,9 +1,9 @@
 """Cross-engine differential matrix: des == cascade == batch, byte for byte.
 
-Three (four, counting both batch backends) entirely different programs
-claim to produce the *same floating-point trajectory* from the same
-seed: the discrete-event queue, the cascade-rule heap, the pure-Python
-struct-of-arrays kernel, and its compiled C port.  This module is
+Three entirely different programs claim to produce the *same
+floating-point trajectory* from the same seed: the discrete-event
+queue, the cascade-rule heap (run by ``CascadeModel`` and, per member,
+by the batch python backend), and the compiled C kernel.  This module is
 the single place that claim is enforced — a parametrized grid over
 (N, Tp, Tc, Tr) x initial phases x censoring, comparing first-passage
 times, cluster histories, round series, and the *consumed positions of
