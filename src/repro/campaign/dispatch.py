@@ -94,7 +94,6 @@ class LocalDispatcher(Dispatcher):
     timeout: float | None = None
     retries: int = 1
     on_error: str = "raise"
-    transport: str = "pickle"
     chunk_size: int | None = None
     faults: FaultPlan | None = None
     runner: ParallelRunner | None = field(default=None, init=False, repr=False)
@@ -107,7 +106,6 @@ class LocalDispatcher(Dispatcher):
             timeout=self.timeout,
             retries=self.retries,
             on_error=self.on_error,
-            transport=self.transport,
             chunk_size=self.chunk_size,
             faults=self.faults,
         )

@@ -142,11 +142,6 @@ class ClusterTracker:
 
     # -- derived statistics ---------------------------------------------------
 
-    @property
-    def open_group_size(self) -> int:
-        """Size of the in-progress simultaneous-reset group."""
-        return self._open_size
-
     def largest_in_window(self) -> int:
         """Largest cluster among the last N routing messages.
 

@@ -1,11 +1,10 @@
 """Discrete-event simulation substrate.
 
-Provides the :class:`Simulator` event loop (heap- or calendar-queue
-backed), :class:`Event` scheduling with deterministic tie-breaking,
-and statistics collectors.
+Provides the :class:`Simulator` event loop (binary-heap backed),
+:class:`Event` scheduling with deterministic tie-breaking,
+generator-based processes with signals, and statistics collectors.
 """
 
-from .calendar_queue import CalendarQueue
 from .engine import SimulationError, Simulator
 from .events import Event, EventCancelled
 from .process import Process, Signal, all_of, spawn
@@ -16,7 +15,6 @@ __all__ = [
     "Signal",
     "all_of",
     "spawn",
-    "CalendarQueue",
     "Simulator",
     "SimulationError",
     "Event",

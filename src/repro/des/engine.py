@@ -14,9 +14,8 @@ substrate schedules one or more events per packet hop.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
-from .calendar_queue import CalendarQueue
 from .events import Event
 
 __all__ = ["Simulator", "SimulationError"]
@@ -33,26 +32,18 @@ class Simulator:
     ----------
     start_time:
         Initial value of the clock.
-    queue:
-        ``"heap"`` (default) for a binary heap or ``"calendar"`` for a
-        :class:`~repro.des.calendar_queue.CalendarQueue`.  Both produce
-        the identical event order.
+
+    Pending events live in a binary heap; cancelled events stay in it
+    until they surface and are skipped.
     """
 
-    def __init__(self, start_time: float = 0.0, queue: str = "heap") -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._seq = 0
         self._events_processed = 0
         self._stopped = False
         self._trace_hooks: list[Callable[[Event], None]] = []
-        if queue == "heap":
-            self._heap: list[Event] | None = []
-            self._calendar: CalendarQueue | None = None
-        elif queue == "calendar":
-            self._heap = None
-            self._calendar = CalendarQueue()
-        else:
-            raise ValueError(f"unknown queue type {queue!r}; use 'heap' or 'calendar'")
+        self._heap: list[Event] = []
 
     # -- clock and counters ----------------------------------------------
 
@@ -68,11 +59,8 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of queue entries (cancelled entries included, for the heap)."""
-        if self._heap is not None:
-            return len(self._heap)
-        assert self._calendar is not None
-        return len(self._calendar)
+        """Number of queue entries (cancelled entries included)."""
+        return len(self._heap)
 
     # -- scheduling --------------------------------------------------------
 
@@ -107,11 +95,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule at t={time} < now={self._now}")
         event = Event(time, priority, self._seq, callback, args, label)
         self._seq += 1
-        if self._heap is not None:
-            heapq.heappush(self._heap, event)
-        else:
-            assert self._calendar is not None
-            self._calendar.push(event)
+        heapq.heappush(self._heap, event)
         return event
 
     def add_trace_hook(self, hook: Callable[[Event], None]) -> None:
@@ -153,7 +137,7 @@ class Simulator:
             if event is None:
                 break
             if until is not None and event.time > until:
-                self._requeue(event)
+                heapq.heappush(self._heap, event)
                 self._now = max(self._now, until)
                 break
             self._now = event.time
@@ -164,40 +148,11 @@ class Simulator:
             fired += 1
         return self._now
 
-    def run_until_idle(self) -> float:
-        """Drain the queue completely; returns the final clock value."""
-        return self.run()
-
     # -- internals ----------------------------------------------------------
 
     def _next_live_event(self) -> Event | None:
-        if self._heap is not None:
-            while self._heap:
-                event = heapq.heappop(self._heap)
-                if not event.cancelled:
-                    return event
-            return None
-        assert self._calendar is not None
-        if len(self._calendar) == 0:
-            return None
-        try:
-            return self._calendar.pop()
-        except IndexError:
-            return None
-
-    def _requeue(self, event: Event) -> None:
-        if self._heap is not None:
-            heapq.heappush(self._heap, event)
-        else:
-            assert self._calendar is not None
-            self._calendar.push(event)
-
-    # -- convenience ---------------------------------------------------------
-
-    def drain_labels(self) -> Iterable[str]:
-        """Labels of pending live events (testing/debugging helper)."""
-        if self._heap is not None:
-            entries: Iterable[Event] = sorted(self._heap)
-        else:  # pragma: no cover - calendar path exercised via pop ordering
-            entries = []
-        return [e.label or "?" for e in entries if not e.cancelled]
+        while self._heap:
+            event = heapq.heappop(self._heap)
+            if not event.cancelled:
+                return event
+        return None

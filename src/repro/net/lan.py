@@ -87,10 +87,6 @@ class Lan:
             raise ValueError(f"{node.name} is not attached to {self.name}")
         return [station for station in self.stations if station is not node]
 
-    def endpoints_from(self, node: "Node") -> list["Node"]:
-        """Channel-interface: reachable neighbours (all other stations)."""
-        return self.other_stations(node) if self.up else []
-
     # -- transmission -----------------------------------------------------------
 
     def send(self, packet: Packet, from_node: "Node") -> bool:

@@ -1,7 +1,7 @@
 """The only module in the tree allowed to read real clocks directly.
 
 The repository runs two kinds of time.  *Simulated* time lives in the
-DES calendar and the cascade heap and must never leak a real clock —
+DES event heap and the cascade heap and must never leak a real clock —
 that is the determinism guarantee every byte-identity test rests on.
 *Observed* time is what this subsystem measures: span durations on the
 monotonic clock (immune to NTP steps), and journal/event stamps on the

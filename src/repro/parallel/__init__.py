@@ -57,7 +57,6 @@ from .job import (
     validate_engine,
 )
 from .report import OUTCOMES, JobRecord, RunReport
-from .shm import ResultSlab, run_jobs_shm, shm_available
 from .runner import (
     JobTimeoutError,
     ParallelRunner,
@@ -86,7 +85,6 @@ __all__ = [
     "JobTimeoutError",
     "ParallelRunner",
     "ResultCache",
-    "ResultSlab",
     "RunReport",
     "RunnerStats",
     "SimulationJob",
@@ -101,7 +99,5 @@ __all__ = [
     "run_benchmark",
     "run_job",
     "run_jobs",
-    "run_jobs_shm",
-    "shm_available",
     "validate_engine",
 ]

@@ -11,11 +11,8 @@ members — through every execution configuration:
   no-compiler fallback; no numpy required).
 * ``batch_compiled``  — the cascade kernel as the bundled C module;
   reported when it resolves.
-* ``batch_jobsN``     — batch jobs over the process pool, pickle
-  transport, on the default backend (``compiled`` wherever it
-  resolves).
-* ``batch_jobsN_shm`` — the same pool with shared-memory result
-  slabs (:mod:`repro.parallel.shm`).
+* ``batch_jobsN``     — batch jobs over the process pool on the
+  default backend (``compiled`` wherever it resolves).
 
 Timing discipline: the serial baseline and the backend rows are
 measured **interleaved** over ``reps`` rounds and the per-row minimum
@@ -47,7 +44,6 @@ from ..core.batch import compiled_backend_available, default_backend
 from .bench import BENCH_PARAMS, DEFAULT_HORIZON
 from .job import JobResult, SimulationJob
 from .runner import ParallelRunner
-from .shm import shm_available
 
 __all__ = ["format_batch_table", "run_batch_benchmark"]
 
@@ -152,19 +148,12 @@ def run_batch_benchmark(
             outcome = _run_backend(batch_specs, backend)
             record(f"batch_{backend}", time.perf_counter() - start, outcome)
 
-    # Pooled rows ride once (they wrap the same kernels; their point
+    # The pooled row rides once (it wraps the same kernel; its point
     # is transport overhead, not kernel speed).
     pooled_runner = ParallelRunner(jobs=jobs)
     start = time.perf_counter()
     pooled = pooled_runner.run(batch_specs)
     record("batch_jobsN", time.perf_counter() - start, pooled)
-
-    have_shm = shm_available()
-    if have_shm:
-        shm_runner = ParallelRunner(jobs=jobs, transport="shm")
-        start = time.perf_counter()
-        shipped = shm_runner.run(batch_specs)
-        record("batch_jobsN_shm", time.perf_counter() - start, shipped)
 
     reference = results["cascade_jobs1"]
     identical = all(row == reference for row in results.values())
@@ -184,7 +173,6 @@ def run_batch_benchmark(
         # their backend explicitly.
         "default_backend": default_backend(),
         "compiled_available": have_compiled,
-        "shm_available": have_shm,
         "timings_seconds": {name: round(t, 4) for name, t in timings.items()},
         "speedup_vs_serial_cascade": speedups,
         # One-off set-up cost of the compiled backend (None without it).
@@ -219,9 +207,6 @@ def format_batch_table(snapshot: dict) -> str:
         "batch_python": "batch engine, python backend (cascade loop)",
         "batch_compiled": "batch kernel, compiled backend",
         "batch_jobsN": f"batch kernel over pool, jobs={snapshot['jobs']}",
-        "batch_jobsN_shm": (
-            f"batch kernel over pool + shm slabs, jobs={snapshot['jobs']}"
-        ),
     }
     for name, seconds in snapshot["timings_seconds"].items():
         rows.append(

@@ -37,13 +37,6 @@ Fault kinds
 ``cache_corrupt``
     Truncate the cache entry right after it is written — models a
     torn write / bit rot; recovery requires quarantine-and-recompute.
-``shm_torn``
-    Write the job's shared-memory result row but never set its commit
-    flag — models a torn slab write the parent must refuse to read.
-``shm_crash``
-    Write the row without committing, then hard-kill the worker —
-    models a worker dying mid-write to the shared segment.  Inert
-    outside a pool worker, like ``crash``.
 ``serve_crash``
     Hard-kill a prefork *serve worker* mid-request (before the job
     executes) — models a worker process dying under load; the
@@ -96,8 +89,6 @@ FAULT_KINDS = (
     "hang",
     "cache_write_error",
     "cache_corrupt",
-    "shm_torn",
-    "shm_crash",
     "serve_crash",
     "serve_hang",
     "claim_orphan",
@@ -253,16 +244,6 @@ class FaultPlan:
         return FaultRule(kind="cache_corrupt", seeds=seeds)
 
     @staticmethod
-    def shm_torn(seeds: tuple[int, ...] = ()) -> FaultRule:
-        """Leave the matching job's shm row written but uncommitted."""
-        return FaultRule(kind="shm_torn", seeds=seeds)
-
-    @staticmethod
-    def shm_crash(seeds: tuple[int, ...] = ()) -> FaultRule:
-        """Tear the matching row, then kill the worker mid-write."""
-        return FaultRule(kind="shm_crash", seeds=seeds)
-
-    @staticmethod
     def serve_crash(seeds: tuple[int, ...] = (), attempts: int = 1) -> FaultRule:
         """Kill a supervised serve worker mid-request, ``attempts`` times
         total across every worker and respawn (marker-file accounted)."""
@@ -334,21 +315,6 @@ class FaultPlan:
             rule.kind == "cache_corrupt" and rule.matches(job, 0)
             for rule in self.rules
         )
-
-    def shm_fault(self, job) -> str | None:
-        """Which shm write fault (if any) fires for this job.
-
-        Called by :func:`repro.parallel.shm.run_jobs_shm` per result
-        row; returns ``"shm_torn"``, ``"shm_crash"`` or ``None``.
-        The crash variant wins when both match.
-        """
-        found: str | None = None
-        for rule in self.rules:
-            if rule.kind == "shm_crash" and rule.matches(job, 0):
-                return "shm_crash"
-            if rule.kind == "shm_torn" and rule.matches(job, 0):
-                found = "shm_torn"
-        return found
 
     # -- serving-path hooks ---------------------------------------------------
 

@@ -287,7 +287,6 @@ def batch_group_key(job: SimulationJob) -> tuple:
 def run_batch(
     jobs: Sequence[SimulationJob],
     backend: str | None = None,
-    out: tuple | None = None,
 ) -> list[JobResult]:
     """Execute a group of same-parameter jobs through one batch kernel.
 
@@ -297,13 +296,6 @@ def run_batch(
     the jobs stay individually cacheable and checkpointable.
     ``backend`` forces the kernel ("python"/"compiled"); None uses
     :func:`repro.core.batch.default_backend`.
-
-    ``out`` — an optional ``(slab, row_indices)`` pair (see
-    :class:`repro.parallel.shm.ResultSlab`) — streams each member's
-    first-passage record straight into shared memory instead of
-    building :class:`JobResult` objects; the call then returns ``[]``.
-    This is the pool's zero-pickle result path: the float64 rows hold
-    exactly the values the returned objects would.
     """
     jobs = list(jobs)
     if not jobs:
@@ -327,14 +319,6 @@ def run_batch(
         stop_on_full_sync=up,
         stop_on_full_unsync=not up,
     )
-    if out is not None:
-        slab, row_indices = out
-        for row, member in zip(row_indices, batch.members):
-            slab.write_row(
-                row,
-                member.first_time_at_least if up else member.first_time_at_most,
-            )
-        return []
     return [
         JobResult(
             first_passages=dict(

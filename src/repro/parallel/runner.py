@@ -68,7 +68,6 @@ from .job import (
     run_jobs_observed,
 )
 from .report import RunReport
-from .shm import ResultSlab, run_jobs_shm, shm_available
 
 __all__ = [
     "JobTimeoutError",
@@ -164,15 +163,9 @@ class ParallelRunner:
         Optional :class:`~repro.parallel.faults.FaultPlan` — the
         deterministic chaos hook, threaded through to workers and the
         cache.  ``None`` in production.
-    transport:
-        How pooled workers return results.  ``"pickle"`` (default)
-        ships :class:`JobResult` objects through the pool.  ``"shm"``
-        has workers write first-passage rows into one shared-memory
-        slab (see :mod:`repro.parallel.shm`) and pickle only an
-        acknowledgement — byte-identical results, no per-job
-        deserialization in the parent.  Degrades to pickle when
-        shared memory is unavailable or observability payloads must
-        ride along; ignored when ``jobs == 1`` (nothing is shipped).
+
+    Pooled workers return their :class:`JobResult` objects pickled
+    through the pool (``jobs == 1`` ships nothing).
     """
 
     jobs: int = 1
@@ -184,7 +177,6 @@ class ParallelRunner:
     on_error: str = "raise"
     checkpoint: CheckpointJournal | None = None
     faults: FaultPlan | None = None
-    transport: str = "pickle"
     stats: RunnerStats = field(default_factory=RunnerStats, init=False)
     report: RunReport = field(default_factory=RunReport, init=False)
 
@@ -201,8 +193,6 @@ class ParallelRunner:
             raise ValueError("backoff_base must be >= 0")
         if self.on_error not in ("raise", "censor"):
             raise ValueError('on_error must be "raise" or "censor"')
-        if self.transport not in ("pickle", "shm"):
-            raise ValueError('transport must be "pickle" or "shm"')
 
     def run(self, specs: Sequence[SimulationJob]) -> list[JobResult]:
         """Execute every spec; results come back in spec order."""
@@ -506,26 +496,6 @@ class ParallelRunner:
             self._run_serial(pending, commit, fail, first_attempt=0)
             return
 
-        # Shared-memory transport: one slab row per pending job,
-        # workers write in place, the parent reads committed rows.
-        # Degrades silently to pickle when shm can't be used — the
-        # transports are byte-identical, so this only costs speed.
-        slab: ResultSlab | None = None
-        row_of: dict[int, int] = {}
-        if self.transport == "shm" and not observed and shm_available():
-            try:
-                n_max = max(spec.n_nodes for _index, spec in pending)
-                slab = ResultSlab.create(len(pending), n_max)
-                row_of = {index: r for r, (index, _s) in enumerate(pending)}
-            except OSError as error:
-                o.emit(
-                    "runner.shm_fallback",
-                    f"shared-memory slab unavailable "
-                    f"({type(error).__name__}); using pickle transport",
-                    error=repr(error),
-                )
-                slab = None
-
         # (chunk, error, was_timeout) for every chunk lost in the pool.
         lost: list[tuple[list[tuple[int, SimulationJob]], BaseException, bool]] = []
         start = time.monotonic()
@@ -545,9 +515,6 @@ class ParallelRunner:
         # Per-chunk submit times (monotonic) — the worker.chunk span's
         # start minus this is the chunk's pool queueing delay.
         submitted_at: dict[Future, float] = {}
-        # Jobs whose worker survived but whose slab row never got its
-        # commit flag (a torn write): re-run in-process, never read.
-        torn: list[tuple[int, SimulationJob]] = []
         try:
             for chunk in chunks:
                 specs_only = [spec for _index, spec in chunk]
@@ -559,17 +526,6 @@ class ParallelRunner:
                         0,
                         o.enabled,
                         o.profile,
-                    )
-                elif slab is not None:
-                    future = pool.submit(
-                        run_jobs_shm,
-                        specs_only,
-                        slab.name,
-                        slab.rows,
-                        slab.n_max,
-                        [row_of[index] for index, _spec in chunk],
-                        self.faults,
-                        0,
                     )
                 else:
                     future = pool.submit(run_jobs, specs_only, self.faults, 0)
@@ -624,22 +580,6 @@ class ParallelRunner:
                         # re-classifies per job.
                         lost.append((chunk, error, False))
                         continue
-                    if slab is not None:
-                        # Only committed rows are results; an unset
-                        # flag means the write tore mid-row.
-                        for index, spec in chunk:
-                            fp = slab.read_row(row_of[index])
-                            if fp is None:
-                                torn.append((index, spec))
-                                continue
-                            commit(
-                                index,
-                                spec,
-                                JobResult(first_passages=fp),
-                                attempts=1,
-                            )
-                            self.stats.pooled += 1
-                        continue
                     if observed:
                         chunk_results, spans, profile_rows = payload
                         self._ingest_chunk(
@@ -653,10 +593,6 @@ class ParallelRunner:
         finally:
             # Timed-out workers may still be running; don't block on them.
             pool.shutdown(wait=not lost, cancel_futures=True)
-            if slab is not None:
-                # Unlink on every exit path — normal completion, an
-                # on_error="raise" drain, or a crashed worker.
-                slab.destroy()
 
         for chunk, error, was_timeout in lost:
             o.emit(
@@ -679,23 +615,6 @@ class ParallelRunner:
                 # The pool attempt consumed attempt 0; the fallback
                 # starts at attempt 1 with the deadline still enforced.
                 self._run_single(index, spec, commit, fail, first_attempt=1)
-
-        for index, spec in torn:
-            error = RuntimeError(
-                f"shm result row for job {spec.cache_key()[:12]} was never "
-                "committed (torn write)"
-            )
-            o.emit(
-                "runner.shm_torn",
-                f"uncommitted shm row for job {spec.cache_key()[:12]}; "
-                + ("no retry budget" if self.retries == 0 else "re-running in-process"),
-                seed=spec.seed,
-            )
-            if self.retries == 0:
-                fail(index, spec, error, attempts=1, timed_out=False)
-                continue
-            self.stats.fallback += 1
-            self._run_single(index, spec, commit, fail, first_attempt=1)
 
     def _ingest_chunk(
         self,

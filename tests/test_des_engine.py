@@ -148,17 +148,3 @@ def test_firing_order_is_sorted_for_any_delays(delays):
         sim.schedule(d, lambda d=d: fired.append(d))
     sim.run()
     assert fired == sorted(delays)
-
-
-@given(delays=st.lists(st.floats(min_value=0, max_value=1e4), min_size=1, max_size=60))
-@settings(max_examples=30)
-def test_heap_and_calendar_queues_agree(delays):
-    orders = []
-    for queue in ("heap", "calendar"):
-        sim = Simulator(queue=queue)
-        fired = []
-        for i, d in enumerate(delays):
-            sim.schedule(d, lambda i=i: fired.append(i))
-        sim.run()
-        orders.append(fired)
-    assert orders[0] == orders[1]

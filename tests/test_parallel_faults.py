@@ -52,10 +52,10 @@ def time_guard():
     )
 
 
-def specs_for(seeds, horizon=20000.0, direction="up", params=FAST):
+def specs_for(seeds, horizon=20000.0, direction="up", params=FAST, engine="cascade"):
     return [
         SimulationJob.from_params(
-            params, seed=seed, horizon=horizon, direction=direction
+            params, seed=seed, horizon=horizon, direction=direction, engine=engine
         )
         for seed in seeds
     ]
@@ -155,10 +155,15 @@ class TestDeterministicErrors:
 
 
 class TestWorkerCrashes:
-    def test_single_crash_recovers_identically(self, reference):
+    @pytest.mark.parametrize("engine", ["cascade", "batch"])
+    def test_single_crash_recovers_identically(self, engine):
+        # The batch case kills a pool worker inside an engine="batch"
+        # chunk; recovery must still match a clean serial batch run.
+        specs = specs_for(range(1, 7), engine=engine)
+        clean = ParallelRunner(jobs=1).run(specs)
         plan = FaultPlan.of(FaultPlan.crash(seeds=(3,)))
         runner = chaos_runner(jobs=2, chunk_size=1, retries=1, faults=plan)
-        assert runner.run(specs_for(range(1, 7))) == reference
+        assert runner.run(specs) == clean
         assert runner.stats.retried_chunks >= 1
         assert runner.report.incomplete == 0
         assert runner.report.fully_accounted(6)
