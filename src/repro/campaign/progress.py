@@ -7,8 +7,8 @@ optional console callback.  Two deliberate choices:
 * **Monotonic clock only.**  Rates and ETAs are computed from
   :func:`repro.obs.clock.monotonic` — never the wall clock — so a
   suspend/resume or an NTP step can't produce a negative rate or a
-  thousand-year ETA.  (The repo's ``lint_clocks`` gate enforces this
-  mechanically.)
+  thousand-year ETA.  (The ``clocks`` rule of ``repro.tools.lint``
+  enforces this mechanically.)
 * **Decaying rate estimate.**  The instantaneous rate is folded into
   an exponential moving average whose smoothing follows the *elapsed
   time* between updates (``alpha = 1 - exp(-dt / tau)``), not the

@@ -9,6 +9,7 @@ Usage::
     repro-sync fig10 --no-cache        # force recomputation
     repro-sync fig10 --resume          # journal + resume interrupted runs
     repro-sync fig10 --engine batch    # one kernel per ensemble (same numbers)
+    repro-sync fig16 --cache-root results/topo-cache   # a second result cache
     repro-sync bench                   # parallel-layer perf snapshot
     repro-sync bench --obs             # obs-overhead snapshot (BENCH_obs.json)
     repro-sync bench --serve           # loopback serving snapshot (BENCH_serve.json)
@@ -38,22 +39,25 @@ Usage::
     repro-sync obs export-trace results/trace.jsonl  # -> Perfetto JSON
     repro-sync fig10 --profile         # merged cProfile top-N
 
-(``python -m repro`` is equivalent.)  Simulation-backed figures cache
-completed runs under ``results/cache/`` keyed by job content, so
-re-running a figure is nearly free; ``--no-cache`` opts out and
-``--jobs`` sets the process-pool width (results are identical either
-way).  ``--resume`` additionally journals every completed simulation
-to ``results/checkpoints/<run-id>.jsonl`` as it finishes, so a run
-killed mid-way (Ctrl-C, OOM, power loss) restarts from where it
-stopped — pass it from the start on long runs.
+(``python -m repro`` is equivalent.)  Each target is a subcommand that
+accepts only the flags its handler reads; ``repro-sync TARGET --help``
+lists them, and any other flag is a usage error (exit 2).
+Simulation-backed figures cache completed runs under ``results/cache/``
+(or ``--cache-root``) keyed by job content, so re-running a figure is
+nearly free; ``--no-cache`` opts out and ``--jobs`` sets the
+process-pool width (results are identical either way).  ``--resume``
+additionally journals every completed simulation to
+``results/checkpoints/<run-id>.jsonl`` as it finishes, so a run killed
+mid-way (Ctrl-C, OOM, power loss) restarts from where it stopped —
+pass it from the start on long runs.
 
 Observability (``repro.obs``) is strictly inert — every figure and
-table is byte-identical with it on or off.  ``--trace PATH`` records
-spans/events/metrics to a JSONL log (the ``obs`` target reads it);
-``--metrics`` prints the metric snapshot to stderr after the run;
-``--profile`` merges cProfile across every worker process;
-``--verbose``/``--quiet`` raise/lower which structured events reach
-the terminal.
+table is byte-identical with it on or off.  Every target takes these
+flags: ``--trace PATH`` records spans/events/metrics to a JSONL log
+(the ``obs`` target reads it); ``--metrics`` prints the metric
+snapshot to stderr after the run; ``--profile`` merges cProfile across
+every worker process; ``--verbose``/``--quiet`` raise/lower which
+structured events reach the terminal.
 """
 
 from __future__ import annotations
@@ -89,8 +93,296 @@ def _render_plots(result) -> str:
     return "\n".join(lines)
 
 
+def _jobs(text: str) -> int:
+    """``--jobs``: a worker-process count of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return jobs
+
+
+def _checked(parse, text: str) -> str:
+    """Keep *text* once *parse* accepts it; its ValueError is a usage error."""
+    try:
+        parse(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return text
+
+
+def _engine(name: str) -> str:
+    from ..core.engines import resolve_engine
+
+    return _checked(resolve_engine, name)
+
+
+def _topology(spec: str) -> str:
+    from ..topo import parse_topology
+
+    return _checked(parse_topology, spec)
+
+
+#: Every option, spelled once: flag -> ``add_argument`` keywords.  Each
+#: target adds only the flags its handler reads (see build_parser).
+_OPTIONS: dict[str, dict] = {
+    # Figure runs ('fig01'..'fig18', 'all', 'list').
+    "--fast": dict(
+        action="store_true",
+        help="use reduced-scale parameters (seconds instead of minutes)",
+    ),
+    "--max-points": dict(
+        type=int, default=25, help="series points to print per figure (default 25)"
+    ),
+    "--plot": dict(
+        action="store_true",
+        help="render ASCII plots (figures: each series instead of a table; "
+        "campaign report: curves after the table)",
+    ),
+    "--jobs": dict(
+        type=_jobs,
+        metavar="N",
+        help="worker processes for simulation fan-out (default: 1, or the "
+        "CPU count for 'bench'); results do not depend on this",
+    ),
+    "--engine": dict(
+        type=_engine,
+        metavar="NAME",
+        help="simulation engine: des, cascade (default), or batch; every "
+        "engine produces bit-identical results for the same seed",
+    ),
+    "--topology": dict(
+        type=_topology,
+        metavar="SPEC",
+        help="coupling graph for figures that accept one (fig10/fig11): "
+        "clique (default), ring, star, tree(b=B), erdos_renyi(p=P,seed=S), "
+        "or switching(a|b,period=T); non-clique couplings are an "
+        "off-paper what-if",
+    ),
+    "--no-cache": dict(
+        action="store_true",
+        help="do not read or write the on-disk result cache",
+    ),
+    "--resume": dict(
+        action="store_true",
+        help="journal completed simulations under results/checkpoints/ and "
+        "resume any interrupted run of the same work; pass it from the "
+        "start on long runs (results do not depend on this)",
+    ),
+    "--cache-root": dict(
+        metavar="DIR", help="result cache directory (default results/cache)"
+    ),
+    # Observability (every target).
+    "--trace": dict(
+        metavar="PATH",
+        help="record spans/events/metrics and write a JSONL trace log to "
+        "PATH after the run (read it back with the 'obs' target); results "
+        "do not depend on this",
+    ),
+    "--metrics": dict(
+        action="store_true",
+        help="collect metrics and print the snapshot to stderr after the run",
+    ),
+    "--profile": dict(
+        action="store_true",
+        help="profile the run under cProfile (merged across worker "
+        "processes) and print the top functions to stderr",
+    ),
+    "--verbose": dict(
+        action="store_true",
+        help="print info-level structured events (resumes, retries) as they happen",
+    ),
+    "--quiet": dict(
+        action="store_true",
+        help="silence warning-level events (errors still print)",
+    ),
+    # 'bench': which snapshot to take (default BENCH_parallel.json).
+    "--obs": dict(
+        action="store_true",
+        help="measure observability on/off overhead -> BENCH_obs.json",
+    ),
+    "--serve": dict(
+        action="store_true",
+        help="run the loopback serving benchmark -> BENCH_serve.json",
+    ),
+    "--batch": dict(
+        action="store_true",
+        help="benchmark the batched kernel (engine=batch, both backends) "
+        "against the serial cascade engine -> BENCH_batch.json",
+    ),
+    "--campaign": dict(
+        action="store_true",
+        help="benchmark campaign dispatch (local pool vs loopback serve "
+        "fleet, warm-cache row) -> BENCH_campaign.json",
+    ),
+    "--predict": dict(
+        action="store_true",
+        help="benchmark the prediction tier (surrogate vs warm-cache "
+        "/v1/simulate, bound audit, fallback byte-identity) -> "
+        "BENCH_predict.json",
+    ),
+    # 'predict'.
+    "--holdout": dict(
+        type=int,
+        metavar="N",
+        help="build: seeds per grid point held out of calibration to "
+        "measure each cell's bound (default: a quarter of the spec's "
+        "seeds, at least 1)",
+    ),
+    "--point": dict(
+        metavar="N,TP,TC,TR", help="eval: the query point, comma-separated"
+    ),
+    "--tolerance": dict(
+        type=float,
+        metavar="X",
+        help="eval: maximum acceptable relative error bound; an answer "
+        "whose bound exceeds it reports fallback",
+    ),
+    "--fresh-seeds": dict(
+        type=int,
+        default=4,
+        metavar="N",
+        help="verify: fresh seeds per valid cell to audit the bounds "
+        "against (default 4)",
+    ),
+    # 'campaign' and 'claims'.
+    "--shard": dict(
+        metavar="K/M",
+        help="run/inspect shard K of M (0-based; default 0/1, the whole "
+        "campaign); the shard map is a pure function of the spec, so any "
+        "host can claim any shard",
+    ),
+    "--dispatch": dict(
+        choices=("local", "serve"),
+        default="local",
+        help="run: execute on the local process pool (default) or fan out "
+        "to serve endpoints (see --endpoints)",
+    ),
+    "--endpoints": dict(
+        metavar="HOST:PORT[,HOST:PORT...]",
+        help="run --dispatch serve: the serve endpoints to fan out to "
+        "(default 127.0.0.1:8793)",
+    ),
+    "--chunk-size": dict(
+        type=int,
+        metavar="N",
+        help="run: jobs per commit chunk — the most compute a kill can "
+        "lose (default 256)",
+    ),
+    "--max-age": dict(
+        type=float,
+        metavar="SECONDS",
+        help="gc: prune claim files/tombstones older than this (default: "
+        "the claim TTL)",
+    ),
+    "--output": dict(
+        metavar="PATH",
+        help="campaign report: write the JSON report here; obs "
+        "export-trace: the Chrome/Perfetto JSON destination (default: the "
+        "trace path with a .chrome.json suffix)",
+    ),
+    # 'serve' and 'loadgen'.
+    "--host": dict(
+        default="127.0.0.1", help="listen/connect address (default 127.0.0.1)"
+    ),
+    "--port": dict(
+        type=int,
+        default=8793,
+        help="listen/connect port; 0 asks the OS for a free port (default 8793)",
+    ),
+    "--queue-depth": dict(
+        type=int,
+        default=64,
+        metavar="N",
+        help="admission limit — requests beyond N in flight shed with 429 "
+        "Retry-After (default 64)",
+    ),
+    "--deadline": dict(
+        type=float,
+        metavar="SECONDS",
+        help="per-request deadline; computations that outlive it answer "
+        "504 (default: none)",
+    ),
+    "--workers": dict(
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker processes; >= 2 runs the prefork supervisor (bind "
+        "once, crash-respawn, cross-process single-flight; default 1)",
+    ),
+    "--predict-table": dict(
+        metavar="TABLE",
+        help="load a prediction table (file path or 16-hex id under the "
+        "cache root) and answer POST /v1/predict from it; without this "
+        "every predict request falls back to simulation",
+    ),
+    "--clients": dict(
+        type=int, default=4, metavar="N", help="concurrent periodic clients (default 4)"
+    ),
+    "--period": dict(
+        type=float,
+        default=1.0,
+        metavar="TP",
+        help="mean request period per client in seconds (default 1)",
+    ),
+    "--load-jitter": dict(
+        type=float,
+        default=0.5,
+        metavar="TR",
+        help="timer jitter half-width — intervals are uniform in "
+        "[TP-TR, TP+TR], the paper's own randomization (default 0.5)",
+    ),
+    "--duration": dict(
+        type=float,
+        default=10.0,
+        metavar="SECONDS",
+        help="length of the generated schedule (default 10)",
+    ),
+    "--seed": dict(
+        type=int,
+        default=1,
+        help="seed for the schedule and spec rotation (default 1)",
+    ),
+    "--real-time": dict(
+        action="store_true",
+        help="actually sleep between ticks (threads + wall clock) instead "
+        "of replaying the schedule as fast as possible",
+    ),
+    "--retries": dict(
+        type=int,
+        default=0,
+        metavar="N",
+        help="honor 429/503 Retry-After hints with up to N deterministic "
+        "retries per request (default 0: surface backpressure)",
+    ),
+    "--chaos": dict(
+        action="store_true",
+        help="self-host a prefork fleet (--workers >= 2), kill and respawn "
+        "workers mid-load, inject claim-orphan/crash faults, and audit the "
+        "exactly-once claim ledger (cache root default results/chaos_cache)",
+    ),
+}
+
+
+def _add(parser, *flags: str) -> None:
+    """Add each named option from :data:`_OPTIONS` to *parser*."""
+    for flag in flags:
+        names = ("-o", flag) if flag == "--output" else (flag,)
+        parser.add_argument(*names, **_OPTIONS[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Build the argument parser (exposed for testing)."""
+    """Build the argument parser: one subcommand per target."""
+    observed = argparse.ArgumentParser(add_help=False)
+    _add(observed, "--trace", "--metrics", "--profile")
+    _add(observed.add_mutually_exclusive_group(), "--verbose", "--quiet")
+    figure_run = argparse.ArgumentParser(add_help=False)
+    _add(
+        figure_run, "--fast", "--max-points", "--plot", "--jobs", "--engine",
+        "--topology", "--no-cache", "--resume", "--cache-root",
+    )
     parser = argparse.ArgumentParser(
         prog="repro-sync",
         description=(
@@ -98,404 +390,120 @@ def build_parser() -> argparse.ArgumentParser:
             "of Periodic Routing Messages' (SIGCOMM 1993)."
         ),
     )
-    parser.add_argument(
-        "target",
-        help=(
-            "a figure id (fig01..fig18), 'all', 'list', 'bench', 'cache', "
-            "'claims', 'campaign', 'predict', 'obs', 'serve', or 'loadgen'"
-        ),
+    targets = parser.add_subparsers(
+        dest="target",
+        required=True,
+        metavar="target",
+        help="a figure id (fig01..fig18), 'all', or one of:",
     )
-    parser.add_argument(
-        "action",
-        nargs="?",
-        default=None,
-        help=(
-            "for 'cache': verify (default) | repair | clear; "
-            "for 'claims': list (default) | gc; "
-            "for 'campaign': run (default) | status | report | shard; "
-            "for 'predict': build (default) | eval | verify; "
-            "for 'obs': summary (default) | export-trace | top"
-        ),
+
+    def target(name, run, *flags, parents=(), actions=(), **kwargs):
+        sub = targets.add_parser(name, parents=[observed, *parents], **kwargs)
+        sub.set_defaults(run=run)
+        if actions:
+            sub.add_argument("action", nargs="?", default=actions[0], choices=actions)
+        _add(sub, *flags)
+        return sub
+
+    for figure_id in (*figure_ids(), "all"):
+        target(figure_id, _run_figures, parents=[figure_run])
+    target("list", _run_list, parents=[figure_run], help="print every figure id")
+    target(
+        "cache", _run_cache, "--cache-root",
+        actions=("verify", "repair", "clear"),
+        help="audit, repair or clear the result cache",
     )
-    parser.add_argument(
+    target(
+        "claims", _run_claims, "--cache-root", "--max-age",
+        actions=("list", "gc"),
+        help="inventory or prune single-flight claim files",
+    )
+    campaign = target(
+        "campaign", _run_campaign, "--shard", "--dispatch", "--endpoints",
+        "--chunk-size", "--jobs", "--cache-root", "--output", "--plot",
+        actions=("run", "status", "report", "shard"),
+        help="run, inspect or report a parameter study",
+    )
+    campaign.add_argument(
+        "path", metavar="SPEC", help="the campaign spec file (.toml or .json)"
+    )
+    predict = target(
+        "predict", _run_predict, "--holdout", "--point", "--tolerance",
+        "--fresh-seeds", "--jobs", "--cache-root",
+        actions=("build", "eval", "verify"),
+        help="build, query or audit a prediction table",
+    )
+    predict.add_argument(
+        "path",
+        help="the campaign spec file (build) or a table path / 16-hex "
+        "table id (eval, verify)",
+    )
+    obs = target(
+        "obs", _run_obs, "--output",
+        actions=("summary", "export-trace", "top"),
+        help="read a JSONL trace log back",
+    )
+    obs.add_argument(
         "path",
         nargs="?",
-        default=None,
-        help=(
-            "for the 'obs' target: the JSONL trace log to read "
-            "(default results/trace.jsonl); for 'campaign': the "
-            "campaign spec file (.toml or .json); for 'predict': the "
-            "spec file (build) or a table path / 16-hex table id "
-            "(eval, verify)"
-        ),
+        default="results/trace.jsonl",
+        help="the trace log (default results/trace.jsonl)",
     )
-    parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="use reduced-scale parameters (seconds instead of minutes)",
+    bench = target("bench", _run_bench, "--jobs", help="write a perf snapshot")
+    _add(
+        bench.add_mutually_exclusive_group(),
+        "--obs", "--serve", "--batch", "--campaign", "--predict",
     )
-    parser.add_argument(
-        "--max-points",
-        type=int,
-        default=25,
-        help="series points to print per figure (default 25)",
+    target(
+        "serve", _run_serve, "--host", "--port", "--jobs", "--queue-depth",
+        "--deadline", "--workers", "--engine", "--no-cache", "--resume",
+        "--cache-root", "--predict-table",
+        help="run the simulation-serving API until SIGTERM",
     )
-    parser.add_argument(
-        "--plot",
-        action="store_true",
-        help="render each series as an ASCII plot instead of a table",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes for simulation fan-out (default: 1 for "
-            "figures, the CPU count for 'bench'); results do not "
-            "depend on this"
-        ),
-    )
-    parser.add_argument(
-        "--engine",
-        default=None,
-        metavar="NAME",
-        help=(
-            "simulation engine for figures, sweeps, and serving: des, "
-            "cascade (default), or batch; every engine produces "
-            "bit-identical results for the same seed"
-        ),
-    )
-    parser.add_argument(
-        "--topology",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "coupling graph for figures that accept one (fig10/fig11): "
-            "clique (default), ring, star, tree(b=B), "
-            "erdos_renyi(p=P,seed=S), or switching(a|b,period=T); "
-            "non-clique couplings are an off-paper what-if"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="do not read or write the on-disk result cache (results/cache/)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "journal completed simulations under results/checkpoints/ and "
-            "resume any interrupted run of the same figure; pass it from "
-            "the start on long runs (results do not depend on this)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-root",
-        default=None,
-        metavar="DIR",
-        help="cache directory for the 'cache' target (default results/cache)",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help=(
-            "record spans/events/metrics and write a JSONL trace log to "
-            "PATH after the run (read it back with the 'obs' target); "
-            "results do not depend on this"
-        ),
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect metrics and print the snapshot to stderr after the run",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "profile the run under cProfile (merged across worker "
-            "processes) and print the top functions to stderr"
-        ),
-    )
-    parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="print info-level structured events (resumes, retries) as they happen",
-    )
-    parser.add_argument(
-        "--quiet",
-        action="store_true",
-        help="silence warning-level events (errors still print)",
-    )
-    parser.add_argument(
-        "--obs",
-        action="store_true",
-        help=(
-            "for the 'bench' target: measure observability on/off overhead "
-            "and write BENCH_obs.json instead of the parallel benchmark"
-        ),
-    )
-    parser.add_argument(
-        "--serve",
-        action="store_true",
-        help=(
-            "for the 'bench' target: run the loopback serving benchmark "
-            "and write BENCH_serve.json instead of the parallel benchmark"
-        ),
-    )
-    parser.add_argument(
-        "--batch",
-        action="store_true",
-        help=(
-            "for the 'bench' target: benchmark the batched kernel "
-            "(engine=batch, both backends) against the serial cascade "
-            "engine and write BENCH_batch.json"
-        ),
-    )
-    parser.add_argument(
-        "--campaign",
-        action="store_true",
-        help=(
-            "for the 'bench' target: benchmark campaign dispatch (local "
-            "pool vs loopback serve fleet, warm-cache row) and write "
-            "BENCH_campaign.json"
-        ),
-    )
-    parser.add_argument(
-        "--predict",
-        action="store_true",
-        help=(
-            "for the 'bench' target: benchmark the prediction tier "
-            "(surrogate vs warm-cache /v1/simulate, bound audit, "
-            "fallback byte-identity) and write BENCH_predict.json"
-        ),
-    )
-    predict = parser.add_argument_group(
-        "prediction options (the 'predict' target)"
-    )
-    predict.add_argument(
-        "--holdout",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "predict build: seeds per grid point held out of "
-            "calibration to measure each cell's bound (default: a "
-            "quarter of the spec's seeds, at least 1)"
-        ),
-    )
-    predict.add_argument(
-        "--point",
-        default=None,
-        metavar="N,TP,TC,TR",
-        help="predict eval: the query point, comma-separated",
-    )
-    predict.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="X",
-        help=(
-            "predict eval: maximum acceptable relative error bound; "
-            "an answer whose bound exceeds it reports fallback"
-        ),
-    )
-    predict.add_argument(
-        "--fresh-seeds",
-        type=int,
-        default=4,
-        metavar="N",
-        help=(
-            "predict verify: fresh seeds per valid cell to audit the "
-            "bounds against (default 4)"
-        ),
-    )
-    campaign = parser.add_argument_group(
-        "campaign options (the 'campaign' target)"
-    )
-    campaign.add_argument(
-        "--shard",
-        default=None,
-        metavar="K/M",
-        help=(
-            "campaign: run/inspect shard K of M (0-based; default 0/1, "
-            "the whole campaign); the shard map is a pure function of "
-            "the spec, so any host can claim any shard"
-        ),
-    )
-    campaign.add_argument(
-        "--dispatch",
-        choices=("local", "serve"),
-        default="local",
-        help=(
-            "campaign run: execute on the local process pool (default) "
-            "or fan out to serve endpoints (see --endpoints)"
-        ),
-    )
-    campaign.add_argument(
-        "--endpoints",
-        default=None,
-        metavar="HOST:PORT[,HOST:PORT...]",
-        help=(
-            "campaign run --dispatch serve: the serve endpoints to fan "
-            "out to (default 127.0.0.1:8793)"
-        ),
-    )
-    campaign.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "campaign run: jobs per commit chunk — the most compute a "
-            "kill can lose (default 256)"
-        ),
-    )
-    campaign.add_argument(
-        "--max-age",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "claims gc: prune claim files/tombstones older than this "
-            "(default: the claim TTL)"
-        ),
-    )
-    serving = parser.add_argument_group(
-        "serving options (the 'serve' and 'loadgen' targets)"
-    )
-    serving.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="listen/connect address (default 127.0.0.1)",
-    )
-    serving.add_argument(
-        "--port",
-        type=int,
-        default=8793,
-        help="listen/connect port; 0 asks the OS for a free port (default 8793)",
-    )
-    serving.add_argument(
-        "--queue-depth",
-        type=int,
-        default=64,
-        metavar="N",
-        help=(
-            "serve: admission limit — requests beyond N in flight shed "
-            "with 429 Retry-After (default 64)"
-        ),
-    )
-    serving.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "serve: per-request deadline; computations that outlive it "
-            "answer 504 (default: none)"
-        ),
-    )
-    serving.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "serve: worker processes; >= 2 runs the prefork supervisor "
-            "(bind once, crash-respawn, cross-process single-flight; "
-            "default 1)"
-        ),
-    )
-    serving.add_argument(
-        "--predict-table",
-        default=None,
-        metavar="TABLE",
-        help=(
-            "serve: load a prediction table (file path or 16-hex id "
-            "under the cache root) and answer POST /v1/predict from "
-            "it; without this every predict request falls back to "
-            "simulation"
-        ),
-    )
-    serving.add_argument(
-        "--clients",
-        type=int,
-        default=4,
-        metavar="N",
-        help="loadgen: concurrent periodic clients (default 4)",
-    )
-    serving.add_argument(
-        "--period",
-        type=float,
-        default=1.0,
-        metavar="TP",
-        help="loadgen: mean request period per client in seconds (default 1)",
-    )
-    serving.add_argument(
-        "--load-jitter",
-        type=float,
-        default=0.5,
-        metavar="TR",
-        help=(
-            "loadgen: timer jitter half-width — intervals are uniform in "
-            "[TP-TR, TP+TR], the paper's own randomization (default 0.5)"
-        ),
-    )
-    serving.add_argument(
-        "--duration",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="loadgen: length of the generated schedule (default 10)",
-    )
-    serving.add_argument(
-        "--seed",
-        type=int,
-        default=1,
-        help="loadgen: seed for the schedule and spec rotation (default 1)",
-    )
-    serving.add_argument(
-        "--real-time",
-        action="store_true",
-        help=(
-            "loadgen: actually sleep between ticks (threads + wall "
-            "clock) instead of replaying the schedule as fast as possible"
-        ),
-    )
-    serving.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "loadgen: honor 429/503 Retry-After hints with up to N "
-            "deterministic retries per request (default 0: surface "
-            "backpressure)"
-        ),
-    )
-    serving.add_argument(
-        "--chaos",
-        action="store_true",
-        help=(
-            "loadgen: self-host a prefork fleet (--workers >= 2), kill and "
-            "respawn workers mid-load, inject claim-orphan/crash faults, "
-            "and audit the exactly-once claim ledger"
-        ),
-    )
-    parser.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        metavar="PATH",
-        help=(
-            "for 'obs export-trace': the Chrome/Perfetto JSON destination "
-            "(default: the trace path with a .chrome.json suffix)"
-        ),
+    target(
+        "loadgen", _run_loadgen, "--host", "--port", "--clients", "--period",
+        "--load-jitter", "--duration", "--seed", "--real-time", "--retries",
+        "--chaos", "--jobs", "--queue-depth", "--deadline", "--workers",
+        "--engine", "--cache-root",
+        help="seeded load against a running server (or a chaos fleet)",
     )
     return parser
+
+
+def _run_list(args) -> int:
+    """The 'list' target: print every figure id."""
+    for figure_id in figure_ids():
+        print(figure_id)
+    return 0
+
+
+def _run_figures(args) -> int:
+    """A figure id or 'all': run each figure and print its result."""
+    from ..parallel import ResultCache
+
+    cache = None if args.no_cache else ResultCache(args.cache_root)
+    checkpoint = True if args.resume else None
+    targets = figure_ids() if args.target == "all" else [args.target]
+    try:
+        for figure_id in targets:
+            result = run_figure(
+                figure_id,
+                fast=args.fast,
+                jobs=args.jobs,
+                cache=cache,
+                checkpoint=checkpoint,
+                engine=args.engine,
+                topology=args.topology,
+            )
+            if args.plot:
+                print(_render_plots(result))
+            else:
+                print(result.format_text(max_points=args.max_points))
+            print()
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _run_cache(args) -> int:
@@ -503,8 +511,7 @@ def _run_cache(args) -> int:
     from ..parallel import ResultCache
 
     cache = ResultCache(args.cache_root)
-    action = args.action or "verify"
-    if action == "verify":
+    if args.action == "verify":
         report = cache.verify()
         print(
             f"cache {cache.root}: {report['entries']} entries, "
@@ -528,7 +535,7 @@ def _run_cache(args) -> int:
             print("run 'cache repair' to quarantine/sweep")
             return 1
         return 0
-    if action == "repair":
+    if args.action == "repair":
         done = cache.repair()
         print(
             f"cache {cache.root}: quarantined {len(done['quarantined'])} "
@@ -536,15 +543,9 @@ def _run_cache(args) -> int:
             f"removed {len(done['removed_tmp'])} stale tmp file(s)"
         )
         return 0
-    if action == "clear":
-        removed = cache.clear()
-        print(f"cache {cache.root}: removed {removed} entries")
-        return 0
-    print(
-        f"error: unknown cache action {action!r} (use verify, repair, or clear)",
-        file=sys.stderr,
-    )
-    return 2
+    removed = cache.clear()
+    print(f"cache {cache.root}: removed {removed} entries")
+    return 0
 
 
 def _run_claims(args) -> int:
@@ -555,8 +556,7 @@ def _run_claims(args) -> int:
 
     root = Path(args.cache_root or "results/cache") / "claims"
     registry = ClaimRegistry(root)
-    action = args.action or "list"
-    if action == "list":
+    if args.action == "list":
         inv = registry.inventory()
         print(
             f"claims {registry.root}: {len(inv['claims'])} record(s), "
@@ -572,19 +572,13 @@ def _run_claims(args) -> int:
                 f"pid={record['pid']} heartbeat_age={age_text}"
             )
         return 0
-    if action == "gc":
-        done = registry.gc(max_age=args.max_age)
-        print(
-            f"claims {registry.root}: removed {len(done['removed_claims'])} "
-            f"stale claim(s), {len(done['removed_tombstones'])} "
-            f"tombstone(s), {len(done['removed_beats'])} beat temp(s)"
-        )
-        return 0
+    done = registry.gc(max_age=args.max_age)
     print(
-        f"error: unknown claims action {action!r} (use list or gc)",
-        file=sys.stderr,
+        f"claims {registry.root}: removed {len(done['removed_claims'])} "
+        f"stale claim(s), {len(done['removed_tombstones'])} "
+        f"tombstone(s), {len(done['removed_beats'])} beat temp(s)"
     )
-    return 2
+    return 0
 
 
 def _run_campaign(args) -> int:
@@ -605,21 +599,6 @@ def _run_campaign(args) -> int:
     )
     from ..parallel import ResultCache
 
-    action = args.action or "run"
-    if action not in ("run", "status", "report", "shard"):
-        print(
-            f"error: unknown campaign action {action!r} "
-            "(use run, status, report, or shard)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.path is None:
-        print(
-            "error: the campaign target needs a spec file path "
-            "(e.g. campaign run study.toml)",
-            file=sys.stderr,
-        )
-        return 2
     try:
         spec = load_spec(args.path)
     except (OSError, ValueError) as error:
@@ -632,7 +611,7 @@ def _run_campaign(args) -> int:
         return 2
     cache = ResultCache(args.cache_root)
 
-    if action == "shard":
+    if args.action == "shard":
         counts = shard_manifest(spec, num_shards)
         print(
             f"campaign {spec.campaign_id()} name={spec.name} "
@@ -643,12 +622,12 @@ def _run_campaign(args) -> int:
             print(f"  shard {k}/{num_shards}: {count} job(s){marker}")
         return 0
 
-    if action == "status":
+    if args.action == "status":
         status = campaign_status(spec, num_shards=num_shards, cache=cache)
         print(format_status(status))
         return 0 if status["complete"] else 1
 
-    if action == "report":
+    if args.action == "report":
         report = build_report(spec, cache)
         if args.output:
             target = write_report(report, args.output)
@@ -669,7 +648,7 @@ def _run_campaign(args) -> int:
             return 1
         return 0
 
-    # action == "run"
+    # args.action == "run"
     if args.dispatch == "serve":
         try:
             endpoints = parse_endpoints(args.endpoints or "127.0.0.1:8793")
@@ -806,24 +785,9 @@ def _run_predict(args) -> int:
         verify_table,
     )
 
-    action = args.action or "build"
-    if action not in ("build", "eval", "verify"):
-        print(
-            f"error: unknown predict action {action!r} "
-            "(use build, eval, or verify)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.path is None:
-        print(
-            "error: the predict target needs a path — a campaign spec "
-            "file (build) or a table path / 16-hex id (eval, verify)",
-            file=sys.stderr,
-        )
-        return 2
     cache = ResultCache(args.cache_root)
 
-    if action == "build":
+    if args.action == "build":
         try:
             spec = load_spec(args.path)
         except (OSError, ValueError) as error:
@@ -857,7 +821,7 @@ def _run_predict(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    if action == "eval":
+    if args.action == "eval":
         if args.point is None:
             print(
                 "error: predict eval needs --point N,TP,TC,TR",
@@ -887,7 +851,7 @@ def _run_predict(args) -> int:
         print(_json.dumps(answer, sort_keys=True, indent=1))
         return 0 if answer["status"] == "ok" else 1
 
-    # action == "verify"
+    # args.action == "verify"
     audit = verify_table(
         table, cache, seed_count=args.fresh_seeds, jobs=args.jobs
     )
@@ -991,15 +955,7 @@ def _run_obs(args) -> int:
     """The 'obs' target: read a JSONL trace log back."""
     from ..obs.export import read_trace, summarize_trace, write_chrome_trace
 
-    action = args.action or "summary"
-    path = args.path or "results/trace.jsonl"
-    if action not in ("summary", "export-trace", "top"):
-        print(
-            f"error: unknown obs action {action!r} "
-            "(use summary, export-trace, or top)",
-            file=sys.stderr,
-        )
-        return 2
+    action, path = args.action, args.path
     try:
         if action == "export-trace":
             dest = write_chrome_trace(path, args.output)
@@ -1080,109 +1036,14 @@ def _finalize_obs(args) -> None:
         reset()
 
 
-def _dispatch(args) -> int:
-    """Route one parsed invocation to its target handler."""
-    if args.target == "cache":
-        return _run_cache(args)
-    if args.target == "claims":
-        return _run_claims(args)
-    if args.target == "campaign":
-        return _run_campaign(args)
-    if args.target == "predict":
-        return _run_predict(args)
-    if args.target == "obs":
-        return _run_obs(args)
-    if args.target == "list":
-        for figure_id in figure_ids():
-            print(figure_id)
-        return 0
-    if args.target == "bench":
-        return _run_bench(args)
-    if args.target == "serve":
-        return _run_serve(args)
-    if args.target == "loadgen":
-        return _run_loadgen(args)
-    cache = None
-    if not args.no_cache:
-        from ..parallel import ResultCache
-
-        cache = ResultCache()
-    checkpoint = True if args.resume else None
-    targets = figure_ids() if args.target == "all" else [args.target]
-    try:
-        for figure_id in targets:
-            result = run_figure(
-                figure_id,
-                fast=args.fast,
-                jobs=args.jobs,
-                cache=cache,
-                checkpoint=checkpoint,
-                engine=args.engine,
-                topology=args.topology,
-            )
-            if args.plot:
-                print(_render_plots(result))
-            else:
-                print(result.format_text(max_points=args.max_points))
-            print()
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    if args.jobs is not None and args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.quiet and args.verbose:
-        print("error: --quiet and --verbose are mutually exclusive", file=sys.stderr)
-        return 2
-    if sum((args.obs, args.serve, args.batch, args.campaign, args.predict)) > 1:
-        print(
-            "error: --obs, --serve, --batch, --campaign, and --predict "
-            "are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
-    if args.engine is not None:
-        from ..core.engines import resolve_engine
-
-        try:
-            resolve_engine(args.engine)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.topology is not None:
-        from ..topo import parse_topology
-
-        try:
-            parse_topology(args.topology)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.action is not None and args.target not in (
-        "cache", "claims", "campaign", "predict", "obs"
-    ):
-        print(
-            "error: an action argument is only valid with the "
-            "'cache', 'claims', 'campaign', 'predict', or 'obs' targets",
-            file=sys.stderr,
-        )
-        return 2
-    if args.path is not None and args.target not in (
-        "obs", "campaign", "predict"
-    ):
-        print(
-            "error: a path argument is only valid with the 'obs', "
-            "'campaign', or 'predict' targets",
-            file=sys.stderr,
-        )
-        return 2
+    """Entry point; returns a process exit code (2 on a usage error)."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exit_:  # argparse: 2 on a usage error, 0 after --help
+        return exit_.code
     if not _configure_obs(args):
-        return _dispatch(args)
+        return args.run(args)
     try:
         if args.profile:
             from ..obs import obs
@@ -1191,8 +1052,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             # Profile the in-process side too (jobs=1 runs, cache and
             # aggregation work); pool workers ship their own rows.
             with profiled(obs().profile_rows):
-                return _dispatch(args)
-        return _dispatch(args)
+                return args.run(args)
+        return args.run(args)
     finally:
         _finalize_obs(args)
 

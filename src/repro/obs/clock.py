@@ -10,7 +10,7 @@ wall clock (meaningful across sessions).
 Centralizing the raw ``time`` calls here does two jobs at once:
 
 * every caller outside ``repro/obs`` that needs a real clock imports
-  it from this module, so ``repro.tools.lint_clocks`` can forbid
+  it from this module, so ``repro.tools.lint`` can forbid
   direct ``time.time()`` / ``datetime.now()`` everywhere else; and
 * tests can monkeypatch one module to freeze observability time
   without ever touching simulation time.

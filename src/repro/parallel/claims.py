@@ -67,7 +67,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 # Claim heartbeats are durable wall-clock stamps read by *other*
 # processes, so they come straight from the wall clock; this module is
-# registered in lint_clocks' WALL_CLOCK_ALLOWLIST.
+# registered in repro.tools.lint's WALL_CLOCK_ALLOWLIST.
 from time import time as _wall_time
 
 from ..obs import obs

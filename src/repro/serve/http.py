@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from email.utils import formatdate
 
 # Wall-clock reads are legitimate here (HTTP Date headers are defined
-# as wall time); ``repro/serve`` is on the lint_clocks allowlist.
+# as wall time); ``repro/serve`` is on the repro.tools.lint wall-clock
+# allowlist.
 from time import time as _wall_time
 
 __all__ = [

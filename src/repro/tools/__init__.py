@@ -1,11 +1,8 @@
 """Developer tooling that ships with the repo (not used at runtime).
 
-``python -m repro.tools.lint_excepts`` — flag broad exception handlers
-that silently swallow errors, the failure mode that turned PR 1's
-"graceful degradation" into untestable dead code.
-
-``python -m repro.tools.lint_clocks`` — flag wall-clock reads
-(``time.time()``, ``datetime.now()``) outside ``repro.obs``, whose
-clock module is the one sanctioned wrapper; everything else must stay
-deterministic in seeds and parameters.
+``python -m repro.tools.lint`` — one AST walk per file over three
+rules: ``excepts`` (silent ``except Exception: pass`` swallows),
+``clocks`` (wall-clock reads outside ``repro.obs`` and the other
+allowlisted code) and ``determinism`` (``np.random``, float32 dtypes
+and order-unstable reductions in ``core`` and ``topo``).
 """

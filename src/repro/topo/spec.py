@@ -16,8 +16,8 @@ so they travel inside :class:`~repro.parallel.job.SimulationJob`
 specs, cache keys, campaign files, and HTTP bodies as plain strings.
 
 Determinism contract: graph generation uses the repo's own Lehmer
-generator (never ``np.random`` — ``repro.tools.lint_determinism``
-covers this package), keyed on ``(spec.seed, n)``, so every host
+generator (never ``np.random`` — the ``determinism`` rule of
+``repro.tools.lint`` covers this package), keyed on ``(spec.seed, n)``, so every host
 expanding the same spec builds the same adjacency forever.
 """
 

@@ -37,8 +37,10 @@ def write_spec(tmp_path, **overrides):
 
 class TestCampaignUsage:
     def test_needs_a_spec_path(self, capsys):
+        # The lone positional fills the required spec path, so 'run' is
+        # the spec that cannot be loaded.
         assert main(["campaign", "run"]) == 2
-        assert "spec file path" in capsys.readouterr().err
+        assert "cannot load campaign spec run" in capsys.readouterr().err
 
     def test_unknown_action(self, capsys, tmp_path):
         path = write_spec(tmp_path)

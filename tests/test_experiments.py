@@ -148,6 +148,11 @@ class TestCli:
         assert main(["fig99"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["campaign", "--help"]) == 0
+        assert "SPEC" in capsys.readouterr().out
+
     def test_parser_defaults(self):
         args = build_parser().parse_args(["fig04"])
         assert args.target == "fig04"
@@ -161,9 +166,18 @@ class TestCli:
         assert args.jobs == 4
         assert args.no_cache is True
 
+    def test_figure_honours_cache_root(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        root = tmp_path / "topo-cache"
+        assert main(["fig16", "--fast", "--jobs", "1", "--cache-root", str(root)]) == 0
+        assert list(root.glob("*.json"))
+        assert not (tmp_path / "results" / "cache").exists()
+
     def test_invalid_jobs_errors(self, capsys):
         assert main(["fig09", "--jobs", "0"]) == 2
         assert "jobs" in capsys.readouterr().err
+        assert main(["fig09", "--jobs", "x"]) == 2
+        assert "argument --jobs: invalid int value: 'x'" in capsys.readouterr().err
 
     def test_parser_topology_flag(self):
         args = build_parser().parse_args(["fig10", "--topology", "ring"])
@@ -173,6 +187,9 @@ class TestCli:
     def test_invalid_topology_errors(self, capsys):
         assert main(["fig10", "--topology", "moebius"]) == 2
         assert "topology" in capsys.readouterr().err
+        # A valid spec the engine cannot model fails when the figure runs.
+        assert main(["fig10", "--fast", "--engine", "des", "--topology", "ring"]) == 2
+        assert "topology 'ring'" in capsys.readouterr().err
 
     def test_bench_target_prints_table(self, capsys, monkeypatch, tmp_path):
         import repro.parallel as parallel
@@ -211,7 +228,9 @@ class TestServingCli:
 
     def test_bench_obs_and_serve_mutually_exclusive(self, capsys):
         assert main(["bench", "--obs", "--serve"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        assert "argument --serve: not allowed with argument --obs" in (
+            capsys.readouterr().err
+        )
 
     def test_loadgen_against_a_live_server(self, capsys, tmp_path):
         from repro.serve import BackgroundServer, ServeConfig

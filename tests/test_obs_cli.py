@@ -108,17 +108,31 @@ class TestObsTarget:
 
     def test_unknown_action_errors(self, capsys):
         assert main(["obs", "frobnicate"]) == 2
-        assert "unknown obs action" in capsys.readouterr().err
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
 
 class TestArgumentValidation:
-    def test_path_only_valid_for_obs(self, capsys):
-        assert main(["fig10", "verify", "extra"]) == 2
-        assert "only valid with the 'cache', 'claims', 'campaign', 'predict', or 'obs'" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["fig10", "verify", "extra"], "unrecognized arguments: verify extra"),
+            (["list", "--seed", "5"], "unrecognized arguments: --seed 5"),
+            # '--topology' is not a cache flag, so 'ring' is read as the action
+            (["cache", "--topology", "ring"], "invalid choice: 'ring'"),
+            (["fig10", "--workers", "2"], "unrecognized arguments: --workers 2"),
+        ],
+        ids=["fig10-action-path", "list-seed", "cache-topology", "fig10-workers"],
+    )
+    def test_path_only_valid_for_obs(self, capsys, argv, error):
+        """A target rejects positionals and flags its handler does not read."""
+        assert main(argv) == 2
+        assert error in capsys.readouterr().err
 
     def test_quiet_verbose_conflict(self, capsys):
         assert main(["fig10", "--quiet", "--verbose"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        assert "argument --verbose: not allowed with argument --quiet" in (
+            capsys.readouterr().err
+        )
 
     def test_cache_actions_still_work(self, capsys):
         assert main(["cache", "verify"]) == 0

@@ -36,12 +36,14 @@ def build(spec_path, capsys):
 
 class TestUsage:
     def test_needs_a_path(self, capsys):
+        # The lone positional fills the required path, so 'build' is the
+        # spec that cannot be loaded.
         assert main(["predict", "build"]) == 2
-        assert "needs a path" in capsys.readouterr().err
+        assert "cannot load campaign spec build" in capsys.readouterr().err
 
     def test_unknown_action(self, spec_path, capsys):
         assert main(["predict", "explain", str(spec_path)]) == 2
-        assert "unknown predict action" in capsys.readouterr().err
+        assert "invalid choice: 'explain'" in capsys.readouterr().err
 
     def test_bad_spec_file(self, tmp_path, capsys):
         bogus = tmp_path / "nope.json"

@@ -1,4 +1,4 @@
-"""Tests for the silent-exception-swallow linter (repro.tools.lint_excepts).
+"""Tests for the ``excepts`` rule of repro.tools.lint (silent swallows).
 
 Also the enforcement point: the last test runs the linter over the
 shipped package, so introducing a new ``except Exception: pass``
@@ -7,13 +7,9 @@ anywhere in ``src/repro`` fails CI.
 
 import textwrap
 
-from repro.tools.lint_excepts import (
-    ALLOW_COMMENT,
-    default_target,
-    main,
-    scan_file,
-    scan_tree,
-)
+from repro.tools.lint import PACKAGE, main, scan_file, scan_tree
+
+ALLOW_COMMENT = "lint: allow-swallow"
 
 
 def write(tmp_path, name, source):
@@ -116,7 +112,7 @@ class TestMain:
 
 class TestShippedPackageIsClean:
     def test_src_repro_has_no_silent_swallows(self):
-        target = default_target()
+        target = PACKAGE
         assert target.name == "repro"  # sanity: we scan the real package
         findings = scan_tree([target])
         assert findings == [], "\n".join(str(f) for f in findings)

@@ -1,4 +1,4 @@
-"""Tests for the wall-clock linter (repro.tools.lint_clocks).
+"""Tests for the ``clocks`` rule of repro.tools.lint (wall-clock reads).
 
 Also the enforcement point: the last test runs the linter over the
 shipped package, so a stray ``time.time()`` outside the allowlisted
@@ -8,15 +8,15 @@ fails CI.
 
 import textwrap
 
-from repro.tools.lint_clocks import (
-    ALLOW_COMMENT,
-    DEFAULT_ALLOWLIST,
+from repro.tools.lint import (
+    PACKAGE,
     WALL_CLOCK_ALLOWLIST,
-    default_target,
     main,
     scan_file,
     scan_tree,
 )
+
+ALLOW_COMMENT = "lint: allow-wallclock"
 
 
 def write(tmp_path, name, source):
@@ -122,7 +122,6 @@ class TestAllowlist:
 
     def test_default_allowlist_names_obs_serve_and_claims(self):
         assert WALL_CLOCK_ALLOWLIST == ("obs", "serve", "parallel/claims.py")
-        assert DEFAULT_ALLOWLIST == WALL_CLOCK_ALLOWLIST  # pre-PR-7 alias
 
     def test_serve_package_is_allowlisted_by_default(self, tmp_path):
         path = write(tmp_path, "serve/http.py", self.WALLCLOCK)
@@ -133,33 +132,6 @@ class TestAllowlist:
         sibling = write(tmp_path, "parallel/runner.py", self.WALLCLOCK)
         assert scan_file(claims) == []
         assert scan_file(sibling) != []
-
-    def test_custom_allowlist_replaces_default(self, tmp_path):
-        obs = write(tmp_path, "obs/clock.py", self.WALLCLOCK)
-        mine = write(tmp_path, "mypkg/mod.py", self.WALLCLOCK)
-        # With only "mypkg" allowed, obs is now flagged and mypkg is not.
-        assert scan_file(obs, allow=("mypkg",)) != []
-        assert scan_file(mine, allow=("mypkg",)) == []
-        findings = scan_tree([tmp_path], allow=("mypkg",))
-        assert [f.path for f in findings] == [obs]
-
-    def test_empty_allowlist_flags_everything(self, tmp_path):
-        write(tmp_path, "obs/clock.py", self.WALLCLOCK)
-        write(tmp_path, "serve/http.py", self.WALLCLOCK)
-        assert len(scan_tree([tmp_path], allow=())) == 2
-
-    def test_cli_allow_flag_extends_default(self, tmp_path, capsys):
-        write(tmp_path, "mypkg/mod.py", self.WALLCLOCK)
-        assert main([str(tmp_path)]) == 1
-        capsys.readouterr()
-        assert main(["--allow", "mypkg", str(tmp_path)]) == 0
-
-    def test_cli_no_default_allow_flags_obs(self, tmp_path, capsys):
-        write(tmp_path, "obs/clock.py", self.WALLCLOCK)
-        assert main([str(tmp_path)]) == 0
-        assert main(["--no-default-allow", str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "allowlist [(none)]" in out
 
 
 class TestMain:
@@ -178,7 +150,7 @@ class TestMain:
 
 class TestShippedPackageIsClean:
     def test_src_repro_reads_no_wall_clocks(self):
-        target = default_target()
+        target = PACKAGE
         assert target.name == "repro"  # sanity: we scan the real package
         findings = scan_tree([target])
         assert findings == [], "\n".join(str(f) for f in findings)

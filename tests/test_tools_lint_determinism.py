@@ -1,24 +1,21 @@
-"""Tests for the determinism linter (repro.tools.lint_determinism).
+"""Tests for the ``determinism`` rule of repro.tools.lint.
 
-Also the enforcement point: the last test runs the linter over the
-shipped ``repro.core`` package, so a stray ``np.random`` call, a
-float32 dtype, or an axis-less float reduction inside the simulation
-core fails CI.
+The rule's scope is the ``core`` and ``topo`` packages, so fixtures
+live under a ``core/`` directory.  Also the enforcement point: the last
+tests scan the shipped ``repro.core`` and ``repro.topo`` packages, so a
+stray ``np.random`` call, a float32 dtype, or an axis-less float
+reduction inside the simulation core fails CI.
 """
 
 import textwrap
 
-from repro.tools.lint_determinism import (
-    ALLOW_COMMENT,
-    default_target,
-    main,
-    scan_file,
-    scan_tree,
-)
+from repro.tools.lint import PACKAGE, main, scan_file, scan_tree
+
+ALLOW_COMMENT = "lint: allow-nondeterminism"
 
 
 def write(tmp_path, name, source):
-    path = tmp_path / name
+    path = tmp_path / "core" / name
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source))
     return path
@@ -153,11 +150,11 @@ class TestCli:
     def test_exit_status_and_output(self, tmp_path, capsys):
         write(tmp_path, "pkg/bad.py", "import numpy as np\nx = np.sum(a)\n")
         write(tmp_path, "pkg/good.py", "value = 1\n")
-        assert main([str(tmp_path / "pkg")]) == 1
+        assert main([str(tmp_path / "core" / "pkg")]) == 1
         out = capsys.readouterr().out
         assert "bad.py:2" in out
         assert "1 determinism hazard(s)" in out
-        assert main([str(tmp_path / "pkg" / "good.py")]) == 0
+        assert main([str(tmp_path / "core" / "pkg" / "good.py")]) == 0
 
     def test_unreadable_file_is_reported(self, tmp_path):
         path = write(tmp_path, "broken.py", "def :\n")
@@ -169,12 +166,22 @@ class TestCli:
 class TestEnforcement:
     def test_shipped_core_is_clean(self):
         """The real gate: src/repro/core has no determinism hazards."""
-        target = default_target()
+        target = PACKAGE / "core"
         assert target.is_dir()
         assert scan_tree([target]) == []
 
     def test_shipped_topo_is_clean(self):
         """Graph generation must stay host-reproducible (CI scans it too)."""
-        target = default_target().parent / "topo"
+        target = PACKAGE / "topo"
         assert target.is_dir()
         assert scan_tree([target]) == []
+
+
+class TestScope:
+    def test_rule_covers_core_and_topo_only(self, tmp_path):
+        hazard = "import numpy as np\nx = np.sum(a)\n"
+        for package, flagged in (("core", 1), ("topo", 1), ("analysis", 0)):
+            path = tmp_path / package / "mod.py"
+            path.parent.mkdir()
+            path.write_text(hazard)
+            assert len(scan_file(path)) == flagged, package
