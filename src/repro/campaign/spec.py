@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -117,8 +118,8 @@ class CampaignSpec:
         object.__setattr__(self, "tr", _axis("tr", self.tr, float))
         if self.seed_count < 1:
             raise ValueError("seed_count must be >= 1")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not math.isfinite(self.horizon) or self.horizon <= 0:
+            raise ValueError("horizon must be positive and finite")
         if self.direction not in _DIRECTIONS:
             raise ValueError(
                 f"unknown direction {self.direction!r}; "

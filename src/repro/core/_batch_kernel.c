@@ -1,18 +1,23 @@
-/* The compiled batch cascade kernel.
+/* The compiled batch cascade kernel: one entry point, repro_advance.
  *
- * The cascade rule of repro.core.fastsim.advance_dense plus the
- * ClusterTracker statistics (repro.core.clusters), over packed arrays;
- * checked against CascadeModel and the DES by
+ * The graph-coupled cascade rule of repro.topo.advance_coupled plus
+ * the ClusterTracker statistics (repro.core.clusters), over packed
+ * arrays.  A complete coupling is the case with no adjacency
+ * (nphases == 0): every node hears every reset, at most one cascade
+ * is ever open, and the rule is repro.core.fastsim.advance_dense.
+ * Checked against CascadeModel and the DES by
  * tests/test_engine_differential.py.  See repro/core/_batch_kernel.py
- * for the state layout and the resumability contract.  Built by
+ * for the state layout and the restore-on-return contract.  Built by
  * _batch_kernel._build() with -ffp-contract=off -fno-fast-math: every
  * float operation must round exactly like the python backend (no fused
  * multiply-adds, no reassociation).  Lehmer arithmetic stays in int64
- * (products < 2^46 here).
+ * (products < 2^46 here).  The kernel calls nothing, so it includes
+ * no header and links no library (-nostdlib): a cold build is part of
+ * every fresh process's set-up, and with the standard headers and -lm
+ * it took about 1.17x as long (gcc 12, x86-64).
  */
 
-#include <math.h>
-#include <stdint.h>
+typedef long long i64; /* 64 bits on every ABI ctypes.c_int64 runs on */
 
 #define MOD 2147483647LL
 #define MUL 16807LL
@@ -26,162 +31,250 @@
 #define I_ROUND_MAX 6
 #define I_TOTAL_RESETS 7
 #define I_TOTAL_CASCADES 8
+#define I_WIN_HEAD 9
+#define I_WIN_COUNT 10
+#define I_ROUNDS 11
+#define I_GROUPS 12
+#define I_LEN 13
 
 #define STATUS_HORIZON 0
 #define STATUS_STOPPED 1
 #define STATUS_ROUNDS_FULL 2
 #define STATUS_GROUPS_FULL 3
+#define STATUS_PHASE_RANGE 4
 
-int64_t repro_advance_member(
-    double *expiry,
-    int64_t *rng,
-    int64_t n,
-    double tc,
-    double low,
-    double span,
-    double tol,
-    double until,
-    int64_t stop_sync,
-    int64_t stop_unsync,
-    int64_t keep_history,
-    double *fstate,
-    int64_t *istate,
-    int64_t *win_sizes,
-    int64_t *win_cnts,
-    int64_t *win_meta,
-    double *ftal,
-    double *ftam,
-    double *round_times,
-    int64_t *round_largest,
-    int64_t *round_meta,
-    int64_t rt_cap,
-    double *group_times,
-    int64_t *group_sizes,
-    int64_t *group_meta,
-    int64_t gt_cap,
-    int64_t *idx_scratch,
-    double *time_scratch)
+/* One member (MemberState).  fbuf = [now, open_time, expiry[n],
+ * ftal[n+1], ftam[n+1]]; ibuf = [istate[I_LEN], rng[n],
+ * win_sizes[n+1], win_cnts[n+1]]. */
+typedef struct {
+    double *fbuf;
+    i64 *ibuf;
+    double *round_times;
+    i64 *round_largest;
+    i64 round_cap;
+    double *group_times;
+    i64 *group_sizes;
+    i64 group_cap;
+} member_t;
+
+/* What every member of one batch shares (RunState): parameters, the
+ * per-phase CSR adjacency and the cascade scratch, fscratch =
+ * [joined[n], window[n]] and iscratch = [owner[n], next[n], last[n],
+ * rank[n], order[n]].  A cascade lives in the slot of the node that
+ * opened it; rank is its creation order within the call. */
+typedef struct {
+    i64 n;
+    double tc;
+    double low;
+    double span;
+    double tol;
+    double until;
+    i64 stop_sync;
+    i64 stop_unsync;
+    i64 keep_history;
+    i64 nphases;
+    double period;
+    const i64 *row_ptr;
+    const i64 *cols;
+    double *fscratch;
+    i64 *iscratch;
+} run_t;
+
+i64 repro_advance(member_t *m, const run_t *r)
 {
-    const int64_t cap = n + 1;
+    const i64 n = r->n;
+    const i64 cap = n + 1;
+    const double tc = r->tc;
+    const double low = r->low;
+    const double span = r->span;
+    const double tol = r->tol;
+    const double until = r->until;
+    const i64 keep = r->keep_history;
+    const i64 nphases = r->nphases;
+    double *const fstate = m->fbuf;
+    double *const expiry = fstate + 2;
+    double *const ftal = expiry + n;
+    double *const ftam = ftal + cap;
+    i64 *const st = m->ibuf;
+    i64 *const rng = st + I_LEN;
+    i64 *const win_sizes = rng + n;
+    i64 *const win_cnts = win_sizes + cap;
+    double *const round_times = m->round_times;
+    i64 *const round_largest = m->round_largest;
+    double *const group_times = m->group_times;
+    i64 *const group_sizes = m->group_sizes;
+    double *const joined = r->fscratch;
+    double *const window = joined + n;
+    i64 *const owner = r->iscratch;
+    i64 *const next = owner + n;
+    i64 *const last = next + n;
+    i64 *const rank = last + n;
+    i64 *const order = rank + n;
 
     double now = fstate[0];
     double open_time = fstate[1];
-    int64_t open_size = istate[I_OPEN_SIZE];
-    int64_t wres = istate[I_WINDOW_RESETS];
-    int64_t wmax = istate[I_WMAX];
-    int64_t ftal_max = istate[I_FTAL_MAX];
-    int64_t ftam_min = istate[I_FTAM_MIN];
-    int64_t rfill = istate[I_ROUND_FILL];
-    int64_t rmax = istate[I_ROUND_MAX];
-    int64_t head = win_meta[0];
-    int64_t count = win_meta[1];
+    i64 open_size = st[I_OPEN_SIZE];
+    i64 wres = st[I_WINDOW_RESETS];
+    i64 wmax = st[I_WMAX];
+    i64 ftal_max = st[I_FTAL_MAX];
+    i64 ftam_min = st[I_FTAM_MIN];
+    i64 rfill = st[I_ROUND_FILL];
+    i64 rmax = st[I_ROUND_MAX];
+    i64 resets = st[I_TOTAL_RESETS];
+    i64 closes = st[I_TOTAL_CASCADES];
+    i64 head = st[I_WIN_HEAD];
+    i64 count = st[I_WIN_COUNT];
+    i64 rounds = st[I_ROUNDS];
+    i64 groups = st[I_GROUPS];
 
-    int64_t status = -1;
+    i64 active = 0; /* open cascades' slots are order[0..active) */
+    i64 created = 0;
+    i64 status;
+
     while (1) {
-        /* Headroom reservation: one round slot, two group slots. */
-        if (round_meta[0] + 1 > rt_cap) {
+        /* First minimum in node order == heap (time, node) order. */
+        double e = expiry[0];
+        i64 v = 0;
+        for (i64 i = 1; i < n; i++) {
+            if (expiry[i] < e) {
+                e = expiry[i];
+                v = i;
+            }
+        }
+        /* The earliest window closes first; ties in creation order. */
+        double close_t = __builtin_inf();
+        i64 c = -1;
+        i64 ci = -1;
+        for (i64 j = 0; j < active; j++) {
+            i64 k = order[j];
+            if (window[k] < close_t || (window[k] == close_t && rank[k] < rank[c])) {
+                close_t = window[k];
+                c = k;
+                ci = j;
+            }
+        }
+
+        if (e <= close_t && e <= until) {
+            /* Every open window is >= e (an expiry goes before a close
+             * on ties), so only adjacency at time e decides: join the
+             * earliest-created cascade holding a neighbour of v.  With
+             * no adjacency at most one cascade is open, order[0]. */
+            c = nphases == 0 && active > 0 ? order[0] : -1;
+            if (nphases > 0 && active > 0) {
+                /* The phase in force at e, int(e / period) % nphases
+                 * as Coupling.adjacency_at computes it (period is +inf
+                 * for a static graph). */
+                double q = e / r->period;
+                i64 phase;
+                if (q < 0x1p63) {
+                    phase = (i64)q % nphases;
+                } else if (q < __builtin_inf()) {
+                    /* A whole number past i64: binary long division
+                     * gives its exact remainder (each subtraction has
+                     * s <= q < 2s, so it is exact). */
+                    double s = (double)nphases;
+                    while (s * 2.0 <= q) {
+                        s *= 2.0;
+                    }
+                    for (; s >= nphases; s *= 0.5) {
+                        if (q >= s) {
+                            q -= s;
+                        }
+                    }
+                    phase = (i64)q;
+                } else { /* int(inf) overflows in Python too */
+                    status = STATUS_PHASE_RANGE;
+                    break;
+                }
+                const i64 *row = r->row_ptr + phase * cap;
+                for (i64 p = row[v]; p < row[v + 1]; p++) {
+                    i64 s = owner[r->cols[p]];
+                    if (s >= 0 && (c < 0 || rank[s] < rank[c])) {
+                        c = s;
+                    }
+                }
+            }
+            joined[v] = e;
+            expiry[v] = __builtin_inf();
+            next[v] = -1;
+            if (c >= 0) {
+                next[last[c]] = v;
+            } else {
+                c = v;
+                window[c] = e;
+                rank[c] = created++;
+                order[active++] = c;
+            }
+            window[c] += tc; /* e + tc when opening: the same rounding */
+            last[c] = v;
+            owner[v] = c;
+            continue;
+        }
+        /* Nothing closes at or before the horizon.  Written so that
+         * a NaN horizon (or NaN windows) returns here too: the close
+         * below needs a cascade, c >= 0. */
+        if (c < 0 || !(close_t <= until)) {
+            status = STATUS_HORIZON;
+            break;
+        }
+        /* Headroom for one close: one round slot, two group slots. */
+        if (rounds + 1 > m->round_cap) {
             status = STATUS_ROUNDS_FULL;
             break;
         }
-        if (keep_history != 0 && group_meta[0] + 2 > gt_cap) {
+        if (keep != 0 && groups + 2 > m->group_cap) {
             status = STATUS_GROUPS_FULL;
             break;
         }
 
-        /* First minimum in node order == heap (time, node) order. */
-        double e1 = expiry[0];
-        int64_t i1 = 0;
-        for (int64_t i = 1; i < n; i++) {
-            if (expiry[i] < e1) {
-                e1 = expiry[i];
-                i1 = i;
-            }
-        }
-        if (e1 > until) {
-            if (now < until) {
-                now = until;
-            }
-            status = STATUS_HORIZON;
-            break;
-        }
+        /* Close cascade c at its window t. */
+        order[ci] = order[--active];
+        const double t = close_t;
+        closes += 1;
+        now = t;
 
-        expiry[i1] = INFINITY;
-        idx_scratch[0] = i1;
-        time_scratch[0] = e1;
-        int64_t g = 1;
-        double window = e1 + tc;
-        while (1) {
-            double e = expiry[0];
-            int64_t ii = 0;
-            for (int64_t i = 1; i < n; i++) {
-                if (expiry[i] < e) {
-                    e = expiry[i];
-                    ii = i;
-                }
+        /* ClusterTracker.record_reset for each member in join order,
+         * each followed by the member's redraw (tracker and streams do
+         * not interact, so this equals recording all, then drawing
+         * all).  A reset within tol of the open group's *first* reset
+         * joins that group; any other opens a new group and window
+         * entry. */
+        i64 s = open_size;
+        if (!(open_time == open_time && __builtin_fabs(t - open_time) <= tol)) {
+            if (open_time == open_time && keep != 0) {
+                group_times[groups] = open_time;
+                group_sizes[groups] = open_size;
+                groups += 1;
             }
-            if (e > window) {
-                break;
-            }
-            expiry[ii] = INFINITY;
-            idx_scratch[g] = ii;
-            time_scratch[g] = e;
-            g += 1;
-            window += tc;
-        }
-        if (window > until) {
-            /* Busy period outlives the horizon: restore and stop. */
-            for (int64_t j = 0; j < g; j++) {
-                expiry[idx_scratch[j]] = time_scratch[j];
-            }
-            now = until;
-            status = STATUS_HORIZON;
-            break;
-        }
-
-        istate[I_TOTAL_CASCADES] += 1;
-        now = window;
-        double t = window;
-
-        /* Fused tracker: record_reset x g at time t. */
-        int64_t s;
-        int64_t li;
-        if (open_time == open_time && fabs(t - open_time) <= tol) {
-            s = open_size;
-            li = head + count - 1;
-            if (li >= cap) {
-                li -= cap;
-            }
-        } else {
-            if (open_time == open_time) {
-                if (keep_history != 0) {
-                    int64_t gi = group_meta[0];
-                    group_times[gi] = open_time;
-                    group_sizes[gi] = open_size;
-                    group_meta[0] = gi + 1;
-                }
-            }
-            li = head + count;
-            if (li >= cap) {
-                li -= cap;
-            }
-            win_sizes[li] = 0;
-            win_cnts[li] = 0;
+            open_time = t;
             count += 1;
             s = 0;
         }
-        for (int64_t k = 0; k < g; k++) {
+        i64 li = head + count - 1;
+        if (li >= cap) {
+            li -= cap;
+        }
+        if (s == 0) {
+            win_cnts[li] = 0;
+        }
+        for (i64 u = c; u >= 0; u = next[u]) {
+            i64 state = (MUL * rng[u]) % MOD;
+            rng[u] = state;
+            expiry[u] = t + (low + span * ((double)state / (double)MOD));
+            owner[u] = -1;
             s += 1;
             win_sizes[li] = s;
             win_cnts[li] += 1;
             wres += 1;
+            resets += 1;
             if (s > wmax) {
                 wmax = s;
             }
-            while (wres > n) {
+            if (wres > n) { /* evict the oldest reset; wres was <= n */
                 win_cnts[head] -= 1;
                 wres -= 1;
                 if (win_cnts[head] == 0) {
-                    int64_t esize = win_sizes[head];
+                    i64 esize = win_sizes[head];
                     head += 1;
                     if (head >= cap) {
                         head -= cap;
@@ -189,8 +282,8 @@ int64_t repro_advance_member(
                     count -= 1;
                     if (esize >= wmax && wmax > 1) {
                         wmax = 1;
-                        int64_t q = head;
-                        for (int64_t w = 0; w < count; w++) {
+                        i64 q = head;
+                        for (i64 w = 0; w < count; w++) {
                             if (win_sizes[q] > wmax) {
                                 wmax = win_sizes[q];
                             }
@@ -207,8 +300,8 @@ int64_t repro_advance_member(
                 ftal_max = s;
             }
             if (wres >= n && wmax < ftam_min) {
-                for (int64_t v = wmax; v < ftam_min; v++) {
-                    ftam[v] = t;
+                for (i64 x = wmax; x < ftam_min; x++) {
+                    ftam[x] = t;
                 }
                 ftam_min = wmax;
             }
@@ -217,60 +310,58 @@ int64_t repro_advance_member(
                 rmax = s;
             }
             if (rfill >= n) {
-                int64_t ri = round_meta[0];
-                round_times[ri] = t;
-                round_largest[ri] = rmax;
-                round_meta[0] = ri + 1;
+                round_times[rounds] = t;
+                round_largest[rounds] = rmax;
+                rounds += 1;
                 rfill = 0;
                 rmax = 0;
             }
         }
-        open_time = t;
         open_size = s;
-        istate[I_TOTAL_RESETS] += g;
 
-        /* Redraw, in pop order. */
-        for (int64_t j = 0; j < g; j++) {
-            int64_t i = idx_scratch[j];
-            int64_t state = (MUL * rng[i]) % MOD;
-            rng[i] = state;
-            expiry[i] = window + (low + span * ((double)state / (double)MOD));
-        }
-
-        if (stop_sync != 0 && (s >= n || (wres >= n && wmax >= n))) {
-            status = STATUS_STOPPED;
-            break;
-        }
-        if (stop_unsync != 0 && wres >= n && wmax <= 1) {
+        if ((r->stop_sync != 0 && (s >= n || (wres >= n && wmax >= n)))
+            || (r->stop_unsync != 0 && wres >= n && wmax <= 1)) {
             status = STATUS_STOPPED;
             break;
         }
     }
 
-    if (status == STATUS_HORIZON || status == STATUS_STOPPED) {
-        /* ClusterTracker.finish(): close the trailing open group. */
-        if (open_time == open_time) {
-            if (keep_history != 0) {
-                int64_t gi = group_meta[0];
-                group_times[gi] = open_time;
-                group_sizes[gi] = open_size;
-                group_meta[0] = gi + 1;
-            }
-            open_time = NAN;
-            open_size = 0;
+    /* No cascade outlives the call: restore the open ones' members to
+     * their original expiries, so the next call replays them exactly. */
+    for (i64 u = 0; u < n; u++) {
+        if (owner[u] >= 0) {
+            expiry[u] = joined[u];
+            owner[u] = -1;
         }
+    }
+    if (status == STATUS_HORIZON && now < until) {
+        now = until;
+    }
+    if (status <= STATUS_STOPPED && open_time == open_time) {
+        /* ClusterTracker.finish(): close the trailing open group. */
+        if (keep != 0) {
+            group_times[groups] = open_time;
+            group_sizes[groups] = open_size;
+            groups += 1;
+        }
+        open_time = __builtin_nan("");
+        open_size = 0;
     }
 
     fstate[0] = now;
     fstate[1] = open_time;
-    istate[I_OPEN_SIZE] = open_size;
-    istate[I_WINDOW_RESETS] = wres;
-    istate[I_WMAX] = wmax;
-    istate[I_FTAL_MAX] = ftal_max;
-    istate[I_FTAM_MIN] = ftam_min;
-    istate[I_ROUND_FILL] = rfill;
-    istate[I_ROUND_MAX] = rmax;
-    win_meta[0] = head;
-    win_meta[1] = count;
+    st[I_OPEN_SIZE] = open_size;
+    st[I_WINDOW_RESETS] = wres;
+    st[I_WMAX] = wmax;
+    st[I_FTAL_MAX] = ftal_max;
+    st[I_FTAM_MIN] = ftam_min;
+    st[I_ROUND_FILL] = rfill;
+    st[I_ROUND_MAX] = rmax;
+    st[I_TOTAL_RESETS] = resets;
+    st[I_TOTAL_CASCADES] = closes;
+    st[I_WIN_HEAD] = head;
+    st[I_WIN_COUNT] = count;
+    st[I_ROUNDS] = rounds;
+    st[I_GROUPS] = groups;
     return status;
 }

@@ -1,15 +1,18 @@
 """The compiled provider for the batch cascade kernel.
 
-:mod:`repro.core.batch`'s ``backend="compiled"`` runs the scalar
-cascade kernel as machine code: ``_batch_kernel.c`` (same directory)
-mirrors :func:`repro.core.fastsim.advance_dense` plus
-:class:`~repro.core.clusters.ClusterTracker` over packed arrays, and
-is checked against ``CascadeModel`` and the DES by
-``tests/test_engine_differential.py``.  It is built on demand with the
-system compiler and loaded through :mod:`ctypes`.  The build forbids
-FP contraction (``-ffp-contract=off -fno-fast-math``) so no fused
-multiply-adds can perturb the float stream — the kernel must stay
-byte-identical to the python backend.
+:mod:`repro.core.batch`'s ``backend="compiled"`` runs the cascade rule
+as machine code: ``_batch_kernel.c`` (same directory) has one entry
+point, ``repro_advance``, which mirrors the graph-coupled rule of
+:func:`repro.topo.advance_coupled` plus
+:class:`~repro.core.clusters.ClusterTracker` over packed arrays.  A
+complete coupling is the case with no adjacency, where the rule is
+:func:`repro.core.fastsim.advance_dense`.  Both are checked against
+``CascadeModel`` (and, on complete couplings, the DES) by
+``tests/test_engine_differential.py``.  The kernel is built on demand
+with the system compiler and loaded through :mod:`ctypes`.  The build
+forbids FP contraction (``-ffp-contract=off -fno-fast-math``) so no
+fused multiply-adds can perturb the float stream — the kernel must
+stay byte-identical to the python backend.
 
 :func:`resolve_compiled` returns ``("c", kernel)`` or None, cached for
 the process.  NumPy is required (the packed state lives in ndarrays);
@@ -26,19 +29,36 @@ warning event carries the compiler's stderr or the load error.
 
 State packing
 -------------
-Per member (see :class:`MemberState`): ``expiry``/``rng`` are the
-router timers and Lehmer states; ``fstate = [now, open_time]``
-(NaN = no open group) and ``istate`` (indices :data:`I_OPEN_SIZE` …
-:data:`I_TOTAL_CASCADES`) carry the tracker's scalars; the
-sliding window deque becomes a ring buffer of ``[size, count]``
-columns with ``win_meta = [head, entries]``; the first-passage dicts
-become dense arrays (their keys are contiguous frontiers); round and
-group series are growable buffers with one-slot metas.  The kernel is
-*resumable*: it reserves buffer headroom at the top of every cascade
-(one round slot, two group slots) and returns
-:data:`STATUS_ROUNDS_FULL` / :data:`STATUS_GROUPS_FULL` before
-touching anything, so the Python driver can grow the buffer and call
-again with no state ambiguity.
+Per member (:class:`MemberState`, the C ``member_t``): ``fbuf`` holds
+``[now, open_time]`` (NaN = no open group), the router expiries and
+the first-passage arrays ``ftal``/``ftam`` (the tracker's dicts; their
+keys are contiguous frontiers); ``ibuf`` holds the tracker scalars
+(indices :data:`I_OPEN_SIZE` … :data:`I_GROUPS`), the Lehmer states
+and the sliding window as a ring buffer of ``[size, count]`` columns.
+Round and group series are growable buffers.  Per batch
+(:class:`RunState`, the C ``run_t``): the parameters, the horizon and
+stop flags of the current call, one CSR adjacency per coupling phase
+(row pointers plus sorted columns, and the phase period; no phases for
+a complete coupling) and one set of cascade scratch arrays that every
+member reuses.
+
+Restore on return
+-----------------
+No cascade survives a call.  Whenever the kernel returns — at the
+horizon, on a stop condition, or with :data:`STATUS_ROUNDS_FULL` /
+:data:`STATUS_GROUPS_FULL` before a close that would need more buffer —
+the members of still-open cascades are back at their original
+expiries, exactly as :func:`repro.topo.advance_coupled` leaves its
+heap at the horizon.  Replaying from those expiries rebuilds the same
+cascades (they hold every pending expiry up to the earliest open
+window, and a cascade that closed meanwhile was never eligible to
+them), so :func:`advance` can grow a buffer and call again, and a
+later horizon resumes exactly.  The same holds for
+:data:`STATUS_PHASE_RANGE`, returned when a switching period is so
+small that ``time / period`` overflows to infinity; :func:`advance`
+raises it as OverflowError, as ``int(time / period)`` does in
+:meth:`repro.topo.Coupling.adjacency_at`.  (A finite quotient past
+int64 is a whole number, and the kernel takes its remainder exactly.)
 """
 
 from __future__ import annotations
@@ -58,13 +78,15 @@ except ImportError:  # pragma: no cover - compiled backend needs numpy
 
 __all__ = [
     "MemberState",
-    "drive_member",
+    "RunState",
+    "advance",
     "resolve_compiled",
 ]
 
 _NAN = float("nan")
+_INF = float("inf")
 
-# istate layout.
+# ibuf's leading scalars (the C I_* indices).
 I_OPEN_SIZE = 0
 I_WINDOW_RESETS = 1
 I_WMAX = 2
@@ -74,11 +96,56 @@ I_ROUND_FILL = 5
 I_ROUND_MAX = 6
 I_TOTAL_RESETS = 7
 I_TOTAL_CASCADES = 8
+I_WIN_HEAD = 9
+I_WIN_COUNT = 10
+I_ROUNDS = 11
+I_GROUPS = 12
+I_LEN = 13
 
 STATUS_HORIZON = 0
 STATUS_STOPPED = 1
 STATUS_ROUNDS_FULL = 2
 STATUS_GROUPS_FULL = 3
+STATUS_PHASE_RANGE = 4
+
+_ptr = ctypes.c_void_p
+_i64 = ctypes.c_int64
+_f64 = ctypes.c_double
+
+
+# Field for field the C member_t and run_t.  Every field is 8 bytes
+# wide, so neither side pads.
+class _Member(ctypes.Structure):
+    _fields_ = [
+        ("fbuf", _ptr),
+        ("ibuf", _ptr),
+        ("round_times", _ptr),
+        ("round_largest", _ptr),
+        ("round_cap", _i64),
+        ("group_times", _ptr),
+        ("group_sizes", _ptr),
+        ("group_cap", _i64),
+    ]
+
+
+class _Run(ctypes.Structure):
+    _fields_ = [
+        ("n", _i64),
+        ("tc", _f64),
+        ("low", _f64),
+        ("span", _f64),
+        ("tol", _f64),
+        ("until", _f64),
+        ("stop_sync", _i64),
+        ("stop_unsync", _i64),
+        ("keep_history", _i64),
+        ("nphases", _i64),
+        ("period", _f64),
+        ("row_ptr", _ptr),
+        ("cols", _ptr),
+        ("fscratch", _ptr),
+        ("iscratch", _ptr),
+    ]
 
 
 class MemberState:
@@ -87,48 +154,54 @@ class MemberState:
     __slots__ = (
         "n",
         "keep_history",
+        "fbuf",
+        "ibuf",
         "expiry",
-        "rng",
-        "fstate",
-        "istate",
-        "win_sizes",
-        "win_cnts",
-        "win_meta",
         "ftal",
         "ftam",
+        "rng",
         "round_times",
         "round_largest",
-        "round_meta",
         "group_times",
         "group_sizes",
-        "group_meta",
-        "idx_scratch",
-        "time_scratch",
+        "c",
+        "ref",
     )
 
     def __init__(self, expiry, rng, n, keep_history, rounds_cap=64):
         np = _np
         self.n = n
-        self.keep_history = 1 if keep_history else 0
-        self.expiry = np.array(expiry, dtype=np.float64)
-        self.rng = np.array(rng, dtype=np.int64)
-        self.fstate = np.array([0.0, _NAN], dtype=np.float64)
-        self.istate = np.zeros(9, dtype=np.int64)
-        self.istate[I_FTAM_MIN] = n + 1
-        self.win_sizes = np.zeros(n + 1, dtype=np.int64)
-        self.win_cnts = np.zeros(n + 1, dtype=np.int64)
-        self.win_meta = np.zeros(2, dtype=np.int64)
-        self.ftal = np.full(n + 1, _NAN, dtype=np.float64)
-        self.ftam = np.full(n + 1, _NAN, dtype=np.float64)
+        self.keep_history = bool(keep_history)
+        # fbuf = [now, open_time, expiry[n], ftal[n + 1], ftam[n + 1]].
+        self.fbuf = np.full(2 + n + 2 * (n + 1), _NAN, dtype=np.float64)
+        self.fbuf[0] = 0.0
+        self.expiry = self.fbuf[2 : 2 + n]
+        self.expiry[:] = expiry
+        self.ftal = self.fbuf[2 + n : 3 + 2 * n]
+        self.ftam = self.fbuf[3 + 2 * n :]
+        # ibuf = [istate[I_LEN], rng[n], win_sizes[n + 1], win_cnts[n + 1]].
+        self.ibuf = np.zeros(I_LEN + n + 2 * (n + 1), dtype=np.int64)
+        self.ibuf[I_FTAM_MIN] = n + 1
+        self.rng = self.ibuf[I_LEN : I_LEN + n]
+        self.rng[:] = rng
         self.round_times = np.empty(rounds_cap, dtype=np.float64)
         self.round_largest = np.empty(rounds_cap, dtype=np.int64)
-        self.round_meta = np.zeros(1, dtype=np.int64)
         gcap = 64 if keep_history else 2
         self.group_times = np.empty(gcap, dtype=np.float64)
         self.group_sizes = np.empty(gcap, dtype=np.int64)
-        self.group_meta = np.zeros(1, dtype=np.int64)
-        self.idx_scratch = np.empty(n, dtype=np.int64)
-        self.time_scratch = np.empty(n, dtype=np.float64)
+        self.c = _Member(self.fbuf.ctypes.data, self.ibuf.ctypes.data)
+        self._point()
+        self.ref = ctypes.byref(self.c)
+
+    def _point(self):
+        """Aim the C struct at the (possibly regrown) series buffers."""
+        c = self.c
+        c.round_times = self.round_times.ctypes.data
+        c.round_largest = self.round_largest.ctypes.data
+        c.round_cap = self.round_times.shape[0]
+        c.group_times = self.group_times.ctypes.data
+        c.group_sizes = self.group_sizes.ctypes.data
+        c.group_cap = self.group_times.shape[0]
 
     def _grow(self, *attrs):
         for attr in attrs:
@@ -136,6 +209,7 @@ class MemberState:
             new = _np.empty(max(2 * old.shape[0], 16), dtype=old.dtype)
             new[: old.shape[0]] = old
             setattr(self, attr, new)
+        self._point()
 
     def grow_rounds(self):
         self._grow("round_times", "round_largest")
@@ -147,24 +221,26 @@ class MemberState:
         """Unpack this state into a ``BatchMember``'s public fields."""
         from .clusters import ClusterGroup  # local: avoid cycle at import
 
-        member.now = float(self.fstate[0])
-        member.total_resets = int(self.istate[I_TOTAL_RESETS])
-        member.total_cascades = int(self.istate[I_TOTAL_CASCADES])
+        n = self.n
+        st = self.ibuf[:I_LEN].tolist()
+        member.now = float(self.fbuf[0])
+        member.total_resets = st[I_TOTAL_RESETS]
+        member.total_cascades = st[I_TOTAL_CASCADES]
         # The first-passage keys are contiguous: {1..ftal_max} and
         # {ftam_min..n}.
-        ftal_max = int(self.istate[I_FTAL_MAX])
-        ftam_min = int(self.istate[I_FTAM_MIN])
-        member.first_time_at_least = {
-            s: float(self.ftal[s]) for s in range(1, ftal_max + 1)
-        }
-        member.first_time_at_most = {
-            s: float(self.ftam[s]) for s in range(ftam_min, self.n + 1)
-        }
-        rc = int(self.round_meta[0])
+        ftal_max = st[I_FTAL_MAX]
+        ftam_min = st[I_FTAM_MIN]
+        member.first_time_at_least = dict(
+            zip(range(1, ftal_max + 1), self.ftal[1 : ftal_max + 1].tolist())
+        )
+        member.first_time_at_most = dict(
+            zip(range(ftam_min, n + 1), self.ftam[ftam_min:].tolist())
+        )
+        rc = st[I_ROUNDS]
         member.round_times = self.round_times[:rc].tolist()
         member.round_largest = self.round_largest[:rc].tolist()
         if self.keep_history:
-            gc = int(self.group_meta[0])
+            gc = st[I_GROUPS]
             times = self.group_times[:gc].tolist()
             sizes = self.group_sizes[:gc].tolist()
             member.groups = [
@@ -172,14 +248,65 @@ class MemberState:
             ]
 
 
-def drive_member(kernel, state, tc, low, span, tol, until, stop_sync, stop_unsync):
-    """Run the kernel to completion, growing buffers as it asks."""
+class RunState:
+    """What every member of one batch shares: parameters, adjacency,
+    the current call's horizon and stops, and the cascade scratch.
+
+    ``phases`` holds one neighbour-set tuple per coupling phase
+    (:attr:`repro.topo.Coupling.phases`), empty for a complete
+    coupling; ``period`` is the phase dwell time (None: static).
+    Each phase packs into CSR rows of sorted neighbours, so memory is
+    O(n + edges) per phase.
+    """
+
+    __slots__ = ("c", "ref", "_arrays")
+
+    def __init__(self, n, tc, low, span, tol, keep_history, phases=(), period=None):
+        np = _np
+        row_ptr = []
+        cols = []
+        for adj in phases:
+            for u in range(n):
+                row_ptr.append(len(cols))
+                cols.extend(sorted(adj[u]))
+            row_ptr.append(len(cols))
+        arrays = (
+            np.array(row_ptr or [0], dtype=np.int64),
+            np.array(cols or [0], dtype=np.int64),
+            np.empty(2 * n, dtype=np.float64),
+            # The owner column starts at -1 (no cascade) and every
+            # call leaves it there.
+            np.full(5 * n, -1, dtype=np.int64),
+        )
+        self._arrays = arrays  # keeps the buffers alive for the C struct
+        self.c = _Run(
+            n, tc, low, span, tol, 0.0, 0, 0, 1 if keep_history else 0,
+            len(phases), _INF if period is None else period,
+            *(a.ctypes.data for a in arrays),
+        )
+        self.ref = ctypes.byref(self.c)
+
+    def set_call(self, until, stop_sync, stop_unsync):
+        """The horizon and stop flags of the next kernel calls."""
+        c = self.c
+        c.until = until
+        c.stop_sync = 1 if stop_sync else 0
+        c.stop_unsync = 1 if stop_unsync else 0
+
+
+def advance(kernel, state, run):
+    """Run one member to the horizon or a stop, growing buffers as asked."""
     while True:
-        status = kernel(state, tc, low, span, tol, until, stop_sync, stop_unsync)
+        status = kernel(state.ref, run.ref)
         if status == STATUS_ROUNDS_FULL:
             state.grow_rounds()
         elif status == STATUS_GROUPS_FULL:
             state.grow_groups()
+        elif status == STATUS_PHASE_RANGE:
+            raise OverflowError(
+                f"switching period {run.c.period!r} gives an infinite "
+                "phase index (time / period)"
+            )
         else:
             return status
 
@@ -188,8 +315,12 @@ def drive_member(kernel, state, tc, low, span, tol, until, stop_sync, stop_unsyn
 
 #: The C build's flags.  No FMA contraction, no fast-math value
 #: changes: the kernel must round exactly like the python backend.
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
-_LDLIBS = ("-lm",)
+#: The kernel calls no library function, so it links against none;
+#: the standard headers and link line made its cold build, which every
+#: fresh process pays in set-up, about 1.17x as long (gcc 12, x86-64).
+_CFLAGS = (
+    "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math", "-nostdlib",
+)
 
 #: What loading or building a library can raise: ``dlopen`` failures
 #: (junk, truncated or foreign files) and filesystem errors are
@@ -217,7 +348,9 @@ def resolve_compiled():
 def _warmup(kernel):
     """Smoke-test a freshly loaded kernel on a tiny case."""
     state = MemberState([0.25, 0.75], [11, 12], 2, True, rounds_cap=4)
-    status = drive_member(kernel, state, 0.1, 0.9, 0.2, 1e-7, 5.0, False, False)
+    run = RunState(2, 0.1, 0.9, 0.2, 1e-7, True)
+    run.set_call(5.0, False, False)
+    status = advance(kernel, state, run)
     if status != STATUS_HORIZON:
         raise RuntimeError(f"warmup returned status {status}")
 
@@ -241,7 +374,7 @@ def _lib_path():
     """Where the library built from this source, flags and machine lives."""
     with open(_c_source_path(), "rb") as fh:
         digest = hashlib.sha256(fh.read())
-    digest.update(repr((_CFLAGS, _LDLIBS, platform.machine())).encode())
+    digest.update(repr((_CFLAGS, platform.machine())).encode())
     return os.path.join(_cache_dir(), f"batch_kernel_{digest.hexdigest()[:16]}.so")
 
 
@@ -262,7 +395,7 @@ def _build(lib_path):
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, *_CFLAGS, _c_source_path(), "-o", tmp, *_LDLIBS],
+            [cc, *_CFLAGS, _c_source_path(), "-o", tmp],
             capture_output=True,
             text=True,
             errors="replace",
@@ -307,80 +440,8 @@ def _load_or_build():
 
 
 def _c_adapter(lib):
-    """Wrap the C entry point as ``kernel(state, tc, ..., stop_unsync)``."""
-    fn = lib.repro_advance_member
-    c_ll = ctypes.c_longlong
-    c_d = ctypes.c_double
-    p_d = ctypes.POINTER(c_d)
-    p_ll = ctypes.POINTER(c_ll)
-    fn.restype = c_ll
-    fn.argtypes = [
-        p_d,  # expiry
-        p_ll,  # rng
-        c_ll,  # n
-        c_d,  # tc
-        c_d,  # low
-        c_d,  # span
-        c_d,  # tol
-        c_d,  # until
-        c_ll,  # stop_sync
-        c_ll,  # stop_unsync
-        c_ll,  # keep_history
-        p_d,  # fstate
-        p_ll,  # istate
-        p_ll,  # win_sizes
-        p_ll,  # win_cnts
-        p_ll,  # win_meta
-        p_d,  # ftal
-        p_d,  # ftam
-        p_d,  # round_times
-        p_ll,  # round_largest
-        p_ll,  # round_meta
-        c_ll,  # round_cap
-        p_d,  # group_times
-        p_ll,  # group_sizes
-        p_ll,  # group_meta
-        c_ll,  # group_cap
-        p_ll,  # idx_scratch
-        p_d,  # time_scratch
-    ]
-
-    def dp(a):
-        return a.ctypes.data_as(p_d)
-
-    def lp(a):
-        return a.ctypes.data_as(p_ll)
-
-    def kernel(state, tc, low, span, tol, until, stop_sync, stop_unsync):
-        return fn(
-            dp(state.expiry),
-            lp(state.rng),
-            state.n,
-            tc,
-            low,
-            span,
-            tol,
-            until,
-            1 if stop_sync else 0,
-            1 if stop_unsync else 0,
-            state.keep_history,
-            dp(state.fstate),
-            lp(state.istate),
-            lp(state.win_sizes),
-            lp(state.win_cnts),
-            lp(state.win_meta),
-            dp(state.ftal),
-            dp(state.ftam),
-            dp(state.round_times),
-            lp(state.round_largest),
-            lp(state.round_meta),
-            state.round_times.shape[0],
-            dp(state.group_times),
-            lp(state.group_sizes),
-            lp(state.group_meta),
-            state.group_times.shape[0],
-            lp(state.idx_scratch),
-            dp(state.time_scratch),
-        )
-
-    return kernel
+    """The C entry point as ``kernel(state.ref, run.ref) -> status``."""
+    fn = lib.repro_advance
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [ctypes.POINTER(_Member), ctypes.POINTER(_Run)]
+    return fn

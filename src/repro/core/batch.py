@@ -5,7 +5,7 @@ model object, its stream spawning and a Python-level heap per seed.
 :class:`BatchCascade` advances a whole ensemble of seeds instead: it
 derives every member's router streams and initial phases in one pass,
 then runs each member through the bundled C kernel or, where that
-cannot build, through the same scalar loop ``CascadeModel`` runs.
+cannot build, through the same scalar loops ``CascadeModel`` runs.
 
 Bit-for-bit identity
 --------------------
@@ -21,8 +21,9 @@ backends replay the exact same arithmetic in the exact same order:
   m)`` with the same operand order, so every float rounds the same
   way.
 * The C kernel reproduces the heap's ``(time, node)`` tie-break by
-  taking the *first* minimum in node order, grows the busy window by
-  sequential ``window += tc`` additions (no closed form), and keeps
+  taking the *first* minimum in node order, grows each busy window by
+  sequential ``window += tc`` additions (no closed form), closes open
+  cascades earliest window first (ties in creation order), and keeps
   an algebraic rewrite of :class:`~repro.core.clusters.ClusterTracker`
   (incremental window maximum, contiguous first-passage frontiers)
   with the same window, eviction order and backfills.
@@ -34,22 +35,23 @@ positions.
 Backends
 --------
 ``compiled``
-    The cascade kernel as a small C module, built on demand with the
-    system compiler and loaded through :mod:`ctypes` (see
-    :mod:`repro.core._batch_kernel`).  Needs NumPy for its packed
-    state.
+    The graph-coupled cascade rule as a small C module with one entry
+    point, built on demand with the system compiler and loaded through
+    :mod:`ctypes` (see :mod:`repro.core._batch_kernel`).  A complete
+    coupling runs it with no adjacency; a sparse one with a CSR
+    adjacency per coupling phase.  Needs NumPy for its packed state.
 ``python``
     No third-party dependencies; always available.  Each member runs
     the heap + :class:`~repro.core.clusters.ClusterTracker` loop of
-    ``CascadeModel`` (:func:`repro.core.fastsim.advance_dense`).
+    ``CascadeModel``: :func:`repro.core.fastsim.advance_dense` on a
+    complete coupling, :func:`repro.topo.advance_coupled` otherwise.
 
 :func:`default_backend` picks ``compiled`` whenever the C kernel
 resolves on this platform and ``python`` otherwise.  The choice is
 made on first use and cached for the process, so importing this
 module never runs a compiler.  Either backend can be forced with
-``backend=...``; both produce byte-identical results.  Members on a
-non-complete coupling run :func:`repro.topo.advance_coupled` on
-either backend.
+``backend=...``; both produce byte-identical results, on complete
+and sparse couplings alike.
 """
 
 from __future__ import annotations
@@ -170,11 +172,12 @@ class BatchCascade:
         Optional :class:`~repro.topo.TopologySpec` (or canonical
         string).  ``None`` and complete couplings run the
         fully-coupled rule on the chosen backend.  Non-complete
-        couplings run every member through the shared generalized
-        kernel (:func:`repro.topo.advance_coupled`) with per-member
-        :class:`ClusterTracker` state on either backend — the code
-        path ``CascadeModel`` uses, so cascade-vs-batch byte-identity
-        on graphs is structural.
+        couplings run the graph-coupled rule: on ``python`` through
+        :func:`repro.topo.advance_coupled` with per-member
+        :class:`ClusterTracker` state (the code path ``CascadeModel``
+        uses), on ``compiled`` through the C kernel over per-phase CSR
+        adjacency, differenced against ``advance_coupled`` byte for
+        byte.
     """
 
     def __init__(
@@ -273,6 +276,7 @@ class BatchCascade:
 
         # Lazily-built packed per-member state (compiled backend).
         self._cstate: list | None = None
+        self._crun = None
         self._cimpl = None
         #: Per-phase kernel seconds.  Neither backend splits its
         #: time into phases, so every key stays at 0.0; the mapping is
@@ -323,13 +327,13 @@ class BatchCascade:
         continue, as the serial engine would).
         """
         until = float(until)
-        if self.backend == "compiled" and self._coupling is None:
+        if self.backend == "compiled":
             self._run_compiled(until, stop_on_full_sync, stop_on_full_unsync)
         else:
             self._run_scalar(until, stop_on_full_sync, stop_on_full_unsync)
         return [member.now for member in self._members]
 
-    # -- scalar path (python backend, and graph couplings) ---------------
+    # -- scalar path (python backend) ------------------------------------
 
     def _run_scalar(
         self, until: float, stop_sync: bool, stop_unsync: bool
@@ -404,6 +408,17 @@ class BatchCascade:
         assert resolved is not None  # guaranteed by __init__
         self._cimpl = resolved[1]
         n = self._n
+        coupling = self._coupling
+        self._crun = _batch_kernel.RunState(
+            n,
+            self._tc,
+            self._low,
+            self._span,
+            RESET_TIME_TOLERANCE,
+            self._keep_history,
+            phases=() if coupling is None else coupling.phases,
+            period=None if coupling is None else coupling.period,
+        )
         self._cstate = [
             _batch_kernel.MemberState(
                 self._expiry[k * n : (k + 1) * n],
@@ -417,22 +432,12 @@ class BatchCascade:
     def _run_compiled(
         self, until: float, stop_sync: bool, stop_unsync: bool
     ) -> None:
-        from . import _batch_kernel
+        from ._batch_kernel import advance
 
         self._ensure_compiled()
         kernel = self._cimpl
-        tol = RESET_TIME_TOLERANCE
-        for k, member in enumerate(self._members):
-            st = self._cstate[k]
-            _batch_kernel.drive_member(
-                kernel,
-                st,
-                self._tc,
-                self._low,
-                self._span,
-                tol,
-                until,
-                stop_sync,
-                stop_unsync,
-            )
+        run = self._crun
+        run.set_call(until, stop_sync, stop_unsync)
+        for member, st in zip(self._members, self._cstate):
+            advance(kernel, st, run)
             st.sync_member(member)

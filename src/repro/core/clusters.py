@@ -83,6 +83,10 @@ class ClusterTracker:
         # belonged to; storing per-group (size, count-in-window) pairs.
         self._window: deque[list] = deque()  # entries: [group_size, resets_in_window]
         self._window_resets = 0
+        # The largest entry size in the window, kept incrementally:
+        # raised when the newest entry grows, rescanned only when an
+        # evicted entry was as large as it (the C kernel's rule).
+        self._window_max = 0
         # First-passage bookkeeping.
         self.first_time_at_least: dict[int, float] = {}
         self.first_time_at_most: dict[int, float] = {}
@@ -114,6 +118,8 @@ class ClusterTracker:
             self._open_time = time
             self._open_size = 1
             self._window.append([1, 0])
+        if self._open_size > self._window_max:
+            self._window_max = self._open_size
         # The newest reset joins the window.
         self._window[-1][1] += 1
         self._window_resets += 1
@@ -123,6 +129,11 @@ class ClusterTracker:
             self._window_resets -= 1
             if oldest[1] == 0:
                 self._window.popleft()
+                # The newest entry holds this reset, so the window is
+                # never empty here; sizes are >= 1, so a maximum of 1
+                # cannot fall.
+                if oldest[0] >= self._window_max > 1:
+                    self._window_max = max(entry[0] for entry in self._window)
         self._note_first_passages(time)
         self._advance_round(time)
 
@@ -149,9 +160,7 @@ class ClusterTracker:
         state i" when the largest cluster from a round of N routing
         messages has size i.
         """
-        if not self._window:
-            return 0
-        return max(entry[0] for entry in self._window)
+        return self._window_max
 
     def is_fully_synchronized(self) -> bool:
         """True when the last N messages form a single simultaneous cluster."""

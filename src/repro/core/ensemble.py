@@ -144,8 +144,8 @@ class FirstPassageEnsemble:
     def __post_init__(self) -> None:
         from .engines import resolve_engine
 
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not math.isfinite(self.horizon) or self.horizon <= 0:
+            raise ValueError("horizon must be positive and finite")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if self.direction not in ("up", "down"):

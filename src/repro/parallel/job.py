@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,8 +98,8 @@ class SimulationJob:
     def __post_init__(self) -> None:
         # Delegate parameter validation to the canonical dataclass.
         RouterTimingParameters(self.n_nodes, self.tp, self.tc, self.tr)
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not math.isfinite(self.horizon) or self.horizon <= 0:
+            raise ValueError("horizon must be positive and finite")
         if self.direction not in _DIRECTIONS:
             raise ValueError(
                 f"unknown direction {self.direction!r}; known: {', '.join(_DIRECTIONS)}"

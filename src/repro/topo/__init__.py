@@ -5,8 +5,9 @@ over an arbitrary graph: :class:`TopologySpec` names a graph family
 (clique, ring, star, b-ary tree, Erdős–Rényi, time-varying switching
 schedules) with deterministic seed-keyed generation;
 :class:`Coupling` binds a spec to a node count; and
-:func:`advance_coupled` is the generalized multi-cascade kernel shared
-by the cascade and batch engines.  A complete coupling (``"clique"``,
+:func:`advance_coupled` is the generalized multi-cascade rule in
+Python, run by the cascade engine and the batch ``python`` backend and
+the reference for the batch ``compiled`` backend's C port.  A complete coupling (``"clique"``,
 or any spec whose generated graph is complete) dispatches to the
 original fully-coupled engine paths, byte for byte.
 """

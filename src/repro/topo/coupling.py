@@ -10,6 +10,8 @@ model, so :class:`~repro.core.fastsim.CascadeModel` and
 :class:`~repro.core.batch.BatchCascade` route complete couplings to
 their original single-cascade code paths untouched (byte-identical
 results, cache keys, and consumed-RNG positions included).
+:attr:`Coupling.phases` and :attr:`Coupling.period` expose the
+per-phase neighbour sets the compiled batch kernel packs into CSR.
 """
 
 from __future__ import annotations
@@ -58,6 +60,22 @@ class Coupling:
     def _complete(adj) -> bool:
         n = len(adj)
         return all(len(nbrs) == n - 1 for nbrs in adj)
+
+    @property
+    def phases(self) -> tuple:
+        """Neighbour sets per schedule phase, in schedule order.
+
+        One phase for a static graph.  The phase in force at time
+        ``t`` is ``phases[int(t / period) % len(phases)]``.
+        """
+        if self._static is not None:
+            return (self._static,)
+        return self._phase_adj
+
+    @property
+    def period(self) -> float | None:
+        """The switching dwell time; None for a static graph."""
+        return self._period
 
     def adjacency_at(self, t: float):
         """The neighbor sets in force at simulated time ``t``."""

@@ -5,11 +5,12 @@ expiry opens *the* busy window, every later expiry inside it joins,
 and everyone resets together when the window closes.  On an arbitrary
 graph several cascades can be in flight at once, and an expiry may
 only join a cascade it is *adjacent* to.  This module implements that
-generalization once, shared verbatim by
-:class:`~repro.core.fastsim.CascadeModel` and the per-member scalar
-path of :class:`~repro.core.batch.BatchCascade` — which is what makes
-cascade-vs-batch byte-identity on non-clique topologies structural
-rather than coincidental.
+generalization in Python.  :class:`~repro.core.fastsim.CascadeModel`
+and the ``python`` backend of :class:`~repro.core.batch.BatchCascade`
+run it; the ``compiled`` backend runs its C port
+(``repro/core/_batch_kernel.c``), and
+``tests/test_engine_differential.py`` differences the port against this
+function byte for byte, consumed-RNG positions included.
 
 Semantics (the deterministic rule set, documented in DESIGN.md §13):
 
@@ -35,7 +36,8 @@ paper's single-cascade rule — same resets, same redraw order, same
 consumed-RNG positions (proven against the fully-coupled engines in
 ``tests/test_topo_properties.py``).  The engines dispatch complete
 couplings to :func:`repro.core.fastsim.advance_dense` (or the C batch
-kernel); this kernel is the non-clique path.
+kernel with no adjacency); this kernel is the non-clique path and the
+reference for the C kernel's sparse case.
 """
 
 from __future__ import annotations

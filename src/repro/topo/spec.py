@@ -106,7 +106,8 @@ class TopologySpec:
         if self.kind == "switching":
             if not self.phases:
                 raise ValueError("switching topology needs at least one phase")
-            if self.period is None or float(self.period) <= 0:
+            # ``not > 0`` so that a NaN period is refused too.
+            if self.period is None or not float(self.period) > 0:
                 raise ValueError("switching topology needs a positive period")
             object.__setattr__(self, "period", float(self.period))
             object.__setattr__(self, "phases", tuple(self.phases))

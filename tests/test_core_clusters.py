@@ -1,5 +1,7 @@
 """Tests for the online cluster tracker."""
 
+import random
+
 import pytest
 
 from repro.core import ClusterTracker
@@ -54,6 +56,42 @@ class TestWindowStatistics:
         assert tracker.largest_in_window() == 3
         feed(tracker, [(10.0, 0), (20.0, 1), (30.0, 2)])
         assert tracker.largest_in_window() == 1
+
+    def test_cached_window_max_equals_a_rescan(self):
+        """The incremental window maximum equals ``max`` over the window
+        after every reset.
+
+        Seeded streams mix exact ties, tolerance-merged near-ties and
+        lone resets, so the newest entry grows in place and the current
+        maximum is evicted while smaller entries remain.
+        """
+        rng = random.Random(2026)
+        merges = max_evictions = 0
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            tracker = ClusterTracker(n_nodes=n, keep_history=False)
+            time = 0.0
+            for _ in range(rng.randint(1, 8 * n)):
+                roll = rng.random()
+                if roll < 0.4:
+                    pass  # an exact tie with the previous reset
+                elif roll < 0.6:
+                    time += rng.uniform(0.0, 0.4) * tracker.tolerance
+                else:
+                    time += rng.uniform(0.5, 3.0)
+                open_time = tracker._open_time
+                if open_time is not None and open_time != time and (
+                    abs(time - open_time) <= tracker.tolerance
+                ):
+                    merges += 1
+                oldest = tracker._window[0] if tracker._window else None
+                largest = tracker.largest_in_window()
+                tracker.record_reset(time, rng.randrange(n))
+                window = [entry[0] for entry in tracker._window]
+                assert tracker.largest_in_window() == max(window), (n, window)
+                if oldest is not None and oldest is not tracker._window[0]:
+                    max_evictions += oldest[0] == largest > 1
+        assert merges > 0 and max_evictions > 0, (merges, max_evictions)
 
     def test_fully_synchronized_detection(self):
         tracker = ClusterTracker(n_nodes=3)

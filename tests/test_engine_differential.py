@@ -29,13 +29,14 @@ from repro.core.batch import compiled_backend_available
 from tests._gen import CaseGen, model_cases
 
 # The compiled backend joins the matrix automatically wherever it can
-# build (numpy plus a system C compiler); the tier-1 CI job exports
-# REPRO_EXPECT_COMPILED=1 so "could not build" fails loudly there
-# instead of silently shrinking the matrix.
+# build (numpy plus a system C compiler); CI exports
+# REPRO_EXPECT_COMPILED=1, which keeps the compiled column even when the
+# kernel cannot build, so every row that runs it fails loudly instead
+# of the matrix silently shrinking.
 HAVE_COMPILED = compiled_backend_available()
-#: The batch backends every matrix row runs through.
-BACKENDS = ["python"] + (["compiled"] if HAVE_COMPILED else [])
 EXPECT_COMPILED = os.environ.get("REPRO_EXPECT_COMPILED", "").strip() == "1"
+#: The batch backends every matrix row runs through.
+BACKENDS = ["python"] + (["compiled"] if HAVE_COMPILED or EXPECT_COMPILED else [])
 
 #: (n_nodes, tp, tc, tr) — paper parameters plus corners: no jitter,
 #: jitter past the Tc/2 lock threshold, and jitter wider than Tc.
@@ -302,15 +303,180 @@ def test_sparse_topology_fuzz():
             assert _drop_phase(row) == _drop_phase(reference), (topology, backend)
 
 
-def test_topology_batch_resume_matches_single_run():
-    """Topology batches resume across horizons like the clique kernel."""
+#: fig16-sized sparse rows at the fig16 point (Tp=20, Tc=2, Tr=1).  The
+#: horizons grow each round series past the compiled backend's initial
+#: 64-slot buffer, so its grow-and-replay return runs with cascades open.
+FIG16_ROWS = [("tree(b=2)", 20, 3000.0), ("erdos_renyi(p=0.12,seed=1)", 96, 16000.0)]
+
+
+@pytest.mark.parametrize("topology,n,horizon", FIG16_ROWS)
+def test_fig16_sized_sparse_topology_rows(topology, n, horizon):
+    params = RouterTimingParameters(n_nodes=n, tp=20.0, tc=2.0, tr=1.0)
+    for seed in (1, 7):
+        reference = run_cascade_topo(
+            params, seed, horizon, "unsynchronized", {}, topology
+        )
+        assert len(reference["round_times"]) > 64
+        for backend in BACKENDS:
+            row = run_batch_topo(
+                params, seed, horizon, "unsynchronized", {}, backend, topology
+            )
+            assert _drop_phase(row) == _drop_phase(reference), (backend, seed)
+
+
+def test_sparse_topology_tolerance_merged_closes():
+    """Closes of separate cascades within the reset tolerance merge into
+    one group timed by its first reset, and a later close is measured
+    against that first time, not the latest merged one."""
+    params = RouterTimingParameters(n_nodes=3, tp=20.0, tc=0.5, tr=1.0)
+    phases = [0.0, 5e-8, 1.2e-7]  # three cascades: no edges
+    reference = run_cascade_topo(
+        params, 1, 100.0, phases, {}, "erdos_renyi(p=0.0)"
+    )
+    assert reference["groups"][:2] == [(0.5, 2), (0.5 + 1.2e-7, 1)]
+    for backend in BACKENDS:
+        row = run_batch_topo(
+            params, 1, 100.0, phases, {}, backend, "erdos_renyi(p=0.0)"
+        )
+        assert _drop_phase(row) == _drop_phase(reference), backend
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_sparse_topology_scalar_loop_runs_only_on_python_backend(monkeypatch, backend):
+    """The compiled backend runs sparse couplings in C: the scalar
+    :func:`repro.topo.advance_coupled` is never reached there."""
+    import repro.topo
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar advance_coupled reached")
+
+    monkeypatch.setattr(repro.topo, "advance_coupled", refuse)
+    params = RouterTimingParameters(n_nodes=8, tp=20.0, tc=0.3, tr=1.0)
+    batch = BatchCascade(params, [1, 2], topology="ring", backend=backend)
+    if backend == "python":
+        with pytest.raises(AssertionError, match="scalar advance_coupled"):
+            batch.run(until=500.0)
+    else:
+        batch.run(until=500.0)
+        assert all(member.total_resets > 0 for member in batch.members)
+
+
+def test_sparse_topology_tiny_switching_period_matches_cascade_model():
+    """A switching period so small that ``int(t / period)`` is past
+    int64 still picks the phase Python's integers pick: the quotient is
+    a whole number there, and the kernel takes its remainder exactly."""
+    params = RouterTimingParameters(n_nodes=8, tp=20.0, tc=0.3, tr=1.0)
+    for period in ("1e-300", "3e-30"):
+        topology = f"switching(ring|star|tree(b=2),period={period})"
+        reference = run_cascade_topo(
+            params, 5, 2000.0, "synchronized", {}, topology
+        )
+        for backend in BACKENDS:
+            row = run_batch_topo(
+                params, 5, 2000.0, "synchronized", {}, backend, topology
+            )
+            assert _drop_phase(row) == _drop_phase(reference), (period, backend)
+
+
+def test_sparse_topology_infinite_phase_index_overflows_on_every_backend():
+    """``t / period`` overflowing to infinity raises OverflowError on
+    every engine, as ``int(inf)`` does in ``Coupling.adjacency_at``."""
+    params = RouterTimingParameters(n_nodes=8, tp=20.0, tc=0.3, tr=1.0)
+    topology = "switching(ring|star,period=1e-320)"
+    with pytest.raises(OverflowError):
+        CascadeModel(params, seed=1, topology=topology).run(until=500.0)
+    for backend in BACKENDS:
+        batch = BatchCascade(params, [1], topology=topology, backend=backend)
+        with pytest.raises(OverflowError):
+            batch.run(until=500.0)
+
+
+@pytest.mark.parametrize("topology", ["clique", "ring", "switching(ring|star,period=45.0)"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_topology_nan_horizon_advances_nothing(backend, topology):
+    """``run(until=nan)`` returns without advancing, on every backend
+    as in CascadeModel (no comparison with NaN holds), and a later
+    finite horizon runs from the untouched state."""
+    params = RouterTimingParameters(n_nodes=8, tp=20.0, tc=0.3, tr=1.0)
+    batch = BatchCascade(
+        params, [1, 2], topology=topology, keep_cluster_history=True,
+        backend=backend,
+    )
+    assert batch.run(until=float("nan")) == [0.0, 0.0]
+    assert [m.total_resets for m in batch.members] == [0, 0]
+    ends = batch.run(until=900.0)
+    for k, seed in enumerate([1, 2]):
+        model = CascadeModel(
+            params, seed=seed, keep_cluster_history=True, topology=topology
+        )
+        model_ends = [model.run(until=h) for h in (float("nan"), 900.0)]
+        reference = _trace(
+            model.tracker, model_ends, [rng._gen.state for rng in model._rngs],
+            None,
+        )
+        row = _trace(
+            batch.members[k], [0.0, ends[k]], batch.rng_states(k), None
+        )
+        assert row == reference, (backend, seed)
+
+
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -1.0, 0.0])
+def test_topology_job_rejects_non_finite_horizon(horizon):
+    """Jobs and campaigns refuse a horizon that is not a positive
+    finite number before any engine sees it."""
+    from repro.campaign.spec import CampaignSpec
+    from repro.parallel.job import SimulationJob
+
+    with pytest.raises(ValueError, match="horizon"):
+        SimulationJob(
+            n_nodes=8, tp=20.0, tc=0.3, tr=1.0, seed=1, horizon=horizon,
+            engine="batch", topology="ring",
+        )
+    with pytest.raises(ValueError, match="horizon"):
+        CampaignSpec(
+            name="nan", n_nodes=[8], tp=[20.0], tc=[0.3], tr=[1.0],
+            seed_count=1, horizon=horizon, engine="batch", topology="ring",
+        )
+
+
+#: One horizon of the resume plan carries a stop flag that fires for
+#: both seeds; a stop only pauses a member, so the later horizons pick
+#: up where it stopped.
+RESUME_PLAN = [(300.0, {}), (900.0, {"stop_on_full_unsync": True}), (2400.0, {})]
+
+
+@pytest.mark.parametrize("topology", ["ring", "switching(ring|star,period=45.0)"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_topology_batch_resume_matches_single_run(backend, topology):
+    """Sparse batches resume across horizons and stops: each member
+    equals CascadeModel run through the same plan, and the single-call
+    run on the quantities a pause cannot change."""
     params = RouterTimingParameters(n_nodes=7, tp=20.0, tc=0.5, tr=2.0)
-    split = BatchCascade(params, [3, 4], topology="ring", keep_cluster_history=True)
-    whole = BatchCascade(params, [3, 4], topology="ring", keep_cluster_history=True)
-    for horizon in (300.0, 900.0, 2400.0):
-        split.run(until=horizon)
+    seeds = [3, 4]
+    split = BatchCascade(
+        params, seeds, topology=topology, keep_cluster_history=True,
+        backend=backend,
+    )
+    whole = BatchCascade(
+        params, seeds, topology=topology, keep_cluster_history=True,
+        backend=backend,
+    )
+    ends = [split.run(until=h, **stops) for h, stops in RESUME_PLAN]
     whole.run(until=2400.0)
-    for k in range(2):
+    for k, seed in enumerate(seeds):
+        model = CascadeModel(
+            params, seed=seed, keep_cluster_history=True, topology=topology
+        )
+        model_ends = [model.run(until=h, **stops) for h, stops in RESUME_PLAN]
+        assert model_ends[1] < 900.0  # the stop fired
+        reference = _trace(
+            model.tracker, model_ends, [rng._gen.state for rng in model._rngs],
+            None,
+        )
+        row = _trace(
+            split.members[k], [e[k] for e in ends], split.rng_states(k), None
+        )
+        assert row == reference, (backend, seed)
         assert split.rng_states(k) == whole.rng_states(k)
         assert split.members[k].round_times == whole.members[k].round_times
         assert split.members[k].first_time_at_least == (

@@ -29,6 +29,7 @@ from repro.core.batch import BatchCascade
 from repro.obs.probes import SimulationProbe
 from repro.parallel.job import SimulationJob, batch_group_key
 from repro.topo import (
+    KINDS,
     Coupling,
     TopologySpec,
     adjacency,
@@ -84,6 +85,7 @@ class TestSpecAndParsing:
             "erdos_renyi(q=0.5)",
             "switching(ring)",
             "switching(ring|star,period=0)",
+            "switching(ring|star,period=nan)",
             "switching(ring|switching(star|ring,period=5),period=5)",
             "ring(",
             "tree(b=two)",
@@ -110,6 +112,45 @@ class TestSpecAndParsing:
 
     def test_tree_size(self):
         assert [tree_size(2, d) for d in range(4)] == [1, 3, 7, 15]
+
+
+class TestAdjacencyShape:
+    """The compiled kernel's join test scans the joiner's own CSR row,
+    while ``advance_coupled`` asks each cascade member's row.  The two
+    agree only on undirected graphs, so every generated graph, and
+    every phase of a switching schedule, must be symmetric and
+    loop-free."""
+
+    def test_every_phase_is_symmetric_and_loop_free(self):
+        gen = CaseGen(5)
+        specs = [
+            "clique",
+            "ring",
+            "star",
+            "tree(b=1)",
+            "tree(b=2)",
+            "tree(b=3)",
+            "switching(ring|star|tree(b=2),period=30.0)",
+            "switching(clique|erdos_renyi(p=0.3,seed=2),period=5.0)",
+        ] + [
+            f"erdos_renyi(p={round(gen.uniform(0.05, 0.95), 3)},"
+            f"seed={gen.randint(1, 99)})"
+            for _ in range(6)
+        ]
+        kinds = set()
+        for text in specs:
+            spec = parse_topology(text)
+            kinds.add(spec.kind)
+            for n in (1, 2, 3, 5, 12, 33):
+                phases = Coupling(spec, n).phases
+                assert len(phases) == (len(spec.phases) if spec.time_varying else 1)
+                for adj in phases:
+                    assert len(adj) == n
+                    for u, nbrs in enumerate(adj):
+                        assert u not in nbrs, (text, n, u)
+                        for v in nbrs:
+                            assert 0 <= v < n and u in adj[v], (text, n, u, v)
+        assert kinds == set(KINDS)
 
 
 class TestGraphMetrics:
@@ -312,7 +353,10 @@ class TestJobIntegration:
 
 
 class TestBatchTopologyViews:
-    def test_member_views_are_tracker_backed(self):
+    def test_member_views_match_cascade_model(self):
+        """Batch members on a sparse coupling report what CascadeModel
+        reports.  The views are tracker-backed on the python backend
+        only; the compiled backend unpacks its C state into them."""
         params = RouterTimingParameters(6, 20.0, 0.5, 2.0)
         batch = BatchCascade(params, [1, 2], topology="ring")
         batch.run(2000.0)
