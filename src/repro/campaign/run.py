@@ -13,9 +13,10 @@ One :func:`run_campaign` call executes one shard of one campaign:
    Dispatcher` — local pool or serve fleet, the orchestrator cannot
    tell;
 4. every fresh result is committed to the cache *and* the shard's
-   :class:`~repro.parallel.CheckpointJournal` before the next chunk,
-   so a SIGKILL at any moment loses at most one in-flight chunk of
-   compute and zero completed results.
+   :class:`~repro.parallel.CheckpointJournal` (one journal commit for
+   the whole chunk) before the next chunk, so a SIGKILL at any moment
+   loses at most one in-flight chunk of compute and zero completed
+   results.
 
 Resume is therefore free: re-run the same command and steps 2-3 skip
 everything already done — only missing hashes execute, and because
@@ -147,9 +148,13 @@ def run_campaign(
     if dispatcher is None:
         dispatcher = LocalDispatcher()
     journal = shard_journal(spec, shard, num_shards, checkpoint_root)
-    # One cheap counting pass gives progress an exact denominator
-    # (hashing only; nothing is materialized or simulated).
-    total = sum(1 for _ in iter_shard(spec, shard, num_shards))
+    # Progress needs an exact denominator.  A single shard owns every
+    # job; otherwise one counting pass hashes each job to its shard
+    # (nothing is materialized or simulated).
+    if num_shards == 1:
+        total = spec.total_jobs
+    else:
+        total = sum(1 for _ in iter_shard(spec, shard, num_shards))
     summary = ShardRun(
         campaign_id=spec.campaign_id(),
         name=spec.name,
@@ -227,13 +232,16 @@ def _retire_chunk(
             continue
         todo.append(job)
     results = dispatcher.run(todo) if todo else []
-    executed = 0
-    for job, result in zip(todo, results):
-        if result is None:
-            continue  # censored by an on_error="censor" local run
+    # None is a job censored by an on_error="censor" local run.
+    fresh = [(job, result) for job, result in zip(todo, results) if result is not None]
+    for job, result in fresh:
         cache.put(job, result)
-        journal.record(job, result)
-        executed += 1
+    if fresh:
+        # One journal commit (one fsync) for the whole chunk, after its
+        # cache puts: a kill before it lands loses this chunk's compute
+        # at most, and the cache entries already written still count.
+        journal.record(fresh)
+    executed = len(fresh)
     summary.executed += executed
     summary.cached += hits
     summary.resumed += replays

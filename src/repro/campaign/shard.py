@@ -47,6 +47,10 @@ def iter_shard(
         raise ValueError(
             f"shard must be in [0, {num_shards}); got {shard}"
         )
+    if num_shards == 1:
+        # Every job is in shard 0: no key to hash.
+        yield from spec.jobs()
+        return
     for job in spec.jobs():
         if shard_index(job, num_shards) == shard:
             yield job

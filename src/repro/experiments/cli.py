@@ -373,6 +373,27 @@ def _add(parser, *flags: str) -> None:
         parser.add_argument(*names, **_OPTIONS[flag])
 
 
+class _TargetParser(argparse.ArgumentParser):
+    """One target's parser; fills in the default action after parsing.
+
+    argparse fills a required positional before an optional one, so in
+    ``campaign run`` the lone word lands in SPEC and the action stays
+    unset.  An unset action whose path is an action word therefore
+    means the path is missing, and that is a usage error.
+    """
+
+    actions: tuple[str, ...] = ()
+    path_name: str | None = None  # metavar of a required path positional
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if self.actions and namespace.action is None:
+            if self.path_name and namespace.path in self.actions:
+                self.error(f"the following arguments are required: {self.path_name}")
+            namespace.action = self.actions[0]
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser: one subcommand per target."""
     observed = argparse.ArgumentParser(add_help=False)
@@ -395,14 +416,20 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="target",
         help="a figure id (fig01..fig18), 'all', or one of:",
+        parser_class=_TargetParser,
     )
 
-    def target(name, run, *flags, parents=(), actions=(), **kwargs):
+    def target(name, run, *flags, parents=(), actions=(), path=None, **kwargs):
         sub = targets.add_parser(name, parents=[observed, *parents], **kwargs)
         sub.set_defaults(run=run)
         if actions:
-            sub.add_argument("action", nargs="?", default=actions[0], choices=actions)
+            # The default (actions[0]) is filled in after parsing.
+            sub.add_argument("action", nargs="?", choices=actions)
+            sub.actions = actions
         _add(sub, *flags)
+        if path is not None:
+            sub.add_argument("path", **path)
+            sub.path_name = path["metavar"]
         return sub
 
     for figure_id in (*figure_ids(), "all"):
@@ -418,25 +445,23 @@ def build_parser() -> argparse.ArgumentParser:
         actions=("list", "gc"),
         help="inventory or prune single-flight claim files",
     )
-    campaign = target(
+    target(
         "campaign", _run_campaign, "--shard", "--dispatch", "--endpoints",
         "--chunk-size", "--jobs", "--cache-root", "--output", "--plot",
         actions=("run", "status", "report", "shard"),
+        path=dict(metavar="SPEC", help="the campaign spec file (.toml or .json)"),
         help="run, inspect or report a parameter study",
     )
-    campaign.add_argument(
-        "path", metavar="SPEC", help="the campaign spec file (.toml or .json)"
-    )
-    predict = target(
+    target(
         "predict", _run_predict, "--holdout", "--point", "--tolerance",
         "--fresh-seeds", "--jobs", "--cache-root",
         actions=("build", "eval", "verify"),
+        path=dict(
+            metavar="SPEC|TABLE",
+            help="the campaign spec file (build) or a table path / 16-hex "
+            "table id (eval, verify)",
+        ),
         help="build, query or audit a prediction table",
-    )
-    predict.add_argument(
-        "path",
-        help="the campaign spec file (build) or a table path / 16-hex "
-        "table id (eval, verify)",
     )
     obs = target(
         "obs", _run_obs, "--output",

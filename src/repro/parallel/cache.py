@@ -169,18 +169,27 @@ class ResultCache:
         return path
 
     def _put(self, job: SimulationJob, result: JobResult) -> Path | None:
-        path = self.path_for(job)
-        tmp = self.root / f"{path.stem}.{os.getpid()}.{next(self._tmp_counter)}.tmp"
+        key = job.cache_key()
+        path = self.root / f"{key}.json"
+        tmp = self.root / f"{key}.{os.getpid()}.{next(self._tmp_counter)}.tmp"
         payload = {
             "model_version": MODEL_VERSION,
             "job": job.to_dict(),
             "result": result.to_dict(),
         }
+        # Compact, sorted keys: json's C encoder handles this form (an
+        # indent forces the pure-Python one).  Entries written indented
+        # by older versions parse the same way and still read as hits.
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         try:
             if self.faults is not None:
                 self.faults.on_cache_put(job)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+            try:
+                tmp.write_text(text)
+            except FileNotFoundError:
+                # First put into a root that does not exist yet.
+                self.root.mkdir(parents=True, exist_ok=True)
+                tmp.write_text(text)
             os.replace(tmp, path)
         except OSError as error:
             self.write_errors += 1

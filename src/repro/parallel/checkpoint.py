@@ -18,7 +18,9 @@ Safety properties:
   ever resume the exact batch that wrote it; anything else misses.
 * **Kill-tolerant** — a process death mid-append leaves at most one
   torn final line, which :meth:`load` skips; every earlier entry is
-  intact because records are flushed and fsynced as they are written.
+  intact because each :meth:`~CheckpointJournal.record` call is one
+  write, flushed and fsynced before it returns (one commit per
+  ``record`` call, however many jobs it carries).
 * **Science-preserving** — entries store the same canonical
   :class:`~repro.parallel.job.JobResult` serialization the cache
   uses, so a resumed run is byte-identical to an uninterrupted one.
@@ -30,7 +32,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 from ..obs import obs
 from ..obs.clock import wall_time
@@ -158,22 +160,28 @@ class CheckpointJournal:
 
     # -- write side ----------------------------------------------------------
 
-    def record(self, job: SimulationJob, result: JobResult) -> None:
-        """Append one completed job (idempotent per key), durably.
+    def record(self, pairs: Iterable[tuple[SimulationJob, JobResult]]) -> None:
+        """Append completed ``(job, result)`` pairs as one durable commit.
 
-        Each line carries the wall-clock time it was appended so a
-        later ``--resume`` can report how stale the journal is (see
+        The new lines go out in one write, one flush and one fsync, so
+        a caller holding a whole chunk of results pays one disk barrier
+        for all of them; a kill mid-commit tears at most the last line.
+        Idempotent per key: pairs already journaled, or repeated within
+        ``pairs``, are skipped.
+
+        Each line carries the wall-clock time of its commit so a later
+        ``--resume`` can report how stale the journal is (see
         :meth:`staleness`); resume matching itself never reads it.
         """
         index = self._load()
-        key = job.cache_key()
-        if key in index:
-            return
-        with obs().span("checkpoint.write", key=key[:12]):
-            if self._handle is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = self.path.open("a")
-            now = wall_time()
+        now = wall_time()
+        fresh: dict[str, JobResult] = {}
+        lines = []
+        for job, result in pairs:
+            key = job.cache_key()
+            if key in index or key in fresh:
+                continue
+            fresh[key] = result
             entry = {
                 "key": key,
                 "model_version": MODEL_VERSION,
@@ -181,14 +189,22 @@ class CheckpointJournal:
                 "job": job.to_dict(),
                 "result": result.to_dict(),
             }
-            self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
+            lines.append(json.dumps(entry, sort_keys=True) + "\n")
+        if not lines:
+            return
+        first = next(iter(fresh))
+        with obs().span("checkpoint.write", key=first[:12], records=len(lines)):
+            if self._handle is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._handle = self.path.open("a")
+            self._handle.write("".join(lines))
             self._handle.flush()
             os.fsync(self._handle.fileno())
-        index[key] = result
+        index.update(fresh)
         if self._newest_ts is None or now > self._newest_ts:
             self._newest_ts = now
-        self.recorded += 1
-        obs().metrics.counter("checkpoint.records").inc()
+        self.recorded += len(lines)
+        obs().metrics.counter("checkpoint.records").inc(len(lines))
 
     def close(self) -> None:
         """Close the append handle (the journal file stays on disk)."""

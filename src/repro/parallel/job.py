@@ -171,12 +171,23 @@ class SimulationJob:
         ``json.dumps`` with sorted keys is a canonical encoding, and
         Python's float repr round-trips exactly, so equal jobs hash
         equal across processes and sessions.
+
+        The digest is memoized on the instance together with the
+        version it was computed under, so a job is hashed once however
+        many layers ask, and a ``MODEL_VERSION`` change still re-keys
+        it.  The memo is not a field: equality, hashing, ``repr`` and
+        :func:`dataclasses.replace` ignore it.
         """
+        memo = self.__dict__.get("_key_memo")
+        if memo is not None and memo[0] == MODEL_VERSION:
+            return memo[1]
         payload = json.dumps(
             {"job": self.to_dict(), "model_version": MODEL_VERSION},
             sort_keys=True,
         )
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()
+        key = hashlib.sha256(payload.encode("ascii")).hexdigest()
+        object.__setattr__(self, "_key_memo", (MODEL_VERSION, key))
+        return key
 
 
 @dataclass(frozen=True)

@@ -232,7 +232,7 @@ class ParallelRunner:
                 self.stats.cache_hits += 1
                 self.report.add(index, key, "cache_hit", attempts=0)
                 if self.checkpoint is not None:
-                    self.checkpoint.record(spec, cached)
+                    self.checkpoint.record([(spec, cached)])
                 continue
             pending.append((index, spec))
 
@@ -246,7 +246,7 @@ class ParallelRunner:
             if self.cache is not None:
                 self.cache.put(spec, result)
             if self.checkpoint is not None:
-                self.checkpoint.record(spec, result)
+                self.checkpoint.record([(spec, result)])
 
         def fail(
             index: int,

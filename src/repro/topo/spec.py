@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..rng.lehmer import MODULUS, LehmerGenerator
+from ..rng.lehmer import MODULUS, MULTIPLIER, LehmerGenerator
 
 __all__ = [
     "KINDS",
@@ -305,12 +305,16 @@ def adjacency(spec: "TopologySpec | str", n: int) -> tuple[frozenset[int], ...]:
         for v in range(1, n):
             connect(v, (v - 1) // spec.b)
     elif spec.kind == "erdos_renyi":
-        gen = _er_generator(spec.seed, n)
-        # Fixed lexicographic pair order makes the draw sequence (and
+        # One LehmerGenerator.random() draw per pair, inlined (a method
+        # call per pair is most of the cost at n ~ 100).  Fixed
+        # lexicographic pair order makes the draw sequence (and
         # therefore the graph) a pure function of (seed, n).
+        state = _er_generator(spec.seed, n).state
+        a, m, p = MULTIPLIER, MODULUS, spec.p
         for u in range(n):
             for v in range(u + 1, n):
-                if gen.random() < spec.p:
+                state = a * state % m
+                if state / m < p:
                     connect(u, v)
     elif spec.kind == "switching":
         for phase in spec.phases:

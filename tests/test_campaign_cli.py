@@ -37,10 +37,18 @@ def write_spec(tmp_path, **overrides):
 
 class TestCampaignUsage:
     def test_needs_a_spec_path(self, capsys):
-        # The lone positional fills the required spec path, so 'run' is
-        # the spec that cannot be loaded.
-        assert main(["campaign", "run"]) == 2
-        assert "cannot load campaign spec run" in capsys.readouterr().err
+        # argparse fills the required SPEC first, so a lone action word
+        # must still be read as the action and SPEC reported missing.
+        for argv in (["campaign", "run"], ["campaign"], ["campaign", "status"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "the following arguments are required: SPEC" in err
+            assert "cannot load" not in err
+
+    def test_action_defaults_to_run(self, capsys, tmp_path):
+        path = write_spec(tmp_path)
+        assert main(["campaign", str(path)]) == 0
+        assert "executed=6" in capsys.readouterr().out
 
     def test_unknown_action(self, capsys, tmp_path):
         path = write_spec(tmp_path)

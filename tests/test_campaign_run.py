@@ -27,7 +27,7 @@ from repro.campaign import (
     run_campaign,
     shard_journal,
 )
-from repro.parallel import ResultCache
+from repro.parallel import CheckpointJournal, ResultCache
 from repro.parallel.job import run_job
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -93,7 +93,7 @@ class TestRunCampaign:
         # cache writes were lost (the cache is best-effort).
         journal = shard_journal(s, 0, 1, tmp_path / "ckpt")
         for job in jobs[:3]:
-            journal.record(job, run_job(job))
+            journal.record([(job, run_job(job))])
         journal.close()
         cache = ResultCache(tmp_path / "cache")
         summary = run_campaign(
@@ -147,6 +147,30 @@ class TestRunCampaign:
         assert report_json(build_report(s, shared)) == report_json(
             build_report(s, solo)
         )
+
+    def test_one_journal_commit_per_chunk(self, tmp_path, monkeypatch):
+        commits = []
+        real_record = CheckpointJournal.record
+
+        def counting_record(journal, pairs):
+            pairs = list(pairs)
+            commits.append(len(pairs))
+            return real_record(journal, pairs)
+
+        monkeypatch.setattr(CheckpointJournal, "record", counting_record)
+        s = spec()  # 10 jobs
+        cache = ResultCache(tmp_path / "cache")
+        summary = run_campaign(
+            s, cache=cache, checkpoint_root=tmp_path / "ckpt", chunk_size=4
+        )
+        assert summary.executed == s.total_jobs
+        assert commits == [4, 4, 2]
+        # A chunk with nothing fresh (all cache hits) commits nothing.
+        commits.clear()
+        again = run_campaign(
+            s, cache=cache, checkpoint_root=tmp_path / "ckpt", chunk_size=4
+        )
+        assert again.cached == s.total_jobs and commits == []
 
     def test_chunk_size_validated(self, tmp_path):
         with pytest.raises(ValueError):
@@ -209,7 +233,7 @@ class TestCampaignStatus:
         s = spec()
         jobs = list(s.jobs())
         journal = shard_journal(s, 0, 1, tmp_path / "ckpt")
-        journal.record(jobs[0], run_job(jobs[0]))
+        journal.record([(jobs[0], run_job(jobs[0]))])
         journal.close()
         status = campaign_status(
             s,

@@ -9,6 +9,7 @@ import pytest
 from repro.core import RouterTimingParameters
 from repro.parallel import FaultPlan, JobResult, ResultCache, SimulationJob
 from repro.parallel import cache as cache_module
+from repro.parallel.job import MODEL_VERSION
 
 FAST = RouterTimingParameters(n_nodes=5, tp=20.0, tc=0.3, tr=0.1)
 
@@ -85,6 +86,55 @@ class TestInvalidation:
         payload["job"]["seed"] = 999  # tampered entry
         path.write_text(json.dumps(payload))
         assert cache.get(job) is None
+
+
+class TestEntryFormat:
+    def payload(self, job, result):
+        return {
+            "model_version": MODEL_VERSION,
+            "job": job.to_dict(),
+            "result": result.to_dict(),
+        }
+
+    def test_entry_is_compact_sorted_json_of_the_payload(
+        self, tmp_path, job, result
+    ):
+        text = ResultCache(tmp_path).put(job, result).read_text()
+        assert json.loads(text) == self.payload(job, result)
+        assert text == json.dumps(
+            self.payload(job, result), sort_keys=True, separators=(",", ":")
+        ) + "\n"
+
+    def test_legacy_indented_entry_still_reads(self, tmp_path, job, result):
+        # The format older versions wrote: sorted keys, indent=1.
+        cache = ResultCache(tmp_path)
+        cache.path_for(job).write_text(
+            json.dumps(self.payload(job, result), sort_keys=True, indent=1) + "\n"
+        )
+        report = cache.verify()
+        assert (report["entries"], report["valid"], report["corrupt"]) == (1, 1, {})
+        assert cache.get(job) == result
+        assert (cache.hits, cache.quarantined) == (1, 0)
+
+    def test_root_is_created_on_first_put_only(
+        self, tmp_path, job, result, monkeypatch
+    ):
+        made = []
+        real_mkdir = cache_module.Path.mkdir
+
+        def counting_mkdir(path, *args, **kwargs):
+            made.append(path)
+            return real_mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(cache_module.Path, "mkdir", counting_mkdir)
+        root = tmp_path / "fresh" / "root"
+        cache = ResultCache(root)
+        assert cache.put(job, result) is not None
+        assert made[0] == root  # (parents=True recurses for the rest)
+        made.clear()
+        cache.put(SimulationJob.from_params(FAST, seed=2, horizon=1000.0), result)
+        assert made == []
+        assert cache.get(job) == result and cache.write_errors == 0
 
 
 class TestMaintenance:

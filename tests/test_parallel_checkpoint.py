@@ -1,12 +1,13 @@
 """Checkpoint/resume: journals, kill-and-resume, and science invariance.
 
 The protocol under test (see ``repro.parallel.checkpoint``): every
-completed job is appended to a JSONL journal as it finishes; a killed
-run leaves the journal behind; re-running the same batch against the
-same journal serves completed jobs back (outcome ``resumed``) and
-executes only the remainder; a cleanly completed run deletes its
-journal.  Throughout, resumed results must be byte-identical to an
-uninterrupted serial run.
+completed job is appended to a JSONL journal as it finishes (one
+durable commit per ``record`` call, however many jobs it carries); a
+killed run leaves the journal behind; re-running the same batch
+against the same journal serves completed jobs back (outcome
+``resumed``) and executes only the remainder; a cleanly completed run
+deletes its journal.  Throughout, resumed results must be
+byte-identical to an uninterrupted serial run.
 """
 
 import json
@@ -28,6 +29,7 @@ from repro.parallel import (
     SimulationJob,
     resolve_checkpoint,
 )
+from repro.parallel import checkpoint as checkpoint_module
 
 FAST = RouterTimingParameters(n_nodes=5, tp=20.0, tc=0.3, tr=0.1)
 
@@ -58,8 +60,8 @@ class TestJournalBasics:
     def test_record_and_lookup_round_trip(self, tmp_path, reference):
         specs = specs_for((1, 2))
         journal = CheckpointJournal(tmp_path / "run.jsonl")
-        journal.record(specs[0], reference[0])
-        journal.record(specs[0], reference[0])  # idempotent per key
+        journal.record([(specs[0], reference[0])])
+        journal.record([(specs[0], reference[0])])  # idempotent per key
         journal.close()
         reread = CheckpointJournal(tmp_path / "run.jsonl")
         assert reread.lookup(specs[0]) == reference[0]
@@ -69,8 +71,8 @@ class TestJournalBasics:
     def test_torn_final_line_is_skipped(self, tmp_path, reference):
         specs = specs_for((1, 2))
         journal = CheckpointJournal(tmp_path / "run.jsonl")
-        journal.record(specs[0], reference[0])
-        journal.record(specs[1], reference[1])
+        journal.record([(specs[0], reference[0])])
+        journal.record([(specs[1], reference[1])])
         journal.close()
         # Simulate a kill mid-append: the final record is truncated.
         text = journal.path.read_text()
@@ -83,7 +85,7 @@ class TestJournalBasics:
     def test_model_version_mismatch_is_skipped(self, tmp_path, reference):
         specs = specs_for((1,))
         journal = CheckpointJournal(tmp_path / "run.jsonl")
-        journal.record(specs[0], reference[0])
+        journal.record([(specs[0], reference[0])])
         journal.close()
         entry = json.loads(journal.path.read_text())
         entry["model_version"] = "fj93-model-0-ancient"
@@ -94,7 +96,7 @@ class TestJournalBasics:
 
     def test_complete_deletes_the_journal(self, tmp_path, reference):
         journal = CheckpointJournal(tmp_path / "run.jsonl")
-        journal.record(specs_for((1,))[0], reference[0])
+        journal.record([(specs_for((1,))[0], reference[0])])
         assert journal.exists()
         journal.complete()
         assert not journal.exists()
@@ -109,6 +111,70 @@ class TestJournalBasics:
         assert from_path.path == tmp_path / "k.jsonl"
         derived = resolve_checkpoint(True, specs)
         assert derived.path.name.endswith(".jsonl")
+
+
+class TestGroupCommit:
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        calls = []
+        real = checkpoint_module.os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            return real(fd)
+
+        monkeypatch.setattr(checkpoint_module.os, "fsync", counting_fsync)
+        return calls
+
+    def test_one_record_call_is_one_fsync(self, tmp_path, reference, fsyncs):
+        specs = specs_for(range(1, 7))
+        journal = CheckpointJournal(tmp_path / "run.jsonl")
+        journal.record(list(zip(specs, reference)))
+        assert len(fsyncs) == 1
+        assert journal.recorded == len(specs)
+        journal.close()
+        assert len(journal.path.read_text().splitlines()) == len(specs)
+        reread = CheckpointJournal(tmp_path / "run.jsonl")
+        assert [reread.lookup(spec) for spec in specs] == reference
+
+    def test_journaled_and_repeated_keys_are_skipped(
+        self, tmp_path, reference, fsyncs
+    ):
+        specs = specs_for(range(1, 5))
+        journal = CheckpointJournal(tmp_path / "run.jsonl")
+        journal.record([(specs[0], reference[0]), (specs[1], reference[1])])
+        journal.record(
+            [
+                (specs[0], reference[0]),  # already journaled
+                (specs[2], reference[2]),
+                (specs[2], reference[2]),  # repeated within the call
+                (specs[3], reference[3]),
+            ]
+        )
+        assert journal.recorded == 4 and len(fsyncs) == 2
+        # A call with nothing new writes nothing and syncs nothing.
+        journal.record([(specs[1], reference[1])])
+        journal.record([])
+        assert journal.recorded == 4 and len(fsyncs) == 2
+        journal.close()
+        lines = journal.path.read_text().splitlines()
+        assert [json.loads(line)["key"] for line in lines] == [
+            spec.cache_key() for spec in specs
+        ]
+
+    def test_torn_commit_keeps_every_complete_line(self, tmp_path, reference):
+        specs = specs_for(range(1, 4))
+        journal = CheckpointJournal(tmp_path / "run.jsonl")
+        journal.record(list(zip(specs, reference)))
+        journal.close()
+        # A kill mid-commit: the last line of the one write is torn.
+        text = journal.path.read_text()
+        journal.path.write_text(text[: len(text) - 40])
+        reread = CheckpointJournal(tmp_path / "run.jsonl")
+        assert reread.lookup(specs[0]) == reference[0]
+        assert reread.lookup(specs[1]) == reference[1]
+        assert reread.lookup(specs[2]) is None
+        assert reread.skipped_lines == 1
 
 
 class TestRunnerResume:
@@ -146,7 +212,7 @@ class TestRunnerResume:
         journal = CheckpointJournal(path)
         # Pre-journal an arbitrary subset, out of order.
         for i in (4, 1, 3):
-            journal.record(specs[i], reference[i])
+            journal.record([(specs[i], reference[i])])
         journal.close()
         runner = ParallelRunner(jobs=1, checkpoint=CheckpointJournal(path))
         assert runner.run(specs) == reference

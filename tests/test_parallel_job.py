@@ -1,5 +1,8 @@
 """Tests for the SimulationJob spec and the run_job executor."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core import RouterTimingParameters
@@ -48,6 +51,52 @@ class TestSimulationJob:
         with pytest.raises(ValueError):
             validate_engine("warp")
         assert validate_engine("cascade") == "cascade"
+
+
+class TestCacheKeyMemo:
+    """``cache_key`` is memoized on the instance; it must never show."""
+
+    @staticmethod
+    def fresh(seed=1):
+        return SimulationJob.from_params(FAST, seed=seed, horizon=100.0)
+
+    def test_replaced_job_is_keyed_like_a_fresh_one(self):
+        job = self.fresh()
+        job.cache_key()
+        assert dataclasses.replace(job).cache_key() == self.fresh().cache_key()
+        moved = dataclasses.replace(job, seed=2)
+        assert moved.cache_key() == self.fresh(seed=2).cache_key()
+        assert moved.cache_key() != job.cache_key()
+
+    def test_pickled_job_keeps_the_fresh_key(self):
+        keyed, plain = self.fresh(), self.fresh()
+        keyed.cache_key()
+        for job in (keyed, plain):
+            clone = pickle.loads(pickle.dumps(job))
+            assert clone.cache_key() == self.fresh().cache_key()
+
+    def test_dict_round_trip_keeps_the_fresh_key(self):
+        job = self.fresh()
+        job.cache_key()
+        again = SimulationJob.from_dict(job.to_dict())
+        assert again.cache_key() == self.fresh().cache_key()
+
+    def test_equality_hash_and_repr_ignore_the_memo(self):
+        keyed, plain = self.fresh(), self.fresh()
+        keyed.cache_key()
+        assert keyed == plain
+        assert hash(keyed) == hash(plain)
+        assert repr(keyed) == repr(plain)
+        assert keyed.to_dict() == plain.to_dict()
+
+    def test_memo_follows_the_model_version(self, monkeypatch):
+        job = self.fresh()
+        old = job.cache_key()
+        shipped = pickle.dumps(job)
+        monkeypatch.setattr("repro.parallel.job.MODEL_VERSION", "fj93-model-TEST")
+        assert job.cache_key() != old
+        assert job.cache_key() == self.fresh().cache_key()
+        assert pickle.loads(shipped).cache_key() == job.cache_key()
 
 
 class TestJobResult:

@@ -36,10 +36,17 @@ def build(spec_path, capsys):
 
 class TestUsage:
     def test_needs_a_path(self, capsys):
-        # The lone positional fills the required path, so 'build' is the
-        # spec that cannot be loaded.
-        assert main(["predict", "build"]) == 2
-        assert "cannot load campaign spec build" in capsys.readouterr().err
+        # argparse fills the required path first, so a lone action word
+        # must still be read as the action and the path reported missing.
+        for argv in (["predict", "build"], ["predict"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "the following arguments are required: SPEC" in err
+            assert "cannot load" not in err
+
+    def test_action_defaults_to_build(self, spec_path, capsys):
+        assert main(["predict", str(spec_path)]) == 0
+        assert capsys.readouterr().out.startswith("table ")
 
     def test_unknown_action(self, spec_path, capsys):
         assert main(["predict", "explain", str(spec_path)]) == 2

@@ -40,6 +40,7 @@ from repro.topo import (
     parse_topology,
     tree_size,
 )
+from repro.topo.spec import _er_generator
 
 from tests._gen import CaseGen
 
@@ -99,13 +100,28 @@ class TestSpecAndParsing:
         assert ensure_spec("ring") == spec
 
     def test_graph_generation_is_deterministic(self):
+        def reference(spec, n):
+            # One LehmerGenerator.random() draw per pair, lexicographic.
+            draws = _er_generator(spec.seed, n)
+            nbrs = [set() for _ in range(n)]
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if draws.random() < spec.p:
+                        nbrs[u].add(v)
+                        nbrs[v].add(u)
+            return tuple(frozenset(x) for x in nbrs)
+
         gen = CaseGen(11)
         for _ in range(20):
             p = round(gen.uniform(0.1, 0.9), 3)
             seed = gen.randint(1, 500)
             n = gen.randint(2, 24)
             spec = parse_topology(f"erdos_renyi(p={p},seed={seed})")
-            assert adjacency(spec, n) == adjacency(spec, n)
+            assert adjacency(spec, n) == adjacency(spec, n) == reference(spec, n)
+        for seed, n, p in ((1, 96, 0.12), (7, 128, 0.12), (2**40, 40, 0.3),
+                           (3, 1, 0.5), (5, 30, 0.0), (5, 30, 1.0)):
+            spec = parse_topology(f"erdos_renyi(p={p},seed={seed})")
+            assert adjacency(spec, n) == reference(spec, n)
         a = adjacency(parse_topology("erdos_renyi(p=0.5,seed=1)"), 12)
         b = adjacency(parse_topology("erdos_renyi(p=0.5,seed=2)"), 12)
         assert a != b
