@@ -3,8 +3,8 @@
  * The graph-coupled cascade rule of repro.topo.advance_coupled plus
  * the ClusterTracker statistics (repro.core.clusters), over packed
  * arrays.  A complete coupling is the case with no adjacency
- * (nphases == 0): every node hears every reset, at most one cascade
- * is ever open, and the rule is repro.core.fastsim.advance_dense.
+ * (nphases == 0), as coupling=None is for advance_coupled: every node
+ * hears every reset and at most one cascade is ever open.
  * Checked against CascadeModel and the DES by
  * tests/test_engine_differential.py.  See repro/core/_batch_kernel.py
  * for the state layout and the restore-on-return contract.  Built by

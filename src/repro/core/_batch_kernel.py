@@ -5,8 +5,8 @@ as machine code: ``_batch_kernel.c`` (same directory) has one entry
 point, ``repro_advance``, which mirrors the graph-coupled rule of
 :func:`repro.topo.advance_coupled` plus
 :class:`~repro.core.clusters.ClusterTracker` over packed arrays.  A
-complete coupling is the case with no adjacency, where the rule is
-:func:`repro.core.fastsim.advance_dense`.  Both are checked against
+complete coupling is the case with no adjacency, as it is
+``coupling=None`` for the Python loop.  Both are checked against
 ``CascadeModel`` (and, on complete couplings, the DES) by
 ``tests/test_engine_differential.py``.  The kernel is built on demand
 with the system compiler and loaded through :mod:`ctypes`.  The build

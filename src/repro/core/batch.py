@@ -5,7 +5,7 @@ model object, its stream spawning and a Python-level heap per seed.
 :class:`BatchCascade` advances a whole ensemble of seeds instead: it
 derives every member's router streams and initial phases in one pass,
 then runs each member through the bundled C kernel or, where that
-cannot build, through the same scalar loops ``CascadeModel`` runs.
+cannot build, through the same scalar loop ``CascadeModel`` runs.
 
 Bit-for-bit identity
 --------------------
@@ -43,8 +43,8 @@ Backends
 ``python``
     No third-party dependencies; always available.  Each member runs
     the heap + :class:`~repro.core.clusters.ClusterTracker` loop of
-    ``CascadeModel``: :func:`repro.core.fastsim.advance_dense` on a
-    complete coupling, :func:`repro.topo.advance_coupled` otherwise.
+    ``CascadeModel``, :func:`repro.topo.advance_coupled` (with no
+    coupling when the graph is complete).
 
 :func:`default_backend` picks ``compiled`` whenever the C kernel
 resolves on this platform and ``python`` otherwise.  The choice is
@@ -59,7 +59,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .clusters import RESET_TIME_TOLERANCE, ClusterGroup, ClusterTracker
-from .fastsim import advance_dense
 from .parameters import RouterTimingParameters
 
 __all__ = [
@@ -170,14 +169,13 @@ class BatchCascade:
         toolchain).
     topology:
         Optional :class:`~repro.topo.TopologySpec` (or canonical
-        string).  ``None`` and complete couplings run the
-        fully-coupled rule on the chosen backend.  Non-complete
-        couplings run the graph-coupled rule: on ``python`` through
-        :func:`repro.topo.advance_coupled` with per-member
-        :class:`ClusterTracker` state (the code path ``CascadeModel``
-        uses), on ``compiled`` through the C kernel over per-phase CSR
-        adjacency, differenced against ``advance_coupled`` byte for
-        byte.
+        string).  Every coupling runs the graph-coupled rule: on
+        ``python`` through :func:`repro.topo.advance_coupled` with
+        per-member :class:`ClusterTracker` state (the code path
+        ``CascadeModel`` uses), on ``compiled`` through the C kernel
+        over per-phase CSR adjacency.  ``None`` and complete couplings
+        run with no coupling (no adjacency in C), which skips the
+        adjacency test.
     """
 
     def __init__(
@@ -340,8 +338,8 @@ class BatchCascade:
     ) -> None:
         """Advance every member through the shared scalar loop.
 
-        :func:`repro.core.fastsim.advance_dense` on a complete coupling,
-        :func:`repro.topo.advance_coupled` otherwise.  Member ``k``
+        :func:`repro.topo.advance_coupled`, as in ``CascadeModel``
+        (no coupling when the graph is complete).  Member ``k``
         reproduces ``CascadeModel(params, seed=seeds[k], topology=...)``
         bit for bit: same heap seeding, same per-router stream order
         (``draw`` maps local node ``i`` to flat stream ``k*n + i``),
@@ -384,15 +382,9 @@ class BatchCascade:
                 rng[idx] = s
                 return low + span * (s / _MOD)
 
-            if self._coupling is None:
-                stop_time, closed, stopped = advance_dense(
-                    heap, tracker, draw, self._tc, until, **stops
-                )
-            else:
-                stop_time, closed, stopped = advance_coupled(
-                    heap, self._coupling, tracker, draw, self._tc, until,
-                    **stops,
-                )
+            stop_time, closed, stopped = advance_coupled(
+                heap, self._coupling, tracker, draw, self._tc, until, **stops
+            )
             member.total_cascades += closed
             member.total_resets = tracker.total_resets
             member.now = stop_time if stopped else max(member.now, until)

@@ -50,12 +50,6 @@ class ClusterTracker:
         immediate-notification model, where clustered resets are
         exactly simultaneous; runs with a positive notification delay
         pass a correspondingly larger value.
-    probe:
-        Optional :class:`~repro.obs.probes.SimulationProbe` notified
-        of every reset (``on_reset``) and every closed group
-        (``on_group``).  Purely observational — the tracker never
-        reads anything back from it — so an attached probe cannot
-        change a trajectory (``tests/test_obs_probes.py``).
     """
 
     def __init__(
@@ -63,7 +57,6 @@ class ClusterTracker:
         n_nodes: int,
         keep_history: bool = True,
         tolerance: float = RESET_TIME_TOLERANCE,
-        probe=None,
     ) -> None:
         if n_nodes < 1:
             raise ValueError("n_nodes must be positive")
@@ -72,7 +65,6 @@ class ClusterTracker:
         self.n_nodes = n_nodes
         self.keep_history = keep_history
         self.tolerance = tolerance
-        self.probe = probe
         self.groups: list[ClusterGroup] = []
         self.total_resets = 0
         # The currently-open group of simultaneous resets.
@@ -105,45 +97,69 @@ class ClusterTracker:
         Resets must be fed in non-decreasing time order (the DES
         guarantees this).
         """
-        if self._open_time is not None and time < self._open_time - self.tolerance:
-            raise ValueError(f"resets out of order: {time} after {self._open_time}")
+        open_time = self._open_time
+        window = self._window
+        n = self.n_nodes
+        if open_time is not None and time < open_time - self.tolerance:
+            raise ValueError(f"resets out of order: {time} after {open_time}")
         self.total_resets += 1
-        if self.probe is not None:
-            self.probe.on_reset(time, node_id)
-        if self._open_time is not None and abs(time - self._open_time) <= self.tolerance:
-            self._open_size += 1
-            self._window[-1][0] = self._open_size
+        if open_time is not None and abs(time - open_time) <= self.tolerance:
+            size = self._open_size + 1
+            window[-1][0] = size
         else:
             self._close_open_group()
             self._open_time = time
-            self._open_size = 1
-            self._window.append([1, 0])
-        if self._open_size > self._window_max:
-            self._window_max = self._open_size
+            size = 1
+            window.append([1, 0])
+        self._open_size = size
+        if size > self._window_max:
+            self._window_max = size
         # The newest reset joins the window.
-        self._window[-1][1] += 1
-        self._window_resets += 1
-        while self._window_resets > self.n_nodes:
-            oldest = self._window[0]
+        window[-1][1] += 1
+        resets = self._window_resets + 1
+        while resets > n:
+            oldest = window[0]
             oldest[1] -= 1
-            self._window_resets -= 1
+            resets -= 1
             if oldest[1] == 0:
-                self._window.popleft()
+                window.popleft()
                 # The newest entry holds this reset, so the window is
                 # never empty here; sizes are >= 1, so a maximum of 1
                 # cannot fall.
                 if oldest[0] >= self._window_max > 1:
-                    self._window_max = max(entry[0] for entry in self._window)
-        self._note_first_passages(time)
-        self._advance_round(time)
+                    self._window_max = max(entry[0] for entry in window)
+        self._window_resets = resets
+        # First passages: a cluster of this size implies all smaller
+        # sizes were reached, a window maximum of this size all bigger.
+        at_least = self.first_time_at_least
+        if size not in at_least:
+            for smaller in range(size, 0, -1):
+                if smaller in at_least:
+                    break
+                at_least[smaller] = time
+        if resets >= n:
+            largest = self._window_max
+            at_most = self.first_time_at_most
+            if largest not in at_most:
+                for bigger in range(largest, n + 1):
+                    if bigger in at_most:
+                        break
+                    at_most[bigger] = time
+        # The non-overlapping per-round largest-cluster series.
+        self._round_fill += 1
+        if size > self._round_max:
+            self._round_max = size
+        if self._round_fill >= n:
+            self.round_times.append(time)
+            self.round_largest.append(self._round_max)
+            self._round_fill = 0
+            self._round_max = 0
 
     def _close_open_group(self) -> None:
         if self._open_time is None:
             return
         if self.keep_history:
             self.groups.append(ClusterGroup(self._open_time, self._open_size))
-        if self.probe is not None:
-            self.probe.on_group(self._open_time, self._open_size)
         self._open_time = None
         self._open_size = 0
 
@@ -171,31 +187,6 @@ class ClusterTracker:
     def is_fully_unsynchronized(self) -> bool:
         """True when a full window of N messages contains only lone resets."""
         return self._window_resets >= self.n_nodes and self.largest_in_window() <= 1
-
-    def _note_first_passages(self, time: float) -> None:
-        size = self._open_size
-        if size not in self.first_time_at_least:
-            # A cluster of this size implies all smaller sizes were reached.
-            for smaller in range(size, 0, -1):
-                if smaller in self.first_time_at_least:
-                    break
-                self.first_time_at_least[smaller] = time
-        if self._window_resets >= self.n_nodes:
-            largest = self.largest_in_window()
-            if largest not in self.first_time_at_most:
-                for bigger in range(largest, self.n_nodes + 1):
-                    if bigger in self.first_time_at_most:
-                        break
-                    self.first_time_at_most[bigger] = time
-
-    def _advance_round(self, time: float) -> None:
-        self._round_fill += 1
-        self._round_max = max(self._round_max, self._open_size)
-        if self._round_fill >= self.n_nodes:
-            self.round_times.append(time)
-            self.round_largest.append(self._round_max)
-            self._round_fill = 0
-            self._round_max = 0
 
     # -- reporting -----------------------------------------------------------
 

@@ -11,12 +11,13 @@ when the window closes.
 
 :class:`CascadeModel` simulates exactly that rule with a heap of
 pending expiries — no event queue, no per-message bookkeeping.  The
-loop itself is :func:`advance_dense`, which the batch engine's scalar
-path (:mod:`repro.core.batch`) runs per member as well.  Run
-with the same seed, it consumes each router's random stream in the
-same per-router order as the DES and therefore reproduces the DES
+loop itself is :func:`repro.topo.advance_coupled`, the graph-coupled
+rule, run with no coupling (every router hears every reset); the
+batch engine's python backend (:mod:`repro.core.batch`) runs it per
+member as well.  Run with the same seed, it consumes each router's
+random stream in the same per-router order as the DES and therefore reproduces the DES
 trajectory *bit for bit* (verified in
-``tests/test_core_fastsim.py``), making it both a fast engine for
+``tests/test_engine_differential.py``), making it both a fast engine for
 large ensembles and an executable proof that the DES implements the
 model it claims to.
 """
@@ -30,65 +31,9 @@ from ..rng import RandomSource
 from .clusters import ClusterTracker
 from .parameters import RouterTimingParameters
 
-__all__ = ["CascadeModel", "advance_dense"]
+__all__ = ["CascadeModel"]
 
 InitialPhases = Literal["unsynchronized", "synchronized"] | Sequence[float]
-
-
-def advance_dense(
-    heap: list,
-    tracker: ClusterTracker,
-    draw,
-    tc: float,
-    until: float,
-    stop_on_full_sync: bool = False,
-    stop_on_full_unsync: bool = False,
-    probe=None,
-) -> tuple[float | None, int, bool]:
-    """Advance fully-coupled cascades until the horizon or a stop.
-
-    The complete-graph special case of
-    :func:`repro.topo.advance_coupled`, with the same arguments and the
-    same return triple: every router hears every reset, so at most one
-    cascade is open at a time.  ``heap`` holds the pending
-    ``(expiry_time, node)`` pairs and is mutated in place; ``tracker``
-    receives every reset and is ``finish()``-ed before return;
-    ``draw(node)`` consumes one interval draw from the node's stream,
-    in pop order.
-
-    Returns ``(stop_time, cascades_closed, stopped)``: ``stop_time`` is
-    the time of the last close when a stop condition fired (None when
-    the run reached the horizon).
-    """
-    closed = 0
-    while heap and heap[0][0] <= until:
-        popped = [heapq.heappop(heap)]
-        window = popped[0][0] + tc
-        while heap and heap[0][0] <= window:
-            popped.append(heapq.heappop(heap))
-            window += tc
-        if window > until:
-            # The cascade's busy period outlives the horizon: the DES
-            # would not process these resets either.  Restore the
-            # pending expiries and stop (a later call with a larger
-            # horizon picks up exactly here).
-            for entry in popped:
-                heapq.heappush(heap, entry)
-            break
-        closed += 1
-        if probe is not None:
-            probe.on_cascade(window, popped)
-        for _expiry, node in popped:
-            tracker.record_reset(window, node)
-        for _expiry, node in popped:
-            heapq.heappush(heap, (window + draw(node), node))
-        if (stop_on_full_sync and tracker.is_fully_synchronized()) or (
-            stop_on_full_unsync and tracker.is_fully_unsynchronized()
-        ):
-            tracker.finish()
-            return window, closed, True
-    tracker.finish()
-    return None, closed, False
 
 
 class CascadeModel:
@@ -106,22 +51,14 @@ class CascadeModel:
         "synchronized" (all zero), or explicit phases.
     keep_cluster_history:
         Forwarded to the tracker.
-    probe:
-        Optional :class:`~repro.obs.probes.SimulationProbe`.  Gets the
-        tracker's reset/group stream plus ``on_cascade`` with the
-        exact expiry times of every cascade (the source of per-node
-        busy time).  Observational only: the probe never touches the
-        RNG streams or the heap, so probed and unprobed runs are
-        byte-identical.
     topology:
         Optional :class:`~repro.topo.TopologySpec` (or its canonical
         string form) restricting which routers hear which resets.
         ``None`` and any coupling whose generated graph is complete
         (``"clique"``, a 3-ring, ``erdos_renyi`` with p=1, ...) run
-        the fully-coupled loop (:func:`advance_dense`); everything
-        else runs the generalized multi-cascade kernel
-        (:func:`repro.topo.advance_coupled`).  Stream derivation and
-        phase draws are identical either way.
+        :func:`repro.topo.advance_coupled` with no coupling, which
+        skips the adjacency test.  Stream derivation and phase draws
+        are identical either way.
     """
 
     def __init__(
@@ -130,11 +67,9 @@ class CascadeModel:
         seed: int = 1,
         initial_phases: InitialPhases = "unsynchronized",
         keep_cluster_history: bool = False,
-        probe=None,
         topology=None,
     ) -> None:
         self.params = params
-        self.probe = probe
         n = params.n_nodes
         self.topology = None
         self._coupling = None
@@ -145,7 +80,7 @@ class CascadeModel:
             coupling = Coupling(self.topology, n)
             if not coupling.is_complete:
                 self._coupling = coupling
-        self.tracker = ClusterTracker(n, keep_history=keep_cluster_history, probe=probe)
+        self.tracker = ClusterTracker(n, keep_history=keep_cluster_history)
         master = RandomSource(seed=seed)
         self._rngs = [master.spawn(i) for i in range(n)]
         phase_rng = master.spawn(n + 1)
@@ -183,31 +118,18 @@ class CascadeModel:
         def draw(node: int) -> float:
             return rngs[node].uniform(low, high)
 
-        if self._coupling is None:
-            stop_time, closed, stopped = advance_dense(
-                self._heap,
-                self.tracker,
-                draw,
-                params.tc,
-                until,
-                stop_on_full_sync=stop_on_full_sync,
-                stop_on_full_unsync=stop_on_full_unsync,
-                probe=self.probe,
-            )
-        else:
-            from ..topo import advance_coupled
+        from ..topo import advance_coupled
 
-            stop_time, closed, stopped = advance_coupled(
-                self._heap,
-                self._coupling,
-                self.tracker,
-                draw,
-                params.tc,
-                until,
-                stop_on_full_sync=stop_on_full_sync,
-                stop_on_full_unsync=stop_on_full_unsync,
-                probe=self.probe,
-            )
+        stop_time, closed, stopped = advance_coupled(
+            self._heap,
+            self._coupling,
+            self.tracker,
+            draw,
+            params.tc,
+            until,
+            stop_on_full_sync=stop_on_full_sync,
+            stop_on_full_unsync=stop_on_full_unsync,
+        )
         self.total_cascades += closed
         self.now = stop_time if stopped else max(self.now, until)
         return self.now

@@ -145,22 +145,16 @@ class PeriodicMessagesModel:
         self,
         config: ModelConfig,
         initial_phases: InitialPhases = "unsynchronized",
-        probe=None,
     ) -> None:
         self.config = config
         self.sim = Simulator()
-        self.probe = probe
         # With delayed notifications, clustered resets are spread over
         # roughly one delay per member instead of being simultaneous.
         tolerance = max(1e-7, 2.0 * config.n_nodes * config.notification_delay)
-        # The probe (see repro.obs.probes) observes the reset stream
-        # through the tracker; per-router message counters are exact
-        # on RouterState and harvested by probe.collect_model().
         self.tracker = ClusterTracker(
             config.n_nodes,
             keep_history=config.keep_cluster_history,
             tolerance=tolerance,
-            probe=probe,
         )
         self.transmissions: list[tuple[float, int]] = []
         self.journal: list[tuple[float, str, int]] = []
@@ -404,8 +398,6 @@ class PeriodicMessagesModel:
         self._stop_on_full_unsync = stop_on_full_unsync
         end = self.sim.run(until=until, max_events=max_events)
         self.tracker.finish()
-        if self.probe is not None:
-            self.probe.collect_model(self)
         return end
 
     @property

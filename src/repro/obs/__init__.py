@@ -1,7 +1,7 @@
 """``repro.obs`` — observability for the whole pipeline.
 
 Zero-dependency metrics, spans, cross-worker tracing, structured
-events, simulation probes, and opt-in profiling, threaded through the
+events, and opt-in profiling, threaded through the
 simulator, the parallel layer, and the CLI.  Two contracts hold
 everywhere (and are enforced by ``tests/test_obs_inert.py``):
 

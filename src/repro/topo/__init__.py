@@ -6,10 +6,11 @@ over an arbitrary graph: :class:`TopologySpec` names a graph family
 schedules) with deterministic seed-keyed generation;
 :class:`Coupling` binds a spec to a node count; and
 :func:`advance_coupled` is the generalized multi-cascade rule in
-Python, run by the cascade engine and the batch ``python`` backend and
-the reference for the batch ``compiled`` backend's C port.  A complete coupling (``"clique"``,
-or any spec whose generated graph is complete) dispatches to the
-original fully-coupled engine paths, byte for byte.
+Python, the one cascade loop the cascade engine and the batch
+``python`` backend run, and the reference for the batch ``compiled``
+backend's C port.  A complete coupling (``"clique"``, or any spec
+whose generated graph is complete) runs it with ``coupling=None``,
+which skips the adjacency test and is the paper's rule byte for byte.
 """
 
 from .coupling import Coupling

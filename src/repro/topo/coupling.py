@@ -4,12 +4,12 @@ A :class:`Coupling` is a :class:`~repro.topo.spec.TopologySpec`
 instantiated on a concrete node count.  It answers the one question
 the generalized cascade kernel asks — "may node ``v``'s expiry at time
 ``t`` join a cascade containing node ``u``?" — and reports whether the
-graph is *complete at all times*, which is the engines' dispatch
-condition: a complete coupling is exactly the paper's fully-coupled
-model, so :class:`~repro.core.fastsim.CascadeModel` and
-:class:`~repro.core.batch.BatchCascade` route complete couplings to
-their original single-cascade code paths untouched (byte-identical
-results, cache keys, and consumed-RNG positions included).
+graph is *complete at all times*.  A complete coupling is exactly the
+paper's fully-coupled model, so :class:`~repro.core.fastsim.CascadeModel`
+and :class:`~repro.core.batch.BatchCascade` run it with no coupling
+(:func:`~repro.topo.advance_coupled` with ``coupling=None``, the C
+kernel with no adjacency), which skips the adjacency test: results,
+cache keys and consumed-RNG positions are those of the paper's rule.
 :attr:`Coupling.phases` and :attr:`Coupling.period` expose the
 per-phase neighbour sets the compiled batch kernel packs into CSR.
 """

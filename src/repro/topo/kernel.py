@@ -25,28 +25,30 @@ Semantics (the deterministic rule set, documented in DESIGN.md §13):
   the window time and redraw their intervals, both in join order.
   Same-window closes resolve in creation order; a same-time pending
   expiry is processed *before* the close (it may still join, since
-  the join test is ``<=`` — exactly the fully-coupled engine's rule).
+  the join test is ``<=`` — exactly the paper's single-cascade rule).
 * A cascade whose window outlives the horizon never closes in this
   call: its members' original expiries are restored to the heap, so a
   later call with a larger horizon resumes exactly here.
 
 On a complete graph at most one cascade is ever active and every
 pending expiry ``<= window`` joins it, so the rule collapses to the
-paper's single-cascade rule — same resets, same redraw order, same
-consumed-RNG positions (proven against the fully-coupled engines in
-``tests/test_topo_properties.py``).  The engines dispatch complete
-couplings to :func:`repro.core.fastsim.advance_dense` (or the C batch
-kernel with no adjacency); this kernel is the non-clique path and the
-reference for the C kernel's sparse case.
+paper's single-cascade rule.  ``coupling=None`` is that case: the join
+test skips the adjacency check, as the C kernel does with no
+adjacency.  :class:`~repro.core.fastsim.CascadeModel` and the batch
+``python`` backend pass None for every complete coupling;
+``tests/test_engine_differential.py`` checks that case against the
+DES, and ``tests/test_topo_properties.py`` checks that a real complete
+:class:`~repro.topo.coupling.Coupling` gives the same bytes.
 """
 
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 
 __all__ = ["advance_coupled"]
 
-_INF = float("inf")
+_window = itemgetter(0)
 
 
 def advance_coupled(
@@ -58,7 +60,6 @@ def advance_coupled(
     until: float,
     stop_on_full_sync: bool = False,
     stop_on_full_unsync: bool = False,
-    probe=None,
 ) -> tuple[float | None, int, bool]:
     """Advance graph-coupled cascades until the horizon or a stop.
 
@@ -71,23 +72,20 @@ def advance_coupled(
         restored members of cascades that outlived the horizon).
     coupling:
         A :class:`~repro.topo.coupling.Coupling` (or anything with an
-        ``adjacent(u, v, t)`` method).
+        ``adjacent(u, v, t)`` method), or None for a complete graph.
     tracker:
         A :class:`~repro.core.clusters.ClusterTracker`; receives every
         reset in close order and is ``finish()``-ed before return.
     draw:
         ``draw(node) -> float`` — consumes one interval draw from the
         node's stream.  Streams are consumed in join order at each
-        close, mirroring the fully-coupled engines' pop order.
+        close.
     tc:
         Per-message processing cost (the window increment).
     until:
         Horizon in seconds.
     stop_on_full_sync / stop_on_full_unsync:
         Checked after each cascade close, as in ``CascadeModel.run``.
-    probe:
-        Optional simulation probe; gets ``on_cascade(window, members)``
-        with the members' original ``(expiry_time, node)`` pairs.
 
     Returns ``(stop_time, cascades_closed, stopped)``: ``stop_time``
     is the time of the last close when a stop condition fired (None
@@ -95,56 +93,62 @@ def advance_coupled(
     closes, and ``stopped`` says whether a stop condition ended the
     run early.
     """
-    cascades: list[list] = []  # [window, [(expiry_time, node), ...]] in creation order
+    adjacent = None if coupling is None else coupling.adjacent
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+    record = tracker.record_reset
+    # Open cascades in creation order: [window, [(expiry_time, node), ...]]
+    # with members in join order.  ``close`` is the earliest close, the
+    # first minimum window in creation order, and ``bound`` the drain
+    # limit, min(close window, until); both change only when the close
+    # is joined, undercut by a new cascade, or closed.
+    cascades: list[list] = []
+    close = None
+    bound = until
     closed = 0
-
-    def _restore_active() -> None:
-        for cascade in cascades:
-            for entry in cascade[1]:
-                heapq.heappush(heap, entry)
-
+    stop_time = None
     while True:
-        exp_t = heap[0][0] if heap else _INF
-        close_i = -1
-        close_t = _INF
-        for index, cascade in enumerate(cascades):
-            if cascade[0] < close_t:
-                close_t = cascade[0]
-                close_i = index
-        if exp_t <= close_t and exp_t <= until:
-            t, node = heapq.heappop(heap)
-            joined = None
+        # An expiry at the close time is processed first and may join.
+        while heap and heap[0][0] <= bound:
+            entry = heappop(heap)
+            t = entry[0]
             for cascade in cascades:
-                if t <= cascade[0] and any(
-                    coupling.adjacent(member, node, t)
-                    for _e, member in cascade[1]
+                if t <= cascade[0] and (
+                    adjacent is None
+                    or any(adjacent(member, entry[1], t) for _e, member in cascade[1])
                 ):
-                    joined = cascade
+                    cascade[1].append(entry)
+                    cascade[0] += tc
+                    if cascade is close:
+                        if len(cascades) > 1:
+                            close = min(cascades, key=_window)
+                        bound = close[0] if close[0] <= until else until
                     break
-            if joined is not None:
-                joined[1].append((t, node))
-                joined[0] += tc
             else:
-                cascades.append([t + tc, [(t, node)]])
-        elif close_t <= until:
-            window, members = cascades.pop(close_i)
-            closed += 1
-            if probe is not None:
-                probe.on_cascade(window, list(members))
-            for _e, node in members:
-                tracker.record_reset(window, node)
-            for _e, node in members:
-                heapq.heappush(heap, (window + draw(node), node))
-            if stop_on_full_sync and tracker.is_fully_synchronized():
-                _restore_active()
-                tracker.finish()
-                return window, closed, True
-            if stop_on_full_unsync and tracker.is_fully_unsynchronized():
-                _restore_active()
-                tracker.finish()
-                return window, closed, True
-        else:
+                cascade = [t + tc, [entry]]
+                cascades.append(cascade)
+                if close is None or cascade[0] < close[0]:
+                    close = cascade
+                    if cascade[0] < bound:
+                        bound = cascade[0]
+        if close is None or not close[0] <= until:
             break
-    _restore_active()
+        window, members = close
+        cascades.remove(close)  # members are disjoint: only ``close`` matches
+        closed += 1
+        for _e, node in members:
+            record(window, node)
+        for _e, node in members:
+            heappush(heap, (window + draw(node), node))
+        if (stop_on_full_sync and tracker.is_fully_synchronized()) or (
+            stop_on_full_unsync and tracker.is_fully_unsynchronized()
+        ):
+            stop_time = window
+            break
+        close = min(cascades, key=_window) if cascades else None
+        bound = close[0] if close is not None and close[0] <= until else until
+    for cascade in cascades:
+        for entry in cascade[1]:
+            heappush(heap, entry)
     tracker.finish()
-    return None, closed, False
+    return stop_time, closed, stop_time is not None

@@ -25,6 +25,7 @@ from repro.core import (
     RouterTimingParameters,
 )
 from repro.core.batch import compiled_backend_available
+from repro.rng import RandomSource
 
 from tests._gen import CaseGen, model_cases
 
@@ -246,20 +247,20 @@ SPARSE_TOPOLOGIES = ["ring", "star", "tree(b=2)", "erdos_renyi(p=0.45,seed=3)",
 def test_complete_topology_is_byte_identical_to_clique_engines(
     n, tp, tc, tr, mode, topology
 ):
-    """A complete coupling must not perturb the existing engines at all."""
+    """A complete coupling must not perturb the existing engines at all:
+    every row equals the DES, the independent engine."""
     params = RouterTimingParameters(n_nodes=n, tp=tp, tc=tc, tr=tr)
     phases = _phases(mode, n, tp)
     horizon = _horizon(tp, tc)
     for seed in (1, 7):
-        baseline = run_cascade(params, seed, horizon, phases, {})
+        des = run_des(params, seed, horizon, phases, {})
         topo = run_cascade_topo(params, seed, horizon, phases, {}, topology)
-        assert topo == baseline
-        batch_baseline = run_batch(params, seed, horizon, phases, {}, "python")
+        assert _drop_phase(topo) == _drop_phase(des)
         for backend in BACKENDS:
             row = run_batch_topo(
                 params, seed, horizon, phases, {}, backend, topology
             )
-            assert row == batch_baseline, backend
+            assert row == des, backend
 
 
 @pytest.mark.parametrize("censor", CENSORING)
@@ -339,6 +340,47 @@ def test_sparse_topology_tolerance_merged_closes():
             params, 1, 100.0, phases, {}, backend, "erdos_renyi(p=0.0)"
         )
         assert _drop_phase(row) == _drop_phase(reference), backend
+
+
+def _pending(batch):
+    """Member 0's pending ``(expiry_time, node)`` pairs, sorted."""
+    if batch._cstate is not None:
+        return sorted((float(e), i) for i, e in enumerate(batch._cstate[0].expiry))
+    return sorted(batch._heaps[0])
+
+
+def test_exact_tie_closes_resolve_in_creation_order():
+    """Two cascades closing at the same instant close in creation
+    order, and a stop after the first leaves the second open.
+
+    With no edges, nodes 1 and 2 (both expiring at 5.0) open separate
+    cascades that both close at 5.1.  Node 1's opened first, so it
+    closes first; that close completes a window of three lone resets
+    and the unsync stop fires before node 2's cascade closes: node 2's
+    stream is untouched and its expiry is still pending."""
+    params = RouterTimingParameters(n_nodes=3, tp=4.0, tc=0.1, tr=0.0)
+    phases = [0.0, 5.0, 5.0]
+    topology = "erdos_renyi(p=0.0)"
+    stops = {"stop_on_full_unsync": True}
+    master = RandomSource(seed=1)  # CascadeModel's stream derivation
+    streams = [master.spawn(i) for i in range(3)]
+    untouched = [rng._gen.state for rng in streams]
+    streams[1].uniform(4.0, 4.0)
+    one_draw = streams[1]._gen.state
+
+    model = CascadeModel(params, seed=1, initial_phases=phases, topology=topology)
+    assert model.run(100.0, **stops) == 5.0 + 0.1
+    states = [rng._gen.state for rng in model._rngs]
+    assert states[1] == one_draw
+    assert states[2] == untouched[2]
+    assert (5.0, 2) in model._heap
+    for backend in BACKENDS:
+        batch = BatchCascade(
+            params, [1], initial_phases=phases, backend=backend, topology=topology
+        )
+        assert batch.run(100.0, **stops) == [5.0 + 0.1], backend
+        assert batch.rng_states(0) == states, backend
+        assert (5.0, 2) in _pending(batch), backend
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

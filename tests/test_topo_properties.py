@@ -3,8 +3,8 @@
 The structural guarantees, each checked over generated cases
 (``tests/_gen.py``):
 
-* the generalized kernel, forced onto a complete graph, reproduces
-  the fully-coupled fast path byte for byte (this is the analytic
+* the generalized kernel, given a real complete coupling, reproduces
+  its ``coupling=None`` shortcut byte for byte (this is the analytic
   clique-collapse argument of DESIGN.md §13, executed);
 * graph generation is a pure function of (spec, n) — same seed, same
   graph, different seed, usually different graph;
@@ -14,8 +14,8 @@ The structural guarantees, each checked over generated cases
   tree's leaves only through their parents, so with a tiny Tc no
   full-network cascade ever forms;
 * disconnected graphs can never fully synchronize, and no cascade
-  ever spans two components (verified from the kernel's own
-  ``on_cascade`` stream, not just the end state);
+  ever spans two components (verified from the tracker's reset
+  stream, not just the end state);
 * time-varying (switching) schedules are deterministic per seed and
   differ from their static phases;
 * :class:`~repro.parallel.job.SimulationJob` keeps pre-topology cache
@@ -26,7 +26,6 @@ import pytest
 
 from repro.core import CascadeModel, RouterTimingParameters
 from repro.core.batch import BatchCascade
-from repro.obs.probes import SimulationProbe
 from repro.parallel.job import SimulationJob, batch_group_key
 from repro.topo import (
     KINDS,
@@ -199,7 +198,8 @@ class TestGraphMetrics:
 
 class TestKernelCliqueCollapse:
     def test_forced_kernel_on_complete_graph_matches_fast_path(self):
-        """The generalized kernel IS the paper's rule on a clique."""
+        """The adjacency test on a clique IS the paper's rule: a real
+        complete coupling equals the ``coupling=None`` shortcut."""
         gen = CaseGen(23)
         for _ in range(6):
             n = gen.randint(2, 10)
@@ -208,7 +208,7 @@ class TestKernelCliqueCollapse:
             seed = gen.randint(1, 10_000)
             params = RouterTimingParameters(n, 20.0, tc, tr)
             forced = CascadeModel(params, seed=seed, keep_cluster_history=True)
-            forced._coupling = Coupling("clique", n)  # bypass the dispatch
+            forced._coupling = Coupling("clique", n)  # force the adjacency test
             baseline = CascadeModel(
                 params, seed=seed, keep_cluster_history=True
             )
@@ -259,21 +259,25 @@ class TestDisconnected:
             for index, comp in enumerate(comps):
                 for node in comp:
                     comp_of[node] = index
-            probe = SimulationProbe()
-            seen = []
-            probe.on_cascade = lambda window, members, _s=seen: _s.append(
-                [node for _e, node in members]
-            )
             model = CascadeModel(
                 RouterTimingParameters(n, 20.0, 1.0, 2.0),
                 seed=seed,
                 topology=spec,
-                probe=probe,
             )
+            # A cascade's members all reset at its close time, so the
+            # resets at one time are one cascade's members.
+            resets = {}
+            record = model.tracker.record_reset
+
+            def recording(time, node, _record=record):
+                resets.setdefault(time, []).append(node)
+                _record(time, node)
+
+            model.tracker.record_reset = recording
             model.run(5000.0)
             assert model.synchronization_time is None
-            assert seen, "expected cascades"
-            for group in seen:
+            assert resets, "expected cascades"
+            for group in resets.values():
                 assert len({comp_of[node] for node in group}) == 1, (
                     "a cascade spanned two components"
                 )
