@@ -4,7 +4,9 @@
  * the ClusterTracker statistics (repro.core.clusters), over packed
  * arrays.  A complete coupling is the case with no adjacency
  * (nphases == 0), as coupling=None is for advance_coupled: every node
- * hears every reset and at most one cascade is ever open.
+ * hears every reset and at most one cascade is ever open.  Pending
+ * expiries wait in a ring sorted by (expiry, node), the heap's pop
+ * order: a join pops its head, a redraw walks back from its tail.
  * Checked against CascadeModel and the DES by
  * tests/test_engine_differential.py.  See repro/core/_batch_kernel.py
  * for the state layout and the restore-on-return contract.  Built by
@@ -59,9 +61,10 @@ typedef struct {
 
 /* What every member of one batch shares (RunState): parameters, the
  * per-phase CSR adjacency and the cascade scratch, fscratch =
- * [joined[n], window[n]] and iscratch = [owner[n], next[n], last[n],
- * rank[n], order[n]].  A cascade lives in the slot of the node that
- * opened it; rank is its creation order within the call. */
+ * [window[n]] and iscratch = [owner[n], next[n], last[n], rank[n],
+ * order[n], ring[n]].  A cascade lives in the slot of the node that
+ * opened it; rank is its creation order within the call.  Before each
+ * call the caller fills ring with every node sorted by (expiry, node). */
 typedef struct {
     i64 n;
     double tc;
@@ -103,13 +106,13 @@ i64 repro_advance(member_t *m, const run_t *r)
     i64 *const round_largest = m->round_largest;
     double *const group_times = m->group_times;
     i64 *const group_sizes = m->group_sizes;
-    double *const joined = r->fscratch;
-    double *const window = joined + n;
+    double *const window = r->fscratch;
     i64 *const owner = r->iscratch;
     i64 *const next = owner + n;
     i64 *const last = next + n;
     i64 *const rank = last + n;
     i64 *const order = rank + n;
+    i64 *const ring = order + n;
 
     double now = fstate[0];
     double open_time = fstate[1];
@@ -131,16 +134,14 @@ i64 repro_advance(member_t *m, const run_t *r)
     i64 created = 0;
     i64 status;
 
+    /* The pending (not joined) nodes are ring[ph..ph+pn), indices mod
+     * n; on entry all n are, sorted by the caller. */
+    i64 ph = 0;
+    i64 pn = n;
+
     while (1) {
-        /* First minimum in node order == heap (time, node) order. */
-        double e = expiry[0];
-        i64 v = 0;
-        for (i64 i = 1; i < n; i++) {
-            if (expiry[i] < e) {
-                e = expiry[i];
-                v = i;
-            }
-        }
+        const i64 v = ring[ph];
+        const double e = expiry[v];
         /* The earliest window closes first; ties in creation order. */
         double close_t = __builtin_inf();
         i64 c = -1;
@@ -154,7 +155,7 @@ i64 repro_advance(member_t *m, const run_t *r)
             }
         }
 
-        if (e <= close_t && e <= until) {
+        if (pn > 0 && e <= close_t && e <= until) {
             /* Every open window is >= e (an expiry goes before a close
              * on ties), so only adjacency at time e decides: join the
              * earliest-created cascade holding a neighbour of v.  With
@@ -194,8 +195,8 @@ i64 repro_advance(member_t *m, const run_t *r)
                     }
                 }
             }
-            joined[v] = e;
-            expiry[v] = __builtin_inf();
+            ph = ph + 1 < n ? ph + 1 : 0;
+            pn -= 1;
             next[v] = -1;
             if (c >= 0) {
                 next[last[c]] = v;
@@ -262,6 +263,20 @@ i64 repro_advance(member_t *m, const run_t *r)
             rng[u] = state;
             expiry[u] = t + (low + span * ((double)state / (double)MOD));
             owner[u] = -1;
+            /* Into the ring by walking back from its tail: a redraw
+             * lands after nearly every pending expiry. */
+            i64 j = ph + pn < n ? ph + pn : ph + pn - n;
+            for (i64 k = pn; k > 0; k--) {
+                i64 p = j > 0 ? j - 1 : n - 1;
+                i64 w = ring[p];
+                if (expiry[w] < expiry[u] || (expiry[w] == expiry[u] && w < u)) {
+                    break;
+                }
+                ring[j] = w;
+                j = p;
+            }
+            ring[j] = u;
+            pn += 1;
             s += 1;
             win_sizes[li] = s;
             win_cnts[li] += 1;
@@ -326,11 +341,11 @@ i64 repro_advance(member_t *m, const run_t *r)
         }
     }
 
-    /* No cascade outlives the call: restore the open ones' members to
-     * their original expiries, so the next call replays them exactly. */
-    for (i64 u = 0; u < n; u++) {
-        if (owner[u] >= 0) {
-            expiry[u] = joined[u];
+    /* No cascade outlives the call.  A joined node keeps its expiry
+     * until its cascade closes, so the open ones' members still hold
+     * their original expiries and the next call replays them exactly. */
+    for (i64 a = 0; a < active; a++) {
+        for (i64 u = order[a]; u >= 0; u = next[u]) {
             owner[u] = -1;
         }
     }

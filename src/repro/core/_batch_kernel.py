@@ -42,17 +42,30 @@ stop flags of the current call, one CSR adjacency per coupling phase
 a complete coupling) and one set of cascade scratch arrays that every
 member reuses.
 
+Pending ring
+------------
+The kernel keeps a member's pending expiries in a ring sorted by
+``(expiry, node)``, the order the heap of
+:func:`repro.topo.advance_coupled` pops: a join pops the head, and a
+redraw, which lands after nearly every pending expiry, is inserted by
+walking back from the tail.  The ring is cascade scratch
+(:attr:`RunState.ring`), so :func:`advance` rebuilds it before every
+kernel call with NumPy's stable argsort of the member's expiries
+(ties keep node order), O(n log n) for any ``n``.  A sort in C would
+cost compile time, and the cold build is part of every fresh
+process's set-up.
+
 Restore on return
 -----------------
 No cascade survives a call.  Whenever the kernel returns — at the
 horizon, on a stop condition, or with :data:`STATUS_ROUNDS_FULL` /
 :data:`STATUS_GROUPS_FULL` before a close that would need more buffer —
-the members of still-open cascades are back at their original
-expiries, exactly as :func:`repro.topo.advance_coupled` leaves its
-heap at the horizon.  Replaying from those expiries rebuilds the same
-cascades (they hold every pending expiry up to the earliest open
-window, and a cascade that closed meanwhile was never eligible to
-them), so :func:`advance` can grow a buffer and call again, and a
+the members of still-open cascades still hold their original
+expiries (a join leaves a node's expiry alone), exactly as
+:func:`repro.topo.advance_coupled` leaves its heap at the horizon.
+Replaying from those expiries rebuilds the same cascades (they hold
+every pending expiry up to the earliest open window, and a cascade
+that closed meanwhile was never eligible to them), so :func:`advance` can grow a buffer and call again, and a
 later horizon resumes exactly.  The same holds for
 :data:`STATUS_PHASE_RANGE`, returned when a switching period is so
 small that ``time / period`` overflows to infinity; :func:`advance`
@@ -259,7 +272,7 @@ class RunState:
     O(n + edges) per phase.
     """
 
-    __slots__ = ("c", "ref", "_arrays")
+    __slots__ = ("c", "ref", "ring", "_arrays")
 
     def __init__(self, n, tc, low, span, tol, keep_history, phases=(), period=None):
         np = _np
@@ -273,11 +286,13 @@ class RunState:
         arrays = (
             np.array(row_ptr or [0], dtype=np.int64),
             np.array(cols or [0], dtype=np.int64),
-            np.empty(2 * n, dtype=np.float64),
+            np.empty(n, dtype=np.float64),
             # The owner column starts at -1 (no cascade) and every
             # call leaves it there.
-            np.full(5 * n, -1, dtype=np.int64),
+            np.full(6 * n, -1, dtype=np.int64),
         )
+        #: The pending ring, the last column of the int scratch.
+        self.ring = arrays[3][5 * n :]
         self._arrays = arrays  # keeps the buffers alive for the C struct
         self.c = _Run(
             n, tc, low, span, tol, 0.0, 0, 0, 1 if keep_history else 0,
@@ -297,6 +312,7 @@ class RunState:
 def advance(kernel, state, run):
     """Run one member to the horizon or a stop, growing buffers as asked."""
     while True:
+        run.ring[:] = _np.argsort(state.expiry, kind="stable")
         status = kernel(state.ref, run.ref)
         if status == STATUS_ROUNDS_FULL:
             state.grow_rounds()

@@ -21,12 +21,14 @@ backends replay the exact same arithmetic in the exact same order:
   m)`` with the same operand order, so every float rounds the same
   way.
 * The C kernel reproduces the heap's ``(time, node)`` tie-break by
-  taking the *first* minimum in node order, grows each busy window by
-  sequential ``window += tc`` additions (no closed form), closes open
-  cascades earliest window first (ties in creation order), and keeps
-  an algebraic rewrite of :class:`~repro.core.clusters.ClusterTracker`
-  (incremental window maximum, contiguous first-passage frontiers)
-  with the same window, eviction order and backfills.
+  keeping the pending expiries in a ring sorted by ``(time, node)``
+  (a join pops its head, a redraw walks back from its tail), grows
+  each busy window by sequential ``window += tc`` additions (no
+  closed form), closes open cascades earliest window first (ties in
+  creation order), and keeps an algebraic rewrite of
+  :class:`~repro.core.clusters.ClusterTracker` (incremental window
+  maximum, contiguous first-passage frontiers) with the same window,
+  eviction order and backfills.
 
 All of it is verified against ``CascadeModel`` and the DES by
 ``tests/test_engine_differential.py``, including consumed-RNG

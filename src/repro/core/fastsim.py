@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 from typing import Literal, Sequence
 
-from ..rng import RandomSource
+from ..rng import MODULUS, MULTIPLIER, RandomSource
 from .clusters import ClusterTracker
 from .parameters import RouterTimingParameters
 
@@ -112,11 +112,17 @@ class CascadeModel:
         """Advance cascades until the horizon or a stop condition."""
         params = self.params
         low = params.tp - params.tr
-        high = params.tp + params.tr
-        rngs = self._rngs
+        span = (params.tp + params.tr) - low
+        gens = [rng._gen for rng in self._rngs]
 
         def draw(node: int) -> float:
-            return rngs[node].uniform(low, high)
+            # RandomSource.uniform(low, high) with the Lehmer step
+            # inline: the same state update and the same float
+            # operands in the same order.
+            gen = gens[node]
+            state = (MULTIPLIER * gen._state) % MODULUS
+            gen._state = state
+            return low + span * (state / MODULUS)
 
         from ..topo import advance_coupled
 

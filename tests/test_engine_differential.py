@@ -147,6 +147,7 @@ def assert_matrix_identical(params, seed, horizon, phases, stops):
                 f"{name} differs from des on {field!r} "
                 f"(params={params}, seed={seed}, phases={phases}, stops={stops})"
             )
+    return des
 
 
 @pytest.mark.parametrize("censor", CENSORING)
@@ -197,6 +198,73 @@ def test_batch_backends_identical_mid_run():
         for k in range(2):
             assert py.rng_states(k) == compiled.rng_states(k)
             assert py.members[k].round_times == compiled.members[k].round_times
+
+
+# -- the compiled kernel's pending ring -------------------------------
+#
+# The C kernel keeps the pending expiries in a ring sorted by
+# ``(expiry, node)``: a join pops its head, a redraw walks back from
+# its tail, and the ring is rebuilt from the expiries before every
+# call.  These rows aim at that ring: re-entries with cascades open,
+# exact ties, redraws that land among the pending expiries, and (in
+# the resume test below) resumed horizons on the dense path.
+
+#: The Fig-10 (up) and Fig-11 (down) points to 1e5 s with cluster
+#: history.  The round and group series outgrow the compiled backend's
+#: 64-slot buffers many times over, and the kernel returns
+#: ``STATUS_ROUNDS_FULL`` / ``STATUS_GROUPS_FULL`` just before a close,
+#: with that cascade still open (all 20 members once synchronized).
+FIG10_ROWS = [(0.1, "unsynchronized"), (0.3, "synchronized")]
+
+
+@pytest.mark.parametrize("censor", CENSORING)
+@pytest.mark.parametrize("tr,phases", FIG10_ROWS)
+def test_fig10_long_horizon_rows_reenter_with_cascades_open(tr, phases, censor):
+    params = RouterTimingParameters(n_nodes=20, tp=121.0, tc=0.11, tr=tr)
+    for seed in (1, 2):
+        des = assert_matrix_identical(
+            params, seed, 1e5, phases, _stop_flags(phases, censor)
+        )
+        assert len(des["round_times"]) > 64
+        assert len(des["groups"]) > 64
+
+
+#: Exact ties: with Tr = 0 every member of a cascade redraws the same
+#: expiry, so the node id orders them; synchronized starts and explicit
+#: phases with repeated values tie from time zero.  Each row outgrows
+#: the 64-slot round buffer, so ties also meet the ring's rebuild.
+TIE_ROWS = [
+    (6, 20.0, 0.3, 0.0, "synchronized"),
+    (8, 20.0, 0.3, 0.0, "unsynchronized"),
+    (12, 20.0, 0.11, 0.0,
+     [0.0, 0.0, 5.0, 5.0, 2.5, 0.0, 19.0, 5.0, 2.5, 2.5, 0.0, 19.0]),
+    (7, 20.0, 0.5, 0.5, [1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 1.0]),
+]
+
+#: Wide jitter: Tr = Tp/2 and Tr = Tp.  At Tr = Tp the interval's low
+#: end is 0, so a redraw can land at (or next to) the close time, ahead
+#: of most pending expiries, and the ring's walk from the tail is long.
+WIDE_ROWS = [
+    (6, 20.0, 0.3, 10.0, "unsynchronized"),
+    (6, 20.0, 0.3, 20.0, "synchronized"),
+    (20, 121.0, 0.11, 60.5, "unsynchronized"),
+    (20, 121.0, 0.11, 121.0, "synchronized"),
+]
+
+
+@pytest.mark.parametrize("n,tp,tc,tr,phases", TIE_ROWS + WIDE_ROWS)
+def test_ring_tie_and_wide_jitter_rows(n, tp, tc, tr, phases):
+    params = RouterTimingParameters(n_nodes=n, tp=tp, tc=tc, tr=tr)
+    horizon = 100.0 * tp
+    for seed in (1, 7):
+        des = assert_matrix_identical(params, seed, horizon, phases, {})
+        assert len(des["round_times"]) > 64
+        reference = run_cascade_topo(params, seed, horizon, phases, {}, "ring")
+        for backend in BACKENDS:
+            row = run_batch_topo(
+                params, seed, horizon, phases, {}, backend, "ring"
+            )
+            assert _drop_phase(row) == _drop_phase(reference), (backend, seed)
 
 
 def run_cascade_topo(params, seed, horizon, phases, stops, topology):
@@ -487,12 +555,15 @@ def test_topology_job_rejects_non_finite_horizon(horizon):
 RESUME_PLAN = [(300.0, {}), (900.0, {"stop_on_full_unsync": True}), (2400.0, {})]
 
 
-@pytest.mark.parametrize("topology", ["ring", "switching(ring|star,period=45.0)"])
+@pytest.mark.parametrize(
+    "topology", ["clique", "ring", "switching(ring|star,period=45.0)"]
+)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_topology_batch_resume_matches_single_run(backend, topology):
-    """Sparse batches resume across horizons and stops: each member
-    equals CascadeModel run through the same plan, and the single-call
-    run on the quantities a pause cannot change."""
+    """Batches resume across horizons and stops: each member equals
+    CascadeModel run through the same plan (and the DES, on the dense
+    path), and the single-call run on the quantities a pause cannot
+    change."""
     params = RouterTimingParameters(n_nodes=7, tp=20.0, tc=0.5, tr=2.0)
     seeds = [3, 4]
     split = BatchCascade(
@@ -519,6 +590,17 @@ def test_topology_batch_resume_matches_single_run(backend, topology):
             split.members[k], [e[k] for e in ends], split.rng_states(k), None
         )
         assert row == reference, (backend, seed)
+        if topology == "clique":
+            des = PeriodicMessagesModel(
+                ModelConfig.from_parameters(
+                    params, seed=seed, keep_cluster_history=True
+                ),
+            )
+            des_ends = [des.run(until=h, **stops) for h, stops in RESUME_PLAN]
+            assert _trace(
+                des.tracker, des_ends, [r.rng._gen.state for r in des.routers],
+                None,
+            ) == reference, seed
         assert split.rng_states(k) == whole.rng_states(k)
         assert split.members[k].round_times == whole.members[k].round_times
         assert split.members[k].first_time_at_least == (
