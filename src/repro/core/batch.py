@@ -1,22 +1,24 @@
-"""Batched backend for the cascade rule.
+"""Batched backend for the cascade rule, and the cascade rule's set-up.
 
-One :class:`~repro.core.fastsim.CascadeModel` per seed pays for a
-model object, its stream spawning and a Python-level heap per seed.
-:class:`BatchCascade` advances a whole ensemble of seeds instead: it
-derives every member's router streams and initial phases in one pass,
-then runs each member through the bundled C kernel or, where that
-cannot build, through the same scalar loop ``CascadeModel`` runs.
+:class:`BatchCascade` advances a whole ensemble of seeds: it derives
+every member's router streams and initial phases in one pass, then
+runs each member through the bundled C kernel or, where that cannot
+build, through the Python loop :func:`repro.topo.advance_coupled`.
+It holds the only copy of the per-seed set-up:
+:class:`~repro.core.fastsim.CascadeModel`, the ``cascade`` engine, is
+a one-member view over a ``backend="python"`` batch.
 
 Bit-for-bit identity
 --------------------
-Each member's trajectory is identical to ``CascadeModel(params,
-seed=s)`` — not statistically, *byte for byte* — because both
-backends replay the exact same arithmetic in the exact same order:
+Each member's trajectory is identical to the DES
+(:class:`~repro.core.model.PeriodicMessagesModel`) with ``seed=s`` —
+not statistically, *byte for byte* — because both backends replay
+the exact same arithmetic in the exact same order:
 
 * Stream derivation repeats :meth:`repro.rng.RandomSource.spawn`
-  verbatim: one master Lehmer advance per router, the same
-  multiplicative mix, the same ``n + 1`` stream id for the phase
-  stream.
+  verbatim: the same seed folding, one master Lehmer advance per
+  router, the same multiplicative mix, the same ``n + 1`` stream id
+  for the phase stream.
 * Each router's interval draws are ``low + (high - low) * (state /
   m)`` with the same operand order, so every float rounds the same
   way.
@@ -30,7 +32,7 @@ backends replay the exact same arithmetic in the exact same order:
   maximum, contiguous first-passage frontiers) with the same window,
   eviction order and backfills.
 
-All of it is verified against ``CascadeModel`` and the DES by
+All of it is verified against the DES by
 ``tests/test_engine_differential.py``, including consumed-RNG
 positions.
 
@@ -44,9 +46,9 @@ Backends
     adjacency per coupling phase.  Needs NumPy for its packed state.
 ``python``
     No third-party dependencies; always available.  Each member runs
-    the heap + :class:`~repro.core.clusters.ClusterTracker` loop of
-    ``CascadeModel``, :func:`repro.topo.advance_coupled` (with no
-    coupling when the graph is complete).
+    a heap + :class:`~repro.core.clusters.ClusterTracker` through
+    :func:`repro.topo.advance_coupled` (with no coupling when the
+    graph is complete); both are built at construction.
 
 :func:`default_backend` picks ``compiled`` whenever the C kernel
 resolves on this platform and ``python`` otherwise.  The choice is
@@ -77,6 +79,10 @@ BACKENDS = ("python", "compiled")
 _MOD = 2**31 - 1  # == repro.rng.lehmer.MODULUS
 _MUL = 16807  # == repro.rng.lehmer.MULTIPLIER
 
+#: Most round-buffer slots a compiled member starts with (64 KiB of
+#: series per member).
+ROUNDS_CAP_MAX = 4096
+
 
 def default_backend() -> str:
     """The backend new instances use when none is forced.
@@ -103,7 +109,7 @@ def compiled_backend_available() -> bool:
 class BatchMember:
     """One ensemble member's trajectory state and statistics.
 
-    Exposes the same outputs as ``CascadeModel`` + its tracker:
+    Exposes the same outputs as a :class:`ClusterTracker`:
     :attr:`first_time_at_least` / :attr:`first_time_at_most` (the
     first-passage dicts), :attr:`round_times` / :attr:`round_largest`
     (the per-round largest-cluster series), :attr:`groups` (closed
@@ -157,9 +163,9 @@ class BatchCascade:
         The (N, Tp, Tc, Tr) tuple, shared by every member.
     seeds:
         One master seed per ensemble member; member ``k`` reproduces
-        ``CascadeModel(params, seed=seeds[k], ...)`` bit for bit.
+        the DES with ``seed=seeds[k]`` bit for bit.
     initial_phases:
-        As in ``CascadeModel``: "unsynchronized" (uniform on [0, Tp]
+        As in the DES: "unsynchronized" (uniform on [0, Tp]
         from each member's own phase stream), "synchronized" (all
         zero), or explicit phases applied to every member.
     keep_cluster_history:
@@ -173,8 +179,8 @@ class BatchCascade:
         Optional :class:`~repro.topo.TopologySpec` (or canonical
         string).  Every coupling runs the graph-coupled rule: on
         ``python`` through :func:`repro.topo.advance_coupled` with
-        per-member :class:`ClusterTracker` state (the code path
-        ``CascadeModel`` uses), on ``compiled`` through the C kernel
+        per-member :class:`ClusterTracker` state, on ``compiled``
+        through the C kernel
         over per-phase CSR adjacency.  ``None`` and complete couplings
         run with no coupling (no adjacency in C), which skips the
         adjacency test.
@@ -217,14 +223,10 @@ class BatchCascade:
             coupling = Coupling(self.topology, n)
             if not coupling.is_complete:
                 self._coupling = coupling
-        # Per-member scalar-path state (lazily built on the first
-        # scalar run): pending-expiry heaps and real trackers.
-        self._heaps: list | None = None
-        self._trackers: list | None = None
         self._n = n
         self._m = len(seeds)
         self._tc = params.tc
-        # The interval draw's operands, fixed once: CascadeModel passes
+        # The interval draw's operands, fixed once: the DES passes
         # (tp - tr, tp + tr) into uniform(), which multiplies by
         # (high - low).  Same floats, same order, here.
         self._low = params.tp - params.tr
@@ -273,6 +275,13 @@ class BatchCascade:
         self._rng_state = states
         self._phase_states = phase_states
         self._members = members
+        # python backend: per-member pending-expiry heaps and real
+        # trackers, live from construction (CascadeModel exposes
+        # member 0's tracker as its own).
+        self._heaps: list = []
+        self._trackers: list = []
+        if backend == "python":
+            self._build_scalar()
 
         # Lazily-built packed per-member state (compiled backend).
         self._cstate: list | None = None
@@ -297,9 +306,9 @@ class BatchCascade:
     def rng_states(self, k: int) -> list[int]:
         """Member ``k``'s current per-router Lehmer states.
 
-        Equal to ``[m._rngs[i]._gen.state for i in range(n)]`` of the
-        equivalent ``CascadeModel`` at the same point — the witness
-        that both engines consumed each stream to the same position.
+        Equal to ``[r.rng._gen.state for r in des.routers]`` of the
+        equivalent DES at the same point — the witness that both
+        engines consumed each stream to the same position.
         """
         if self._cstate is not None:
             return [int(v) for v in self._cstate[k].rng]
@@ -320,8 +329,8 @@ class BatchCascade:
     ) -> list[float]:
         """Advance every member to the horizon or its stop condition.
 
-        Semantically ``CascadeModel.run(until, ...)`` applied to each
-        member independently; returns the per-member ``now`` values.
+        Each member advances independently (``CascadeModel.run`` is
+        this with one member); returns the per-member ``now`` values.
         Resumable: a later call with a larger horizon picks each member
         up exactly where it stopped (members that met a stop condition
         continue, as the serial engine would).
@@ -335,36 +344,40 @@ class BatchCascade:
 
     # -- scalar path (python backend) ------------------------------------
 
+    def _build_scalar(self) -> None:
+        """Seed each member's heap and tracker from the derived state.
+
+        The heap is the sorted ``(expiry, node)`` list (ties break on
+        node id, the DES's FIFO order for the initial schedule), and
+        the tracker's containers *are* the member's views: further
+        mutation on either side is shared.
+        """
+        n = self._n
+        for k, member in enumerate(self._members):
+            base = k * n
+            heap = sorted((self._expiry[base + i], i) for i in range(n))
+            tracker = ClusterTracker(n, keep_history=self._keep_history)
+            member.first_time_at_least = tracker.first_time_at_least
+            member.first_time_at_most = tracker.first_time_at_most
+            member.round_times = tracker.round_times
+            member.round_largest = tracker.round_largest
+            member.groups = tracker.groups
+            self._heaps.append(heap)
+            self._trackers.append(tracker)
+
     def _run_scalar(
         self, until: float, stop_sync: bool, stop_unsync: bool
     ) -> None:
-        """Advance every member through the shared scalar loop.
+        """Advance every member through :func:`repro.topo.advance_coupled`.
 
-        :func:`repro.topo.advance_coupled`, as in ``CascadeModel``
-        (no coupling when the graph is complete).  Member ``k``
-        reproduces ``CascadeModel(params, seed=seeds[k], topology=...)``
-        bit for bit: same heap seeding, same per-router stream order
-        (``draw`` maps local node ``i`` to flat stream ``k*n + i``),
-        and a real :class:`ClusterTracker` whose output containers
-        *are* the member's views.
+        No coupling when the graph is complete.  ``draw`` maps member
+        ``k``'s local node ``i`` to flat stream ``k*n + i``, and each
+        member's real :class:`ClusterTracker` has output containers
+        that *are* the member's views.  ``CascadeModel.run`` calls
+        this directly, so a traced run of the ``cascade`` engine does
+        not count as a batch run.
         """
         n = self._n
-        if self._heaps is None:
-            self._heaps = []
-            self._trackers = []
-            for k, member in enumerate(self._members):
-                base = k * n
-                heap = sorted((self._expiry[base + i], i) for i in range(n))
-                tracker = ClusterTracker(n, keep_history=self._keep_history)
-                # The tracker's containers become the member's views:
-                # further mutation on either side is shared.
-                member.first_time_at_least = tracker.first_time_at_least
-                member.first_time_at_most = tracker.first_time_at_most
-                member.round_times = tracker.round_times
-                member.round_largest = tracker.round_largest
-                member.groups = tracker.groups
-                self._heaps.append(heap)
-                self._trackers.append(tracker)
         from ..topo import advance_coupled
 
         rng = self._rng_state
@@ -393,7 +406,22 @@ class BatchCascade:
 
     # -- compiled kernel (C) ---------------------------------------------
 
-    def _ensure_compiled(self) -> None:
+    def _rounds_cap(self, until: float) -> int:
+        """Round-buffer slots for a run to ``until``.
+
+        A router resets at most once per ``low + tc`` seconds (its
+        redraw, then at least one ``tc`` of window), so a round takes
+        at least that long and ``until / (low + tc)`` rounds fit, give
+        or take the rounds in progress at either end.  Capped at
+        :data:`ROUNDS_CAP_MAX`, since horizons arrive from request
+        bodies; a longer or resumed run regrows the buffer.
+        """
+        shortest = self._low + self._tc
+        if not (until > 0.0 and shortest > 0.0):
+            return 64
+        return int(min(until / shortest + 2.0, ROUNDS_CAP_MAX))
+
+    def _ensure_compiled(self, until: float) -> None:
         if self._cstate is not None:
             return
         from . import _batch_kernel
@@ -413,12 +441,14 @@ class BatchCascade:
             phases=() if coupling is None else coupling.phases,
             period=None if coupling is None else coupling.period,
         )
+        rounds_cap = self._rounds_cap(until)
         self._cstate = [
             _batch_kernel.MemberState(
                 self._expiry[k * n : (k + 1) * n],
                 self._rng_state[k * n : (k + 1) * n],
                 n,
                 self._keep_history,
+                rounds_cap,
             )
             for k in range(self._m)
         ]
@@ -428,7 +458,7 @@ class BatchCascade:
     ) -> None:
         from ._batch_kernel import advance
 
-        self._ensure_compiled()
+        self._ensure_compiled(until)
         kernel = self._cimpl
         run = self._crun
         run.set_call(until, stop_sync, stop_unsync)

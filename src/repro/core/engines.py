@@ -16,16 +16,19 @@ Engines
 ``cascade``
     :class:`~repro.core.fastsim.CascadeModel`: one heap of pending
     expiries, the cascade rule applied directly.  Bit-identical to
-    the DES, one model per seed.
+    the DES, one model per seed.  It is a one-member ``batch`` on the
+    ``python`` backend, so it never runs the C kernel and stays the
+    oracle the C kernel is checked against.
 ``batch``
     :class:`~repro.core.batch.BatchCascade`: the cascade rule over a
     whole ensemble — many seeds advanced by one kernel, bit-identical
     to ``cascade`` member by member.  Two backends (see
     :data:`repro.core.batch.BACKENDS`): ``compiled`` (the cascade
     kernel as a C module built with the system compiler, the default
-    wherever it builds) and ``python`` (``cascade``'s own loop run per
-    member, the zero-dependency fallback where it does not).  Both
-    are enforced byte-identical by ``tests/test_engine_differential.py``.
+    wherever it builds) and ``python``
+    (:func:`repro.topo.advance_coupled` per member, the
+    zero-dependency fallback where it does not).  Both are enforced
+    byte-identical by ``tests/test_engine_differential.py``.
 """
 
 from __future__ import annotations

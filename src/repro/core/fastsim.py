@@ -10,25 +10,22 @@ expiry that falls inside it; everyone in the cascade resets together
 when the window closes.
 
 :class:`CascadeModel` simulates exactly that rule with a heap of
-pending expiries — no event queue, no per-message bookkeeping.  The
-loop itself is :func:`repro.topo.advance_coupled`, the graph-coupled
-rule, run with no coupling (every router hears every reset); the
-batch engine's python backend (:mod:`repro.core.batch`) runs it per
-member as well.  Run with the same seed, it consumes each router's
-random stream in the same per-router order as the DES and therefore reproduces the DES
-trajectory *bit for bit* (verified in
-``tests/test_engine_differential.py``), making it both a fast engine for
-large ensembles and an executable proof that the DES implements the
-model it claims to.
+pending expiries — no event queue, no per-message bookkeeping.  It is
+a one-member view over a ``backend="python"``
+:class:`~repro.core.batch.BatchCascade`, which holds the one copy of
+the per-seed set-up (stream derivation, phase draws, heap seeding)
+and runs the loop :func:`repro.topo.advance_coupled`; it never runs
+the C kernel, so it stays the oracle the C kernel is checked against.
+Run with the same seed, it consumes each router's random stream in
+the same order as the DES and reproduces the DES trajectory *bit for
+bit* (``tests/test_engine_differential.py``).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Literal, Sequence
 
-from ..rng import MODULUS, MULTIPLIER, RandomSource
-from .clusters import ClusterTracker
+from .batch import BatchCascade
 from .parameters import RouterTimingParameters
 
 __all__ = ["CascadeModel"]
@@ -69,39 +66,37 @@ class CascadeModel:
         keep_cluster_history: bool = False,
         topology=None,
     ) -> None:
-        self.params = params
-        n = params.n_nodes
-        self.topology = None
-        self._coupling = None
-        if topology is not None:
-            from ..topo import Coupling, ensure_spec
-
-            self.topology = ensure_spec(topology)
-            coupling = Coupling(self.topology, n)
-            if not coupling.is_complete:
-                self._coupling = coupling
-        self.tracker = ClusterTracker(n, keep_history=keep_cluster_history)
-        master = RandomSource(seed=seed)
-        self._rngs = [master.spawn(i) for i in range(n)]
-        phase_rng = master.spawn(n + 1)
-        if initial_phases == "unsynchronized":
-            phases = [phase_rng.uniform(0.0, params.tp) for _ in range(n)]
-        elif initial_phases == "synchronized":
-            phases = [0.0] * n
-        else:
-            phases = [float(p) for p in initial_phases]
-            if len(phases) != n:
-                raise ValueError(f"expected {n} phases, got {len(phases)}")
-            if any(p < 0 for p in phases):
-                raise ValueError("initial phases must be non-negative")
-        # Heap of (expiry_time, node). Ties break on node id, which
-        # matches the DES's FIFO tie-break for the initial schedule.
-        self._heap: list[tuple[float, int]] = sorted(
-            (phase, node) for node, phase in enumerate(phases)
+        self._batch = BatchCascade(
+            params,
+            [seed],
+            initial_phases=initial_phases,
+            keep_cluster_history=keep_cluster_history,
+            backend="python",
+            topology=topology,
         )
-        heapq.heapify(self._heap)
-        self.now = 0.0
-        self.total_cascades = 0
+        self._member = self._batch.members[0]
+        self.params = params
+        self.topology = self._batch.topology
+        self.tracker = self._batch._trackers[0]
+
+    @property
+    def _coupling(self):
+        """The coupling the loop tests adjacency on (None: complete)."""
+        return self._batch._coupling
+
+    @_coupling.setter
+    def _coupling(self, coupling) -> None:
+        self._batch._coupling = coupling
+
+    @property
+    def now(self) -> float:
+        """Simulated time reached so far."""
+        return self._member.now
+
+    @property
+    def total_cascades(self) -> int:
+        """Cascades closed so far."""
+        return self._member.total_cascades
 
     def run(
         self,
@@ -110,35 +105,10 @@ class CascadeModel:
         stop_on_full_unsync: bool = False,
     ) -> float:
         """Advance cascades until the horizon or a stop condition."""
-        params = self.params
-        low = params.tp - params.tr
-        span = (params.tp + params.tr) - low
-        gens = [rng._gen for rng in self._rngs]
-
-        def draw(node: int) -> float:
-            # RandomSource.uniform(low, high) with the Lehmer step
-            # inline: the same state update and the same float
-            # operands in the same order.
-            gen = gens[node]
-            state = (MULTIPLIER * gen._state) % MODULUS
-            gen._state = state
-            return low + span * (state / MODULUS)
-
-        from ..topo import advance_coupled
-
-        stop_time, closed, stopped = advance_coupled(
-            self._heap,
-            self._coupling,
-            self.tracker,
-            draw,
-            params.tc,
-            until,
-            stop_on_full_sync=stop_on_full_sync,
-            stop_on_full_unsync=stop_on_full_unsync,
+        self._batch._run_scalar(
+            float(until), stop_on_full_sync, stop_on_full_unsync
         )
-        self.total_cascades += closed
-        self.now = stop_time if stopped else max(self.now, until)
-        return self.now
+        return self._member.now
 
     @property
     def synchronization_time(self) -> float | None:

@@ -16,9 +16,11 @@ point derives its own RNG streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .engines import resolve_engine
 from .fastsim import CascadeModel
 from .model import ModelConfig, PeriodicMessagesModel
 from .parameters import RouterTimingParameters
@@ -57,12 +59,6 @@ class SweepResult:
         return None if self.time is None else self.time / round_length
 
 
-def _validate_engine(engine: str) -> None:
-    from .engines import resolve_engine
-
-    resolve_engine(engine)
-
-
 def time_to_synchronize(
     params: RouterTimingParameters,
     horizon: float,
@@ -79,23 +75,7 @@ def time_to_synchronize(
     tests/test_engine_differential.py).  Config overrides (e.g. a
     notification delay) force the DES.
     """
-    _validate_engine(engine)
-    if engine == "batch" and not config_overrides:
-        from .batch import BatchCascade
-
-        batch = BatchCascade(params, [seed], initial_phases="unsynchronized")
-        batch.run(until=horizon, stop_on_full_sync=True)
-        return batch.members[0].synchronization_time
-    if engine == "cascade" and not config_overrides:
-        model = CascadeModel(params, seed=seed, initial_phases="unsynchronized")
-        model.run(until=horizon, stop_on_full_sync=True)
-        return model.synchronization_time
-    config = ModelConfig.from_parameters(
-        params, seed=seed, keep_cluster_history=False, **config_overrides
-    )
-    des = PeriodicMessagesModel(config, initial_phases="unsynchronized")
-    des.run(until=horizon, stop_on_full_sync=True)
-    return des.tracker.synchronization_time
+    return _terminal_time(params, horizon, seed, engine, "up", config_overrides)
 
 
 def time_to_break_up(
@@ -109,23 +89,48 @@ def time_to_break_up(
 
     See :func:`time_to_synchronize` for the ``engine`` parameter.
     """
-    _validate_engine(engine)
-    if engine == "batch" and not config_overrides:
-        from .batch import BatchCascade
+    return _terminal_time(params, horizon, seed, engine, "down", config_overrides)
 
-        batch = BatchCascade(params, [seed], initial_phases="synchronized")
-        batch.run(until=horizon, stop_on_full_unsync=True)
-        return batch.members[0].breakup_time
-    if engine == "cascade" and not config_overrides:
-        model = CascadeModel(params, seed=seed, initial_phases="synchronized")
-        model.run(until=horizon, stop_on_full_unsync=True)
-        return model.breakup_time
-    config = ModelConfig.from_parameters(
-        params, seed=seed, keep_cluster_history=False, **config_overrides
-    )
-    des = PeriodicMessagesModel(config, initial_phases="synchronized")
-    des.run(until=horizon, stop_on_full_unsync=True)
-    return des.tracker.breakup_time
+
+def _terminal_time(
+    params: RouterTimingParameters,
+    horizon: float,
+    seed: int,
+    engine: str,
+    direction: str,
+    config_overrides: dict,
+) -> float | None:
+    """One first-passage run: a :class:`~repro.parallel.SimulationJob`
+    through :func:`~repro.parallel.run_job`, whatever the engine.
+
+    Config overrides need the DES itself.  A horizon a job spec
+    refuses (non-finite or not positive) is still accepted here, as
+    it always was, and runs on the engine's own model: the DES, or
+    ``CascadeModel`` for ``cascade`` and ``batch``, which agree on
+    every horizon (a NaN horizon advances neither of them, while the
+    DES runs on to the stop condition).
+    """
+    resolve_engine(engine)
+    if not config_overrides and math.isfinite(horizon) and horizon > 0:
+        from ..parallel.job import SimulationJob, run_job
+
+        job = SimulationJob.from_params(
+            params, seed=seed, horizon=horizon, direction=direction,
+            engine=engine,
+        )
+        return run_job(job).terminal_time(job)
+    up = direction == "up"
+    phases = "unsynchronized" if up else "synchronized"
+    if config_overrides or engine == "des":
+        config = ModelConfig.from_parameters(
+            params, seed=seed, keep_cluster_history=False, **config_overrides
+        )
+        model = PeriodicMessagesModel(config, initial_phases=phases)
+    else:
+        model = CascadeModel(params, seed=seed, initial_phases=phases)
+    model.run(until=horizon, stop_on_full_sync=up, stop_on_full_unsync=not up)
+    tracker = model.tracker
+    return tracker.synchronization_time if up else tracker.breakup_time
 
 
 def _run_sweep(
@@ -162,7 +167,7 @@ def _run_sweep(
 
     if direction not in ("synchronize", "break_up"):
         raise ValueError(f"unknown direction {direction!r}")
-    _validate_engine(engine)
+    resolve_engine(engine)
     job_direction = "up" if direction == "synchronize" else "down"
     grid = [
         (value, seed, params)
@@ -313,7 +318,7 @@ def find_transition_n(
         resolve_checkpoint,
     )
 
-    _validate_engine(engine)
+    resolve_engine(engine)
     from ..topo import ensure_spec
 
     topology = ensure_spec(topology).canonical()

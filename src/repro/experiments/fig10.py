@@ -9,24 +9,13 @@ the comparison here checks that same shape and gap.
 
 from __future__ import annotations
 
-from ..core import CascadeModel, FirstPassageEnsemble, RouterTimingParameters
+from ..core import FirstPassageEnsemble, RouterTimingParameters
 from ..markov import synchronization_times
 from .result import FigureResult
 
-__all__ = ["run", "simulate_first_passage_up"]
+__all__ = ["run"]
 
 PAPER_PARAMS = RouterTimingParameters(n_nodes=20, tp=121.0, tc=0.11, tr=0.1)
-
-
-def simulate_first_passage_up(
-    params: RouterTimingParameters,
-    horizon: float,
-    seed: int,
-) -> dict[int, float]:
-    """First time each cluster size is reached, from an unsync start."""
-    model = CascadeModel(params, seed=seed, initial_phases="unsynchronized")
-    model.run(until=horizon, stop_on_full_sync=True)
-    return dict(model.tracker.first_time_at_least)
 
 
 def run(

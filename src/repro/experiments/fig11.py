@@ -7,24 +7,13 @@ falls to each size i; the solid line is ``(Tp + Tc) * g(i)``.
 
 from __future__ import annotations
 
-from ..core import CascadeModel, FirstPassageEnsemble, RouterTimingParameters
+from ..core import FirstPassageEnsemble, RouterTimingParameters
 from ..markov import synchronization_times
 from .result import FigureResult
 
-__all__ = ["run", "simulate_first_passage_down"]
+__all__ = ["run"]
 
 PAPER_PARAMS = RouterTimingParameters(n_nodes=20, tp=121.0, tc=0.11, tr=0.3)
-
-
-def simulate_first_passage_down(
-    params: RouterTimingParameters,
-    horizon: float,
-    seed: int,
-) -> dict[int, float]:
-    """First time the largest per-round cluster drops to each size."""
-    model = CascadeModel(params, seed=seed, initial_phases="synchronized")
-    model.run(until=horizon, stop_on_full_unsync=True)
-    return dict(model.tracker.first_time_at_most)
 
 
 def run(

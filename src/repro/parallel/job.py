@@ -33,6 +33,7 @@ __all__ = [
     "JobResult",
     "SimulationJob",
     "batch_group_key",
+    "kernel_groups",
     "run_batch",
     "run_job",
     "run_jobs",
@@ -341,35 +342,42 @@ def run_batch(
     ]
 
 
+def kernel_groups(
+    jobs: Sequence[SimulationJob], faults=None
+) -> tuple[list[int], list[list[int]]]:
+    """Split job positions into jobs run alone and shared-kernel groups.
+
+    Batch-engine jobs share one kernel per :func:`batch_group_key`,
+    unless a fault plan is armed: the plan must see the same per-job
+    hook sequence on every engine, so chaos runs go job by job
+    through :func:`run_job`.  Both lists keep input order.
+    """
+    singles: list[int] = []
+    groups: dict[tuple, list[int]] = {}
+    for i, job in enumerate(jobs):
+        if job.engine == "batch" and faults is None:
+            groups.setdefault(batch_group_key(job), []).append(i)
+        else:
+            singles.append(i)
+    return singles, list(groups.values())
+
+
 def run_jobs(
     jobs: Sequence[SimulationJob], faults=None, attempt: int = 0
 ) -> list[JobResult]:
     """Execute a chunk of jobs (the pool worker entry point).
 
     Batch-engine jobs in the chunk are regrouped by parameter point
-    and advanced through shared kernels — this is the "batch within a
-    worker" half of the fan-out; the runner's chunking is the other.
-    Results always come back in input order.
+    (:func:`kernel_groups`) and advanced through shared kernels — this
+    is the "batch within a worker" half of the fan-out; the runner's
+    chunking is the other.  Results always come back in input order.
 
     The fault plan (picklable, stateless) travels to the worker with
     the chunk, so injected worker-side failures are as deterministic
-    as the simulations themselves.  When a plan is armed, batch jobs
-    run one by one through :func:`run_job` so the plan sees the same
-    per-job hook sequence on every engine.
+    as the simulations themselves.  This is :func:`run_jobs_observed`
+    with tracing off, results only.
     """
-    jobs = list(jobs)
-    results: list[JobResult | None] = [None] * len(jobs)
-    groups: dict[tuple, list[int]] = {}
-    for i, job in enumerate(jobs):
-        if job.engine == "batch" and faults is None:
-            groups.setdefault(batch_group_key(job), []).append(i)
-        else:
-            results[i] = run_job(job, faults, attempt)
-    for indices in groups.values():
-        outcomes = run_batch([jobs[i] for i in indices])
-        for i, result in zip(indices, outcomes):
-            results[i] = result
-    return results
+    return run_jobs_observed(jobs, faults, attempt, trace=False)[0]
 
 
 def run_jobs_observed(
@@ -397,16 +405,17 @@ def run_jobs_observed(
     jobs = list(jobs)
     slots: list[JobResult | None] = [None] * len(jobs)
 
+    def key(job: SimulationJob) -> str:
+        return job.cache_key()[:12] if trace else ""
+
     def execute() -> None:
         with tracer.span("worker.chunk", jobs=len(jobs), attempt=attempt):
-            groups: dict[tuple, list[int]] = {}
-            for i, job in enumerate(jobs):
-                if job.engine == "batch" and faults is None:
-                    groups.setdefault(batch_group_key(job), []).append(i)
-                    continue
+            singles, groups = kernel_groups(jobs, faults)
+            for i in singles:
+                job = jobs[i]
                 with tracer.span(
                     "job.run",
-                    key=job.cache_key()[:12],
+                    key=key(job),
                     seed=job.seed,
                     engine=job.engine,
                     direction=job.direction,
@@ -414,11 +423,11 @@ def run_jobs_observed(
                     attempt=attempt,
                 ):
                     slots[i] = run_job(job, faults, attempt)
-            for indices in groups.values():
+            for indices in groups:
                 members = [jobs[i] for i in indices]
                 with tracer.span(
                     "batch.run",
-                    key=members[0].cache_key()[:12],
+                    key=key(members[0]),
                     members=len(members),
                     engine="batch",
                     direction=members[0].direction,

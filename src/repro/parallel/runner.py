@@ -61,7 +61,7 @@ from .faults import FaultPlan
 from .job import (
     JobResult,
     SimulationJob,
-    batch_group_key,
+    kernel_groups,
     run_batch,
     run_job,
     run_jobs,
@@ -272,7 +272,7 @@ class ParallelRunner:
             if self.jobs > 1 and len(pending) > 1:
                 self._run_pooled(pending, commit, fail)
             else:
-                self._run_serial(pending, commit, fail, first_attempt=0)
+                self._run_serial(pending, commit, fail)
 
         if failures:
             if self.on_error == "raise":
@@ -292,32 +292,21 @@ class ParallelRunner:
         pending: Sequence[tuple[int, SimulationJob]],
         commit: Callable,
         fail: Callable,
-        first_attempt: int,
     ) -> None:
-        singles: list[tuple[int, SimulationJob]] = []
-        groups: dict[tuple, list[tuple[int, SimulationJob]]] = {}
         # Batch-engine jobs sharing a parameter point advance through
-        # one kernel (same grouping the pool workers apply inside
-        # run_jobs).  Chaos runs and fallback retries stay per-job so
-        # fault hooks and attempt accounting keep their semantics.
-        if self.faults is None and first_attempt == 0:
-            for index, spec in pending:
-                if spec.engine == "batch":
-                    groups.setdefault(batch_group_key(spec), []).append(
-                        (index, spec)
-                    )
-                else:
-                    singles.append((index, spec))
-        else:
-            singles = list(pending)
-        for group in groups.values():
+        # one kernel (kernel_groups, the rule pool workers apply too).
+        positions, groups = kernel_groups(
+            [spec for _index, spec in pending], self.faults
+        )
+        singles = [pending[i] for i in positions]
+        for group in groups:
             if len(group) == 1:
-                singles.append(group[0])
+                singles.append(pending[group[0]])
             else:
-                self._run_batch_group(group, commit, fail)
+                self._run_batch_group([pending[i] for i in group], commit, fail)
         singles.sort(key=lambda entry: entry[0])
         for index, spec in singles:
-            self._run_single(index, spec, commit, fail, first_attempt)
+            self._run_single(index, spec, commit, fail, first_attempt=0)
 
     def _run_batch_group(
         self,
@@ -493,7 +482,7 @@ class ParallelRunner:
                 pending=len(pending),
             )
             self.stats.fallback += len(pending)
-            self._run_serial(pending, commit, fail, first_attempt=0)
+            self._run_serial(pending, commit, fail)
             return
 
         # (chunk, error, was_timeout) for every chunk lost in the pool.

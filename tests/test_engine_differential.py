@@ -112,7 +112,7 @@ def run_cascade(params, seed, horizon, phases, stops):
     # CascadeModel does not retain its phase stream after __init__;
     # the batch kernel's phase_rng_state is checked against DES.
     return _trace(
-        model.tracker, end, [rng._gen.state for rng in model._rngs], None
+        model.tracker, end, model._batch.rng_states(0), None
     )
 
 
@@ -210,10 +210,10 @@ def test_batch_backends_identical_mid_run():
 # the resume test below) resumed horizons on the dense path.
 
 #: The Fig-10 (up) and Fig-11 (down) points to 1e5 s with cluster
-#: history.  The round and group series outgrow the compiled backend's
-#: 64-slot buffers many times over, and the kernel returns
-#: ``STATUS_ROUNDS_FULL`` / ``STATUS_GROUPS_FULL`` just before a close,
-#: with that cascade still open (all 20 members once synchronized).
+#: history.  The group series outgrows the compiled backend's 64-slot
+#: group buffer many times over, and the kernel returns
+#: ``STATUS_GROUPS_FULL`` just before a close, with that cascade still
+#: open (all 20 members once synchronized).
 FIG10_ROWS = [(0.1, "unsynchronized"), (0.3, "synchronized")]
 
 
@@ -232,7 +232,7 @@ def test_fig10_long_horizon_rows_reenter_with_cascades_open(tr, phases, censor):
 #: Exact ties: with Tr = 0 every member of a cascade redraws the same
 #: expiry, so the node id orders them; synchronized starts and explicit
 #: phases with repeated values tie from time zero.  Each row outgrows
-#: the 64-slot round buffer, so ties also meet the ring's rebuild.
+#: the 64-slot group buffer, so ties also meet the ring's rebuild.
 TIE_ROWS = [
     (6, 20.0, 0.3, 0.0, "synchronized"),
     (8, 20.0, 0.3, 0.0, "unsynchronized"),
@@ -274,7 +274,7 @@ def run_cascade_topo(params, seed, horizon, phases, stops, topology):
     )
     end = model.run(until=horizon, **stops)
     return _trace(
-        model.tracker, end, [rng._gen.state for rng in model._rngs], None
+        model.tracker, end, model._batch.rng_states(0), None
     )
 
 
@@ -373,7 +373,7 @@ def test_sparse_topology_fuzz():
 
 
 #: fig16-sized sparse rows at the fig16 point (Tp=20, Tc=2, Tr=1).  The
-#: horizons grow each round series past the compiled backend's initial
+#: horizons grow each group series past the compiled backend's initial
 #: 64-slot buffer, so its grow-and-replay return runs with cascades open.
 FIG16_ROWS = [("tree(b=2)", 20, 3000.0), ("erdos_renyi(p=0.12,seed=1)", 96, 16000.0)]
 
@@ -438,10 +438,10 @@ def test_exact_tie_closes_resolve_in_creation_order():
 
     model = CascadeModel(params, seed=1, initial_phases=phases, topology=topology)
     assert model.run(100.0, **stops) == 5.0 + 0.1
-    states = [rng._gen.state for rng in model._rngs]
+    states = model._batch.rng_states(0)
     assert states[1] == one_draw
     assert states[2] == untouched[2]
-    assert (5.0, 2) in model._heap
+    assert (5.0, 2) in model._batch._heaps[0]
     for backend in BACKENDS:
         batch = BatchCascade(
             params, [1], initial_phases=phases, backend=backend, topology=topology
@@ -521,7 +521,7 @@ def test_topology_nan_horizon_advances_nothing(backend, topology):
         )
         model_ends = [model.run(until=h) for h in (float("nan"), 900.0)]
         reference = _trace(
-            model.tracker, model_ends, [rng._gen.state for rng in model._rngs],
+            model.tracker, model_ends, model._batch.rng_states(0),
             None,
         )
         row = _trace(
@@ -583,7 +583,7 @@ def test_topology_batch_resume_matches_single_run(backend, topology):
         model_ends = [model.run(until=h, **stops) for h, stops in RESUME_PLAN]
         assert model_ends[1] < 900.0  # the stop fired
         reference = _trace(
-            model.tracker, model_ends, [rng._gen.state for rng in model._rngs],
+            model.tracker, model_ends, model._batch.rng_states(0),
             None,
         )
         row = _trace(
@@ -617,3 +617,103 @@ def test_compiled_backend_present_when_required():
     if not EXPECT_COMPILED:
         pytest.skip("REPRO_EXPECT_COMPILED not set")
     assert HAVE_COMPILED, "REPRO_EXPECT_COMPILED=1 but the C kernel could not be resolved"
+
+
+#: Seeds that ``_validate_seed`` folds: zero, negatives, the modulus
+#: and its neighbours, and values far past it.  Jobs do not validate
+#: seeds, so any of these can arrive from a request body, the CLI or a
+#: campaign spec.
+EDGE_SEEDS = [0, -5, 2**31 - 2, 2**31 - 1, 2**31, 10**20, -(2**40)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_edge_seed_stream_derivation_replays_spawn(backend):
+    """BatchCascade's inline ``spawn()`` replay, the one stream
+    derivation of the cascade engines, equals ``RandomSource``'s at
+    folding seeds: each member's router streams (``spawn(i)``), its
+    phase stream (``spawn(n + 1)``, after the phase draws) and its
+    initial expiries, read from the state the backend runs on."""
+    params = RouterTimingParameters(n_nodes=5, tp=20.0, tc=0.3, tr=1.0)
+    n = params.n_nodes
+    batch = BatchCascade(params, EDGE_SEEDS, backend=backend)
+    # Every phase is positive, so a zero horizon builds the backend's
+    # state and advances nothing.
+    assert batch.run(until=0.0) == [0.0] * len(EDGE_SEEDS)
+    for k, seed in enumerate(EDGE_SEEDS):
+        master = RandomSource(seed=seed)
+        streams = [master.spawn(i) for i in range(n)]
+        phase_rng = master.spawn(n + 1)
+        phases = [phase_rng.uniform(0.0, params.tp) for _ in range(n)]
+        assert batch.rng_states(k) == [r._gen.state for r in streams], seed
+        assert batch.phase_rng_state(k) == phase_rng._gen.state, seed
+        if backend == "python":
+            expiries = [t for t, _node in sorted(batch._heaps[k], key=lambda e: e[1])]
+        else:
+            expiries = batch._cstate[k].expiry.tolist()
+        assert expiries == phases, seed
+
+
+#: (params, horizon) per coupling: the Fig-10 point on the clique and
+#: the fig16 point on a ring.
+ORACLE_CASES = {
+    "clique": (RouterTimingParameters(n_nodes=20, tp=121.0, tc=0.11, tr=0.1), 2e4),
+    "ring": (RouterTimingParameters(n_nodes=10, tp=20.0, tc=2.0, tr=1.0), 1e4),
+}
+
+
+@pytest.mark.parametrize("topology", sorted(ORACLE_CASES))
+def test_cascade_oracle_independent_of_compiled_kernel(monkeypatch, topology):
+    """``run_job(engine="cascade")`` and ``CascadeModel`` never reach
+    the C kernel: with every compiled entry point made to raise they
+    still finish, with the batch engine's answers from before the
+    patch.  The benchmark's gates check the C kernel against the
+    cascade engine, which must therefore stay the Python loop."""
+    from dataclasses import replace
+
+    from repro.core import _batch_kernel
+    from repro.parallel.job import SimulationJob, run_job
+
+    if EXPECT_COMPILED:
+        assert HAVE_COMPILED
+    params, horizon = ORACLE_CASES[topology]
+    jobs = [
+        SimulationJob.from_params(
+            params, seed=seed, horizon=horizon, direction=direction,
+            engine="batch", topology=topology,
+        )
+        for seed in (1, 2)
+        for direction in ("up", "down")
+    ]
+    expected = [run_job(job) for job in jobs]  # on C wherever it builds
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the compiled kernel ran")
+
+    monkeypatch.setattr(_batch_kernel, "advance", forbidden)
+    monkeypatch.setattr(_batch_kernel, "resolve_compiled", forbidden)
+    if HAVE_COMPILED:  # the patch bites: the batch engine now fails
+        with pytest.raises(AssertionError, match="compiled kernel ran"):
+            run_job(jobs[0])
+    for job, want in zip(jobs, expected):
+        assert run_job(replace(job, engine="cascade")) == want, job
+        up = job.direction == "up"
+        model = CascadeModel(
+            params, seed=job.seed, topology=topology,
+            initial_phases="unsynchronized" if up else "synchronized",
+        )
+        model.run(job.horizon, stop_on_full_sync=up, stop_on_full_unsync=not up)
+        tracker = model.tracker
+        got = tracker.first_time_at_least if up else tracker.first_time_at_most
+        assert got == want.first_passages, job
+
+
+def test_round_buffer_cap_regrows_within_one_call():
+    """A horizon of more than :data:`~repro.core.batch.ROUNDS_CAP_MAX`
+    rounds starts the compiled round buffer at the cap, so a single
+    run fills it and regrows mid-call."""
+    from repro.core.batch import ROUNDS_CAP_MAX
+
+    params = RouterTimingParameters(n_nodes=3, tp=1.0, tc=0.3, tr=0.2)
+    horizon = 1.5 * ROUNDS_CAP_MAX * (params.tp + params.tr + params.tc)
+    des = assert_matrix_identical(params, 5, horizon, "unsynchronized", {})
+    assert len(des["round_times"]) > ROUNDS_CAP_MAX

@@ -54,7 +54,7 @@ def _trace(model):
         dict(tracker.first_time_at_most),
         list(tracker.round_times),
         list(tracker.round_largest),
-        [rng._gen.state for rng in model._rngs],
+        model._batch.rng_states(0),
     )
 
 
