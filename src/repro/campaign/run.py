@@ -13,10 +13,12 @@ One :func:`run_campaign` call executes one shard of one campaign:
    Dispatcher` — local pool or serve fleet, the orchestrator cannot
    tell;
 4. every fresh result is committed to the cache *and* the shard's
-   :class:`~repro.parallel.CheckpointJournal` (one journal commit for
-   the whole chunk) before the next chunk, so a SIGKILL at any moment
-   loses at most one in-flight chunk of compute and zero completed
-   results.
+   :class:`~repro.parallel.CheckpointJournal` before the next chunk —
+   one cache commit (:meth:`~repro.parallel.ResultCache.put_many`:
+   one pack file for the chunk, or one entry file when a single
+   result retires) and one journal commit (one fsync) per chunk — so
+   a SIGKILL at any moment loses at most one in-flight chunk of
+   compute and zero completed results.
 
 Resume is therefore free: re-run the same command and steps 2-3 skip
 everything already done — only missing hashes execute, and because
@@ -217,7 +219,8 @@ def _retire_chunk(
 ) -> None:
     """Retire one chunk: cache hits, journal replays, then dispatch."""
     todo = []
-    hits = replays = 0
+    replayed = []
+    hits = 0
     for job in chunk:
         if cache.get(job) is not None:
             hits += 1
@@ -227,21 +230,24 @@ def _retire_chunk(
             # An interrupted run completed this job but its cache
             # write was lost (best-effort) or the cache moved; replay
             # the journaled result into the cache so reports see it.
-            cache.put(job, journaled)
-            replays += 1
+            replayed.append((job, journaled))
             continue
         todo.append(job)
     results = dispatcher.run(todo) if todo else []
     # None is a job censored by an on_error="censor" local run.
     fresh = [(job, result) for job, result in zip(todo, results) if result is not None]
-    for job, result in fresh:
-        cache.put(job, result)
+    if replayed or fresh:
+        # One cache commit for the chunk: one pack file, or one entry
+        # file when the chunk retires a single result.
+        cache.put_many(replayed + fresh)
     if fresh:
         # One journal commit (one fsync) for the whole chunk, after its
-        # cache puts: a kill before it lands loses this chunk's compute
-        # at most, and the cache entries already written still count.
+        # cache commit: a kill before it lands loses this chunk's
+        # compute at most, and the cache entries already written still
+        # count.
         journal.record(fresh)
     executed = len(fresh)
+    replays = len(replayed)
     summary.executed += executed
     summary.cached += hits
     summary.resumed += replays
@@ -258,9 +264,9 @@ def campaign_status(
     """How far along a campaign is, per shard, without running anything.
 
     One hashing pass over the grid checks each job against the cache
-    (entry on disk = retired) and counts journal-only completions
-    (finished by an interrupted run, not yet replayed into the
-    cache).
+    (``job in cache``: an entry on disk, packed or not = retired) and
+    counts journal-only completions (finished by an interrupted run,
+    not yet replayed into the cache).
     """
     if cache is None:
         cache = ResultCache()
@@ -276,7 +282,7 @@ def campaign_status(
         k = shard_index(job, num_shards)
         row = shards[k]
         row["jobs"] += 1
-        if cache.path_for(job).is_file():
+        if job in cache:
             row["done"] += 1
         elif journals[k].lookup(job) is not None:
             row["journaled"] += 1

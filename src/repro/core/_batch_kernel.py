@@ -261,31 +261,52 @@ class MemberState:
             ]
 
 
+def pack_adjacency(phases, n):
+    """One coupling's CSR adjacency for the kernel: ``(row_ptr, cols)``.
+
+    ``phases`` is :attr:`repro.topo.Coupling.phases`; each phase packs
+    into ``n + 1`` row pointers and its rows of sorted neighbours, so
+    memory is O(n + edges) per phase.  The kernel reads both arrays
+    through const pointers and never writes them, so they are made
+    read-only and one pair serves every batch on the same coupling.
+    """
+    np = _np
+    row_ptr = []
+    cols = []
+    for adj in phases:
+        for u in range(n):
+            row_ptr.append(len(cols))
+            cols.extend(sorted(adj[u]))
+        row_ptr.append(len(cols))
+    arrays = (
+        np.array(row_ptr or [0], dtype=np.int64),
+        np.array(cols or [0], dtype=np.int64),
+    )
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 class RunState:
     """What every member of one batch shares: parameters, adjacency,
     the current call's horizon and stops, and the cascade scratch.
 
-    ``phases`` holds one neighbour-set tuple per coupling phase
-    (:attr:`repro.topo.Coupling.phases`), empty for a complete
-    coupling; ``period`` is the phase dwell time (None: static).
-    Each phase packs into CSR rows of sorted neighbours, so memory is
-    O(n + edges) per phase.
+    ``adjacency`` is a :func:`pack_adjacency` pair, None for a
+    complete coupling; ``period`` is the phase dwell time (None:
+    static).
     """
 
     __slots__ = ("c", "ref", "ring", "_arrays")
 
-    def __init__(self, n, tc, low, span, tol, keep_history, phases=(), period=None):
+    def __init__(self, n, tc, low, span, tol, keep_history, adjacency=None, period=None):
         np = _np
-        row_ptr = []
-        cols = []
-        for adj in phases:
-            for u in range(n):
-                row_ptr.append(len(cols))
-                cols.extend(sorted(adj[u]))
-            row_ptr.append(len(cols))
+        if adjacency is None:
+            nphases = 0
+            adjacency = (np.zeros(1, dtype=np.int64),) * 2
+        else:
+            nphases = adjacency[0].shape[0] // (n + 1)
         arrays = (
-            np.array(row_ptr or [0], dtype=np.int64),
-            np.array(cols or [0], dtype=np.int64),
+            *adjacency,
             np.empty(n, dtype=np.float64),
             # The owner column starts at -1 (no cascade) and every
             # call leaves it there.
@@ -296,7 +317,7 @@ class RunState:
         self._arrays = arrays  # keeps the buffers alive for the C struct
         self.c = _Run(
             n, tc, low, span, tol, 0.0, 0, 0, 1 if keep_history else 0,
-            len(phases), _INF if period is None else period,
+            nphases, _INF if period is None else period,
             *(a.ctypes.data for a in arrays),
         )
         self.ref = ctypes.byref(self.c)

@@ -60,6 +60,7 @@ and sparse couplings alike.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .clusters import RESET_TIME_TOLERANCE, ClusterGroup, ClusterTracker
@@ -82,6 +83,29 @@ _MUL = 16807  # == repro.rng.lehmer.MULTIPLIER
 #: Most round-buffer slots a compiled member starts with (64 KiB of
 #: series per member).
 ROUNDS_CAP_MAX = 4096
+
+#: Couplings kept built, by (canonical spec, n), with their packed CSR
+#: adjacency: a campaign builds a batch per kernel group, and the fig16
+#: study's seven graphs all fit.
+COUPLING_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=COUPLING_CACHE_SIZE)
+def _sparse_coupling(topology: str, n: int):
+    """``topology`` bound to ``n`` routers, or None when the graph is
+    complete (the paper's rule, run with no coupling)."""
+    from ..topo import Coupling
+
+    coupling = Coupling(topology, n)
+    return None if coupling.is_complete else coupling
+
+
+@lru_cache(maxsize=COUPLING_CACHE_SIZE)
+def _packed_adjacency(coupling):
+    """The C kernel's read-only CSR arrays for one coupling."""
+    from . import _batch_kernel
+
+    return _batch_kernel.pack_adjacency(coupling.phases, coupling.n)
 
 
 def default_backend() -> str:
@@ -217,12 +241,10 @@ class BatchCascade:
         self.topology = None
         self._coupling = None
         if topology is not None:
-            from ..topo import Coupling, ensure_spec
+            from ..topo import ensure_spec
 
             self.topology = ensure_spec(topology)
-            coupling = Coupling(self.topology, n)
-            if not coupling.is_complete:
-                self._coupling = coupling
+            self._coupling = _sparse_coupling(self.topology.canonical(), n)
         self._n = n
         self._m = len(seeds)
         self._tc = params.tc
@@ -438,7 +460,7 @@ class BatchCascade:
             self._span,
             RESET_TIME_TOLERANCE,
             self._keep_history,
-            phases=() if coupling is None else coupling.phases,
+            adjacency=None if coupling is None else _packed_adjacency(coupling),
             period=None if coupling is None else coupling.period,
         )
         rounds_cap = self._rounds_cap(until)

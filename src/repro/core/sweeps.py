@@ -106,9 +106,9 @@ def _terminal_time(
     Config overrides need the DES itself.  A horizon a job spec
     refuses (non-finite or not positive) is still accepted here, as
     it always was, and runs on the engine's own model: the DES, or
-    ``CascadeModel`` for ``cascade`` and ``batch``, which agree on
-    every horizon (a NaN horizon advances neither of them, while the
-    DES runs on to the stop condition).
+    ``CascadeModel`` for ``cascade`` and ``batch``.  All three agree
+    on every horizon; a NaN horizon advances none of them, so the run
+    returns None.
     """
     resolve_engine(engine)
     if not config_overrides and math.isfinite(horizon) and horizon > 0:

@@ -126,7 +126,8 @@ class Simulator:
         Events scheduled exactly at ``until`` are processed.  Returns
         the clock value at exit; when a horizon was given and the queue
         outlived it, the clock is advanced to the horizon so that
-        successive ``run`` calls compose.
+        successive ``run`` calls compose.  A NaN horizon runs nothing
+        (no event time is ``<= nan``), as in the cascade engines.
         """
         self._stopped = False
         fired = 0
@@ -136,7 +137,7 @@ class Simulator:
             event = self._next_live_event()
             if event is None:
                 break
-            if until is not None and event.time > until:
+            if until is not None and not (event.time <= until):
                 heapq.heappush(self._heap, event)
                 self._now = max(self._now, until)
                 break

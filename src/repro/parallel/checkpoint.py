@@ -23,7 +23,14 @@ Safety properties:
   ``record`` call, however many jobs it carries).
 * **Science-preserving** — entries store the same canonical
   :class:`~repro.parallel.job.JobResult` serialization the cache
-  uses, so a resumed run is byte-identical to an uninterrupted one.
+  uses (:meth:`~repro.parallel.job.JobResult.canonical_json`, the very
+  text, encoded once per result), so a resumed run is byte-identical
+  to an uninterrupted one.
+
+The journal stays a file of its own beside the result cache, with
+one fsync per :meth:`~CheckpointJournal.record` call: its survival is
+the interrupted-run marker ``campaign status`` and resume read, so it
+is not folded into the cache's packs.
 """
 
 from __future__ import annotations
@@ -175,6 +182,9 @@ class CheckpointJournal:
         """
         index = self._load()
         now = wall_time()
+        # Every line of the commit shares its version and stamp.
+        version = json.dumps(MODEL_VERSION)
+        stamp = json.dumps(now)
         fresh: dict[str, JobResult] = {}
         lines = []
         for job, result in pairs:
@@ -182,14 +192,14 @@ class CheckpointJournal:
             if key in index or key in fresh:
                 continue
             fresh[key] = result
-            entry = {
-                "key": key,
-                "model_version": MODEL_VERSION,
-                "ts": now,
-                "job": job.to_dict(),
-                "result": result.to_dict(),
-            }
-            lines.append(json.dumps(entry, sort_keys=True) + "\n")
+            # Compact sorted-key JSON of {job, key, model_version,
+            # result, ts}, spliced around the result's memoized text so
+            # its floats are encoded once for cache and journal alike.
+            lines.append(
+                f'{{"job":{job.canonical_json()},"key":"{key}",'
+                f'"model_version":{version},"result":{result.canonical_json()},'
+                f'"ts":{stamp}}}\n'
+            )
         if not lines:
             return
         first = next(iter(fresh))

@@ -166,6 +166,11 @@ class SimulationJob:
         """Inverse of :meth:`to_dict`."""
         return cls(**data)
 
+    def canonical_json(self) -> str:
+        """:meth:`to_dict` as compact sorted-key JSON, the form cache
+        entries and journal lines splice in."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
     def cache_key(self) -> str:
         """Content hash of the spec plus the model version tag.
 
@@ -220,6 +225,21 @@ class JobResult:
                 str(size): time for size, time in sorted(self.first_passages.items())
             }
         }
+
+    def canonical_json(self) -> str:
+        """:meth:`to_dict` as compact sorted-key JSON, encoded once.
+
+        Cache entries and journal lines splice this text in, so a
+        result's floats are encoded once however many records carry
+        it.  Memoized on the instance like
+        :meth:`SimulationJob.cache_key` (the memo is not a field); a
+        result is never mutated after it is built.
+        """
+        text = self.__dict__.get("_json_memo")
+        if text is None:
+            text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            object.__setattr__(self, "_json_memo", text)
+        return text
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobResult":

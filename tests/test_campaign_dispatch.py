@@ -211,11 +211,16 @@ class TestServeDispatcherAgainstRealServer:
             build_report(s, local_cache)
         )
         # The cache *files* are byte-identical too — both dispatchers
-        # commit the same canonical serialization.
-        for job in s.jobs():
-            assert serve_cache.path_for(job).read_bytes() == (
-                local_cache.path_for(job).read_bytes()
-            )
+        # commit the same canonical serialization, in the same chunks.
+        def files(cache):
+            return {
+                path.relative_to(cache.root): path.read_bytes()
+                for path in sorted(cache.root.rglob("*"))
+                if path.is_file()
+            }
+
+        assert files(serve_cache) == files(local_cache)
+        assert len(serve_cache) == s.total_jobs
 
     def test_dead_endpoint_fails_fast_and_work_reroutes(self, tmp_path):
         s = spec(seed_count=2)

@@ -96,8 +96,17 @@ class TestBuildReport:
         assert report["missing"] == s.total_jobs
         assert all(row["mean"] is None for row in report["rows"])
 
-    def test_partial_cache_mixes_missing_and_observed(self, completed, tmp_path):
-        s, cache = completed
+    def test_partial_cache_mixes_missing_and_observed(self, tmp_path):
+        s = spec()
+        cache = ResultCache(tmp_path / "cache")
+        # Commit one job at a time, so each entry is a file of its own.
+        run_campaign(
+            s,
+            dispatcher=LocalDispatcher(),
+            cache=cache,
+            checkpoint_root=tmp_path / "ckpt",
+            chunk_size=1,
+        )
         # Drop one entry: the report must degrade that one seed to
         # missing, not fail or miscount.
         victim = next(iter(s.jobs()))

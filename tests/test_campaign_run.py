@@ -172,6 +172,49 @@ class TestRunCampaign:
         )
         assert again.cached == s.total_jobs and commits == []
 
+    def test_one_cache_commit_per_chunk(self, tmp_path):
+        s = spec()  # 10 jobs
+        cache = ResultCache(tmp_path / "cache")
+        run_campaign(s, cache=cache, checkpoint_root=tmp_path / "ckpt", chunk_size=4)
+        packs = sorted((tmp_path / "cache" / "packs").glob("*.pack"))
+        assert sorted(len(p.read_text().splitlines()) for p in packs) == [2, 4, 4]
+        assert not list((tmp_path / "cache").glob("*.json"))
+        assert len(cache) == s.total_jobs
+        status = campaign_status(s, cache=ResultCache(tmp_path / "cache"))
+        assert status["complete"] is True and status["done"] == s.total_jobs
+
+    def test_chunked_report_is_byte_identical_to_one_job_per_commit(
+        self, tmp_path
+    ):
+        s = spec()
+        reports = []
+        for chunk_size in (1, 3, 256):
+            root = tmp_path / f"chunk-{chunk_size}"
+            cache = ResultCache(root / "cache")
+            summary = run_campaign(
+                s, cache=cache, checkpoint_root=root / "ckpt", chunk_size=chunk_size
+            )
+            assert summary.executed == s.total_jobs
+            # A fresh reader sees the same entries as the writer.
+            for reader in (cache, ResultCache(root / "cache")):
+                reports.append(report_json(build_report(s, reader)))
+        assert len(set(reports)) == 1
+        assert not list((tmp_path / "chunk-1" / "cache").glob("packs/*"))
+
+    def test_journal_replays_and_fresh_results_share_one_commit(self, tmp_path):
+        s = spec()
+        jobs = list(s.jobs())
+        journal = shard_journal(s, 0, 1, tmp_path / "ckpt")
+        journal.record([(job, run_job(job)) for job in jobs[:3]])
+        journal.close()
+        cache = ResultCache(tmp_path / "cache")
+        summary = run_campaign(
+            s, cache=cache, checkpoint_root=tmp_path / "ckpt", chunk_size=5
+        )
+        assert (summary.resumed, summary.executed) == (3, s.total_jobs - 3)
+        packs = list((tmp_path / "cache" / "packs").glob("*.pack"))
+        assert len(packs) == 2 and len(cache) == s.total_jobs
+
     def test_chunk_size_validated(self, tmp_path):
         with pytest.raises(ValueError):
             run_campaign(

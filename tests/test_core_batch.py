@@ -68,6 +68,39 @@ class TestConstruction:
             BatchCascade(PARAMS, [1], initial_phases=[0.0, 1.0, -2.0, 3.0, 4.0, 5.0])
 
 
+class TestCouplingMemo:
+    """Each (topology, n) graph is built once per process, and its CSR
+    arrays packed once, however many batches run on it."""
+
+    def test_batches_on_one_graph_share_one_coupling(self):
+        ring = RouterTimingParameters(n_nodes=12, tp=20.0, tc=2.0, tr=1.0)
+        first = BatchCascade(ring, [1], topology="ring", backend="python")
+        again = BatchCascade(ring, [2, 3], topology="ring", backend="python")
+        assert first._coupling is again._coupling
+        assert first._coupling.n == 12
+        other_n = RouterTimingParameters(n_nodes=10, tp=20.0, tc=2.0, tr=1.0)
+        assert BatchCascade(other_n, [1], topology="ring")._coupling.n == 10
+        # A complete graph runs with no coupling, memoized or not.
+        assert BatchCascade(ring, [1], topology="clique")._coupling is None
+
+    @pytest.mark.skipif(
+        not compiled_backend_available(), reason="needs the C kernel"
+    )
+    def test_compiled_batches_share_read_only_adjacency(self):
+        params = RouterTimingParameters(n_nodes=14, tp=20.0, tc=2.0, tr=1.0)
+        runs = []
+        for seeds in ([1, 2], [3]):
+            batch = BatchCascade(
+                params, seeds, topology="tree(b=2)", backend="compiled"
+            )
+            batch.run(until=500.0)
+            runs.append(batch._crun._arrays)
+        assert runs[0][0] is runs[1][0] and runs[0][1] is runs[1][1]
+        assert not runs[0][0].flags.writeable and not runs[0][1].flags.writeable
+        # Scratch stays per batch.
+        assert runs[0][3] is not runs[1][3]
+
+
 class TestRunBatch:
     def test_matches_run_job_per_seed(self):
         jobs = jobs_for([1, 2, 3, 11])

@@ -530,6 +530,34 @@ def test_topology_nan_horizon_advances_nothing(backend, topology):
         assert row == reference, (backend, seed)
 
 
+@pytest.mark.parametrize("engine", ["des", "cascade", "batch"])
+def test_nan_horizon_advances_nothing_on_every_engine(engine):
+    """The library helpers still take a NaN horizon, and it runs
+    nothing on any engine (no time is ``<= nan``), so the run is
+    censored; a finite horizon then agrees across engines."""
+    from repro.core.sweeps import time_to_synchronize
+
+    params = RouterTimingParameters(6, 20.0, 0.3, 0.1)
+    assert time_to_synchronize(params, float("nan"), seed=2, engine=engine) is None
+    assert time_to_synchronize(params, 2000.0, seed=2, engine=engine) == (
+        time_to_synchronize(params, 2000.0, seed=2, engine="cascade")
+    )
+
+
+def test_des_nan_horizon_then_finite_horizon_matches_a_single_run():
+    config = ModelConfig.from_parameters(
+        RouterTimingParameters(6, 20.0, 0.3, 0.1), seed=2
+    )
+    paused = PeriodicMessagesModel(config)
+    paused.run(until=float("nan"))
+    assert paused.sim.now == 0.0 and paused.tracker.total_resets == 0
+    paused.run(until=900.0)
+    single = PeriodicMessagesModel(config)
+    single.run(until=900.0)
+    assert paused.tracker.round_times == single.tracker.round_times
+    assert paused.tracker.first_time_at_least == single.tracker.first_time_at_least
+
+
 @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -1.0, 0.0])
 def test_topology_job_rejects_non_finite_horizon(horizon):
     """Jobs and campaigns refuse a horizon that is not a positive

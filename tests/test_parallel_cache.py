@@ -293,3 +293,195 @@ class TestVerifyRepair:
         (tmp_path / "y.0.0.tmp").write_text("junk")
         assert cache.clear() == 1  # entries only in the count
         assert not any(tmp_path.iterdir())
+
+
+def jobs_for(seeds):
+    return [SimulationJob.from_params(FAST, seed=s, horizon=1000.0) for s in seeds]
+
+
+def results_for(seeds):
+    return [
+        JobResult(first_passages={1: 0.25 * s, 2: 31.5 + s, 5: 812.0625 / s})
+        for s in seeds
+    ]
+
+
+class TestPacks:
+    """Multi-entry commits: one pack file per ``put_many`` call."""
+
+    def test_multi_entry_commit_round_trips(self, tmp_path):
+        jobs, results = jobs_for((1, 2, 3)), results_for((1, 2, 3))
+        cache = ResultCache(tmp_path)
+        assert cache.put_many(zip(jobs, results)) == 3
+        (pack,) = (tmp_path / "packs").iterdir()
+        assert pack.name == f"{jobs[0].cache_key()}.pack"
+        assert not list(tmp_path.glob("*.json"))
+        lines = pack.read_text().splitlines()
+        assert len(lines) == 3
+        for job, result, line in zip(jobs, results, lines):
+            payload = json.loads(line)
+            assert payload == {
+                "cache_key": job.cache_key(),
+                "job": job.to_dict(),
+                "model_version": MODEL_VERSION,
+                "result": result.to_dict(),
+            }
+            assert line == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        for reader in (cache, ResultCache(tmp_path)):
+            assert [reader.get(job) for job in jobs] == results
+            assert all(job in reader for job in jobs)
+        assert cache.hits == 3 and cache.misses == 0
+        # Floats survive bit for bit.
+        assert cache.get(jobs[2]).first_passages[5] == 812.0625 / 3
+
+    def test_single_pair_commit_writes_todays_entry_file(self, tmp_path, job, result):
+        cache = ResultCache(tmp_path)
+        assert cache.put_many([(job, result)]) == 1
+        assert not (tmp_path / "packs").exists()
+        alone = ResultCache(tmp_path / "alone")
+        alone.put(job, result)
+        assert cache.path_for(job).read_bytes() == alone.path_for(job).read_bytes()
+
+    def test_repeated_key_is_stored_once(self, tmp_path, job, result):
+        cache = ResultCache(tmp_path)
+        other = jobs_for((2,))[0]
+        assert cache.put_many([(job, result), (other, result), (job, result)]) == 2
+        assert len(cache) == 2
+
+    def test_pack_written_by_another_instance_after_a_miss_is_found(self, tmp_path):
+        jobs, results = jobs_for((1, 2, 3, 4)), results_for((1, 2, 3, 4))
+        reader = ResultCache(tmp_path)
+        assert reader.get(jobs[0]) is None  # no packs/ yet
+        ResultCache(tmp_path).put_many(zip(jobs[:2], results[:2]))
+        assert reader.get(jobs[0]) == results[0]
+        # packs/ exists and was just scanned: a second pack landing at
+        # once (same file-system timestamp tick) is found too.
+        assert reader.get(jobs[2]) is None
+        ResultCache(tmp_path).put_many(zip(jobs[2:], results[2:]))
+        assert reader.get(jobs[2]) == results[2]
+        assert jobs[3] in reader
+        assert (reader.hits, reader.misses) == (2, 2)
+
+    def test_packs_and_legacy_entry_files_read_side_by_side(self, tmp_path):
+        jobs, results = jobs_for((1, 2, 3, 4)), results_for((1, 2, 3, 4))
+        cache = ResultCache(tmp_path)
+        cache.put_many(zip(jobs[:2], results[:2]))
+        cache.put(jobs[2], results[2])
+        # The indented form older versions wrote.
+        legacy = {
+            "model_version": MODEL_VERSION,
+            "job": jobs[3].to_dict(),
+            "result": results[3].to_dict(),
+        }
+        cache.path_for(jobs[3]).write_text(
+            json.dumps(legacy, sort_keys=True, indent=1) + "\n"
+        )
+        for reader in (cache, ResultCache(tmp_path)):
+            assert [reader.get(job) for job in jobs] == results
+            assert reader.quarantined == 0
+        report = cache.verify()
+        assert (report["entries"], report["valid"], report["corrupt"]) == (4, 4, {})
+
+    def test_truncated_pack_line_quarantines_the_pack(self, tmp_path):
+        jobs, results = jobs_for((1, 2, 3)), results_for((1, 2, 3))
+        cache = ResultCache(tmp_path)
+        cache.put_many(zip(jobs, results))
+        (pack,) = (tmp_path / "packs").glob("*.pack")
+        lines = pack.read_text().splitlines(keepends=True)
+        lines[1] = lines[1][: len(lines[1]) // 3] + "\n"
+        pack.write_text("".join(lines))
+        for reader in (ResultCache(tmp_path), cache):
+            assert reader.get(jobs[0]) == results[0]  # its line is sound
+        reader = ResultCache(tmp_path)
+        assert reader.get(jobs[1]) is None  # a miss, not an error
+        assert reader.quarantined == 1
+        assert not pack.exists()
+        (corpse,) = (tmp_path / "packs").glob("*.corrupt")
+        assert corpse.name == pack.name + ".corrupt"
+        # The pack's other entries went with it: misses, recomputed.
+        assert cache.get(jobs[0]) is None and cache.get(jobs[2]) is None
+        assert cache.put_many(zip(jobs, results)) == 3
+        assert [cache.get(job) for job in jobs] == results
+        assert cache.verify()["quarantined"] == 1
+
+    def test_version_mismatch_in_a_pack_line_quarantines_the_pack(self, tmp_path):
+        jobs, results = jobs_for((1, 2)), results_for((1, 2))
+        cache = ResultCache(tmp_path)
+        cache.put_many(zip(jobs, results))
+        (pack,) = (tmp_path / "packs").glob("*.pack")
+        pack.write_text(pack.read_text().replace(MODEL_VERSION, "fj93-model-0"))
+        assert cache.get(jobs[1]) is None
+        assert cache.quarantined == 1
+        assert cache.get(jobs[0]) is None
+        assert len(cache) == 0
+
+    def test_faults_act_per_entry_on_a_multi_entry_commit(self, tmp_path):
+        jobs, results = jobs_for((1, 2, 3, 4)), results_for((1, 2, 3, 4))
+        cache = ResultCache(
+            tmp_path,
+            faults=FaultPlan.of(
+                FaultPlan.cache_write_error(seeds=(2,)),
+                FaultPlan.cache_corrupt(seeds=(3,)),
+            ),
+        )
+        with pytest.warns(RuntimeWarning, match="cache write failed"):
+            assert cache.put_many(zip(jobs, results)) == 3
+        assert cache.write_errors == 1
+        report = cache.verify()
+        assert (report["entries"], report["valid"]) == (3, 2)
+        (label,) = report["corrupt"]
+        assert label.startswith("packs/") and label.endswith(":2")
+        assert cache.get(jobs[1]) is None  # never written
+        assert cache.quarantined == 0
+        assert cache.get(jobs[0]) == results[0]
+        assert cache.get(jobs[2]) is None  # torn: the pack goes aside
+        assert cache.quarantined == 1
+        assert cache.get(jobs[3]) is None
+
+    def test_oserror_on_the_pack_loses_the_commit_quietly(self, tmp_path):
+        jobs, results = jobs_for((1, 2, 3)), results_for((1, 2, 3))
+        cache = ResultCache(tmp_path, faults=FaultPlan.of(FaultPlan.cache_write_error()))
+        with pytest.warns(RuntimeWarning, match="cache write failed"):
+            assert cache.put_many(zip(jobs, results)) == 0
+        assert cache.write_errors == 3
+        assert len(cache) == 0 and not list(tmp_path.glob("*.tmp"))
+
+    def test_len_verify_repair_clear_count_packed_entries(self, tmp_path):
+        jobs, results = jobs_for(range(1, 7)), results_for(range(1, 7))
+        cache = ResultCache(tmp_path)
+        cache.put_many(zip(jobs[:3], results[:3]))
+        cache.put_many(zip(jobs[3:5], results[3:5]))
+        cache.put(jobs[5], results[5])
+        assert len(cache) == 6
+        report = cache.verify()
+        assert (report["entries"], report["valid"], report["corrupt"]) == (6, 6, {})
+        # Tear one line of the second pack.
+        pack = tmp_path / "packs" / f"{jobs[3].cache_key()}.pack"
+        first, second = pack.read_text().splitlines(keepends=True)
+        pack.write_text(first + second[:40] + "\n")
+        report = cache.verify()
+        assert (report["entries"], report["valid"]) == (6, 5)
+        assert list(report["corrupt"]) == [f"packs/{pack.name}:2"]
+        assert pack.exists()  # verify never mutates
+        done = cache.repair()
+        assert done["quarantined"] == [f"packs/{pack.name}"]
+        assert not pack.exists()
+        after = cache.verify()
+        assert (after["entries"], after["valid"], after["quarantined"]) == (4, 4, 1)
+        assert cache.get(jobs[3]) is None and cache.get(jobs[0]) == results[0]
+        assert len(cache) == 4
+        assert cache.clear() == 4
+        assert len(cache) == 0 and not any(tmp_path.iterdir())
+        assert cache.get(jobs[0]) is None
+
+    def test_replaced_pack_is_reindexed(self, tmp_path):
+        # A later commit with the same first key replaces a pack under
+        # another instance's index: lookups re-index, never misread.
+        jobs, results = jobs_for((1, 2, 3)), results_for((1, 2, 3))
+        reader = ResultCache(tmp_path)
+        ResultCache(tmp_path).put_many(zip(jobs, results))
+        assert reader.get(jobs[2]) == results[2]
+        ResultCache(tmp_path).put_many([(jobs[0], results[0]), (jobs[2], results[2])])
+        assert reader.get(jobs[2]) == results[2]
+        assert reader.get(jobs[1]) is None
+        assert reader.quarantined == 0
