@@ -1,12 +1,13 @@
 """The shared envelope for every ``BENCH_*.json`` snapshot.
 
-``BENCH_parallel.json``, ``BENCH_obs.json`` and ``BENCH_serve.json``
-are diffed across commits, so their framing must not drift: every
-snapshot goes through :func:`bench_envelope`, which stamps one schema
-version, the model version the numbers were produced under, and the
-host context that makes a wall-clock figure interpretable (CPU count,
-platform, Python).  Benchmark-specific payloads ride alongside —
-the envelope owns the frame, never the measurements.
+``BENCH_obs.json`` and ``BENCH_predict.json`` (``python -m repro
+bench --obs|--predict``) are diffed across commits, so their framing
+must not drift: every snapshot goes through :func:`bench_envelope`,
+which stamps one schema version, the model version the numbers were
+produced under, and the host context that makes a wall-clock figure
+interpretable (CPU count, platform, Python).  Benchmark-specific
+payloads ride alongside — the envelope owns the frame, never the
+measurements.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import json
 import os
 import platform
 from pathlib import Path
+
+from .parallel.job import MODEL_VERSION
 
 __all__ = ["BENCH_SCHEMA", "bench_envelope", "host_info", "write_bench_json"]
 
@@ -39,10 +42,6 @@ def bench_envelope(benchmark: str, payload: dict) -> dict:
     (existing snapshots stay greppable); a payload may not shadow a
     frame field.
     """
-    # Imported lazily: repro.parallel's own bench module imports this
-    # one at load time, so a module-level import here would be circular.
-    from .parallel.job import MODEL_VERSION
-
     frame = {
         "bench_schema": BENCH_SCHEMA,
         "benchmark": benchmark,

@@ -10,10 +10,7 @@ Usage::
     repro-sync fig10 --resume          # journal + resume interrupted runs
     repro-sync fig10 --engine batch    # one kernel per ensemble (same numbers)
     repro-sync fig16 --cache-root results/topo-cache   # a second result cache
-    repro-sync bench                   # parallel-layer perf snapshot
     repro-sync bench --obs             # obs-overhead snapshot (BENCH_obs.json)
-    repro-sync bench --serve           # loopback serving snapshot (BENCH_serve.json)
-    repro-sync bench --batch           # batched-kernel snapshot (BENCH_batch.json)
     repro-sync serve --port 8793       # run the simulation-serving API
     repro-sync loadgen --clients 8     # seeded load against a running server
     repro-sync cache verify            # audit results/cache/ entries
@@ -28,7 +25,6 @@ Usage::
     repro-sync campaign report study.toml -o report.json # tables from cache
     repro-sync campaign shard study.toml --shard 0/4     # shard manifest
     repro-sync campaign report study.toml --plot         # ASCII curves
-    repro-sync bench --campaign        # dispatch-overhead snapshot (BENCH_campaign.json)
     repro-sync predict build table-spec.toml     # campaign -> prediction table
     repro-sync predict eval TABLE --point 10,20,0.3,0.1  # one surrogate answer
     repro-sync predict verify TABLE    # audit bounds on fresh seeds
@@ -198,24 +194,10 @@ _OPTIONS: dict[str, dict] = {
         action="store_true",
         help="silence warning-level events (errors still print)",
     ),
-    # 'bench': which snapshot to take (default BENCH_parallel.json).
+    # 'bench': which snapshot to take (one is required).
     "--obs": dict(
         action="store_true",
         help="measure observability on/off overhead -> BENCH_obs.json",
-    ),
-    "--serve": dict(
-        action="store_true",
-        help="run the loopback serving benchmark -> BENCH_serve.json",
-    ),
-    "--batch": dict(
-        action="store_true",
-        help="benchmark the batched kernel (engine=batch, both backends) "
-        "against the serial cascade engine -> BENCH_batch.json",
-    ),
-    "--campaign": dict(
-        action="store_true",
-        help="benchmark campaign dispatch (local pool vs loopback serve "
-        "fleet, warm-cache row) -> BENCH_campaign.json",
     ),
     "--predict": dict(
         action="store_true",
@@ -475,10 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="the trace log (default results/trace.jsonl)",
     )
     bench = target("bench", _run_bench, "--jobs", help="write a perf snapshot")
-    _add(
-        bench.add_mutually_exclusive_group(),
-        "--obs", "--serve", "--batch", "--campaign", "--predict",
-    )
+    _add(bench.add_mutually_exclusive_group(required=True), "--obs", "--predict")
     target(
         "serve", _run_serve, "--host", "--port", "--jobs", "--queue-depth",
         "--deadline", "--workers", "--engine", "--no-cache", "--resume",
@@ -900,64 +879,7 @@ def _run_predict(args) -> int:
 
 
 def _run_bench(args) -> int:
-    """The 'bench' target: emit and print the parallel perf snapshot."""
-    if args.predict:
-        from ..predict.bench import format_predict_table, run_predict_benchmark
-
-        output = "BENCH_predict.json"
-        snapshot = run_predict_benchmark(jobs=args.jobs, output=output)
-        print(format_predict_table(snapshot))
-        print(f"snapshot written to {output}")
-        ok = (
-            snapshot["verify"]["all_in_bound"]
-            and snapshot["fallback"]["byte_identical"]
-            and snapshot["fallback"]["out_of_range_falls_back"]
-        )
-        return 0 if ok else 1
-    if args.campaign:
-        from ..campaign.bench import format_campaign_table, run_campaign_benchmark
-
-        output = "BENCH_campaign.json"
-        snapshot = run_campaign_benchmark(jobs=args.jobs, output=output)
-        print(format_campaign_table(snapshot))
-        print(f"snapshot written to {output}")
-        ok = (
-            snapshot["reports_identical_local_vs_serve"]
-            and snapshot["warm_served_entirely_from_cache"]
-        )
-        return 0 if ok else 1
-    if args.batch:
-        from ..parallel import format_batch_table, run_batch_benchmark
-
-        output = "BENCH_batch.json"
-        snapshot = run_batch_benchmark(jobs=args.jobs, output=output)
-        print(format_batch_table(snapshot))
-        print(f"snapshot written to {output}")
-        return 0 if snapshot["results_identical_across_configs"] else 1
-    if args.serve:
-        from ..serve.bench import format_serve_table, run_serve_benchmark
-
-        output = "BENCH_serve.json"
-        snapshot = run_serve_benchmark(jobs=args.jobs, output=output)
-        print(format_serve_table(snapshot))
-        print(f"snapshot written to {output}")
-        fleet = snapshot.get("fleet") or {}
-        ok = (
-            snapshot["payloads_identical_cold_vs_warm"]
-            and snapshot["warm_served_entirely_from_cache"]
-            and all(
-                row["payloads_identical_cold_vs_warm"]
-                for row in fleet.get("sweep", ())
-            )
-            and (
-                not fleet
-                or (
-                    fleet["restart"]["exactly_once_per_key"]
-                    and fleet["restart"]["drain_exit_code"] == 0
-                )
-            )
-        )
-        return 0 if ok else 1
+    """The 'bench' target: emit and print the obs or predict snapshot."""
     if args.obs:
         from ..obs.bench import format_obs_table, run_obs_benchmark
 
@@ -967,13 +889,18 @@ def _run_bench(args) -> int:
         print(f"snapshot written to {output}")
         ok = snapshot["within_budget"] and snapshot["results_identical_with_obs"]
         return 0 if ok else 1
-    from ..parallel import format_table, run_benchmark
+    from ..predict.bench import format_predict_table, run_predict_benchmark
 
-    output = "BENCH_parallel.json"
-    snapshot = run_benchmark(jobs=args.jobs, output=output)
-    print(format_table(snapshot))
+    output = "BENCH_predict.json"
+    snapshot = run_predict_benchmark(jobs=args.jobs, output=output)
+    print(format_predict_table(snapshot))
     print(f"snapshot written to {output}")
-    return 0 if snapshot["results_identical_across_configs"] else 1
+    ok = (
+        snapshot["verify"]["all_in_bound"]
+        and snapshot["fallback"]["byte_identical"]
+        and snapshot["fallback"]["out_of_range_falls_back"]
+    )
+    return 0 if ok else 1
 
 
 def _run_obs(args) -> int:

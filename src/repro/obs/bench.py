@@ -1,11 +1,12 @@
 """The observability overhead benchmark (``python -m repro bench --obs``).
 
-Runs the same workload as the parallel-layer benchmark — the 20-seed
-Figure 10 first-passage ensemble — twice per repeat: once with the
-obs runtime disabled (the production default) and once with tracing
-and metrics enabled.  The two must produce identical first-passage
-results (checked on every run: instrumentation is inert), and the
-median wall-clock delta is the measured cost of observability.
+Runs the 20-seed Figure 10 first-passage ensemble (N=20, Tp=121 s,
+Tc=0.11 s, Tr=0.1 s, cascade engine, ``jobs=1``) twice per repeat:
+once with the obs runtime disabled (the production default) and once
+with tracing and metrics enabled.  The two must produce identical
+first-passage results (checked on every run: instrumentation is
+inert), and the median wall-clock delta is the measured cost of
+observability.
 
 The snapshot is written as JSON — ``BENCH_obs.json`` at the repo root
 by convention — and the acceptance budget is **overhead < 5%**.  Runs
@@ -27,9 +28,16 @@ __all__ = ["OVERHEAD_BUDGET_PERCENT", "format_obs_table", "run_obs_benchmark"]
 #: The acceptance ceiling for enabled-vs-disabled overhead.
 OVERHEAD_BUDGET_PERCENT = 5.0
 
+#: The Figure 10 parameter point (see experiments/fig10.py).
+BENCH_PARAMS = {"n_nodes": 20, "tp": 121.0, "tc": 0.11, "tr": 0.1}
+
+#: Default horizon: long enough that most of the 20 seeds reach full
+#: synchronization (mean sync time is ~2e5 s at Tr = 0.1).
+DEFAULT_HORIZON = 2e5
+
 
 def run_obs_benchmark(
-    horizon: float | None = None,
+    horizon: float = DEFAULT_HORIZON,
     seeds: Sequence[int] = tuple(range(1, 21)),
     repeats: int = 3,
     output: str | os.PathLike | None = None,
@@ -40,18 +48,22 @@ def run_obs_benchmark(
     ----------
     horizon, seeds:
         Workload scale; defaults reproduce the canonical snapshot
-        (20 seeds, 2e5 s — the same workload as BENCH_parallel.json).
+        (20 seeds, 2e5 s).
     repeats:
         Off/on pairs to run; the snapshot reports medians.
     output:
         If given, the snapshot JSON is written there.
     """
-    from ..parallel.bench import BENCH_PARAMS, DEFAULT_HORIZON, _specs
+    from ..parallel.job import SimulationJob
     from ..parallel.runner import ParallelRunner
 
-    if horizon is None:
-        horizon = DEFAULT_HORIZON
-    specs = _specs(horizon, seeds, "cascade")
+    specs = [
+        SimulationJob(
+            seed=seed, horizon=horizon, direction="up", engine="cascade",
+            **BENCH_PARAMS,
+        )
+        for seed in seeds
+    ]
 
     def one_run(enabled: bool):
         if enabled:

@@ -26,9 +26,7 @@ way ``repro.net`` hand-rolls its packet layer) with
   coordinated whole-fleet drain;
 * a stdlib **client** and a seeded, deterministic **load generator**
   whose periodic clients jitter their timers with the paper's own
-  ``[Tp - Tr, Tp + Tr]`` rule (:mod:`repro.serve.loadgen`);
-* a **loopback bench** writing ``BENCH_serve.json`` in the shared
-  envelope (:mod:`repro.serve.bench`).
+  ``[Tp - Tr, Tp + Tr]`` rule (:mod:`repro.serve.loadgen`).
 
 Serving never touches simulation semantics: response bodies are
 canonical JSON that is byte-identical to what the direct
@@ -38,7 +36,6 @@ canonical JSON that is byte-identical to what the direct
 
 from __future__ import annotations
 
-from .bench import run_serve_benchmark
 from .client import ApiResponse, ServeClient
 from .coalesce import CoalesceCancelledError, Coalescer
 from .config import ServeConfig
@@ -74,7 +71,6 @@ __all__ = [
     "format_report",
     "run_chaos_load",
     "run_load",
-    "run_serve_benchmark",
     "serve_forever",
     "simulation_payload",
     "supervise",

@@ -13,7 +13,7 @@ Two execution modes:
 
 * **virtual** (default) — ticks are replayed in schedule order as
   fast as the server answers; wall-clock-free and fully
-  deterministic, the mode tests and the bench use.
+  deterministic, the mode the tests use.
 * **real** — one thread per client sleeps its jittered intervals and
   fires on time; this exercises genuine concurrency (coalescing,
   backpressure) at the cost of timing-dependent interleaving.

@@ -349,7 +349,7 @@ class SupervisedServer:
     The multi-process sibling of
     :class:`~repro.serve.lifecycle.BackgroundServer`: workers are real
     subprocesses accepting on a shared socket, but the supervisor's
-    monitor loop runs in this process, so tests and the bench can
+    monitor loop runs in this process, so tests and the benchmark can
     ``kill_worker()``, ``wait_respawn()``, and read
     ``supervisor.restarts`` without scraping logs.
 

@@ -191,26 +191,6 @@ class TestCli:
         assert main(["fig10", "--fast", "--engine", "des", "--topology", "ring"]) == 2
         assert "topology 'ring'" in capsys.readouterr().err
 
-    def test_bench_target_prints_table(self, capsys, monkeypatch, tmp_path):
-        import repro.parallel as parallel
-
-        real_run_benchmark = parallel.run_benchmark
-
-        def tiny_bench(jobs=None, output=None, **kwargs):
-            return real_run_benchmark(
-                jobs=jobs or 1,
-                horizon=2e4,
-                seeds=(1, 2),
-                cache_root=tmp_path / "cache",
-                output=tmp_path / "BENCH_parallel.json",
-            )
-
-        monkeypatch.setattr(parallel, "run_benchmark", tiny_bench)
-        assert main(["bench"]) == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        assert (tmp_path / "BENCH_parallel.json").exists()
-
 
 class TestServingCli:
     def test_parser_serving_defaults(self):
@@ -226,9 +206,19 @@ class TestServingCli:
         assert args.duration == 3.0
         assert args.real_time is True
 
-    def test_bench_obs_and_serve_mutually_exclusive(self, capsys):
-        assert main(["bench", "--obs", "--serve"]) == 2
-        assert "argument --serve: not allowed with argument --obs" in (
+    def test_bench_obs_and_predict_mutually_exclusive(self, capsys):
+        assert main(["bench", "--obs", "--predict"]) == 2
+        assert "argument --predict: not allowed with argument --obs" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--batch"], ["--serve"], ["--campaign"]],
+        ids=["none", "batch", "serve", "campaign"],
+    )
+    def test_bench_needs_obs_or_predict(self, capsys, flags):
+        assert main(["bench", *flags]) == 2
+        assert "one of the arguments --obs --predict is required" in (
             capsys.readouterr().err
         )
 
