@@ -141,7 +141,7 @@ _OPTIONS: dict[str, dict] = {
         type=_jobs,
         metavar="N",
         help="worker processes for simulation fan-out (default: 1, or the "
-        "CPU count for 'bench'); results do not depend on this",
+        "CPU count for 'bench --predict'); results do not depend on this",
     ),
     "--engine": dict(
         type=_engine,
@@ -361,14 +361,19 @@ class _TargetParser(argparse.ArgumentParser):
     argparse fills a required positional before an optional one, so in
     ``campaign run`` the lone word lands in SPEC and the action stays
     unset.  An unset action whose path is an action word therefore
-    means the path is missing, and that is a usage error.
+    means the path is missing, and that is a usage error.  So is a
+    flag given with a mode flag whose handler does not read it.
     """
 
     actions: tuple[str, ...] = ()
     path_name: str | None = None  # metavar of a required path positional
+    excludes: tuple[tuple[str, str], ...] = ()  # (mode flag, unread flag)
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
+        for mode, flag in self.excludes:
+            if getattr(namespace, mode[2:]) and getattr(namespace, flag[2:]):
+                self.error(f"argument {flag}: not allowed with argument {mode}")
         if self.actions and namespace.action is None:
             if self.path_name and namespace.path in self.actions:
                 self.error(f"the following arguments are required: {self.path_name}")
@@ -458,6 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench = target("bench", _run_bench, "--jobs", help="write a perf snapshot")
     _add(bench.add_mutually_exclusive_group(required=True), "--obs", "--predict")
+    bench.excludes = (("--obs", "--jobs"),)  # the obs bench runs jobs=1
     target(
         "serve", _run_serve, "--host", "--port", "--jobs", "--queue-depth",
         "--deadline", "--workers", "--engine", "--no-cache", "--resume",

@@ -32,6 +32,13 @@ __all__ = ["RETRYABLE_STATUSES", "ApiResponse", "ServeClient"]
 #: likely be exceeded again.
 RETRYABLE_STATUSES = (429, 503)
 
+#: A peer that dropped the connection after the request went out: a
+#: hang-up before answering (``RemoteDisconnected`` is a reset), a
+#: reset, or a broken pipe.  Every route is idempotent by content
+#: hash, so re-sending is safe.  A refused connect is not among them:
+#: a dead endpoint still fails fast.
+_DROPPED = (ConnectionResetError, BrokenPipeError)
+
 
 @dataclass
 class ApiResponse:
@@ -66,9 +73,10 @@ class ServeClient:
     Construct with ``retries > 0`` to honor 429/503 ``Retry-After``
     hints: each such response sleeps the server's (deterministic,
     job-keyed) hint and re-sends, up to ``retries`` extra attempts;
-    the last response is returned either way.  ``retries=0`` (the
-    default) preserves the PR-4 behavior exactly — backpressure is
-    surfaced, never absorbed.
+    the last response is returned either way.  A connection dropped
+    after the request went out also re-sends from the same budget, at
+    once.  ``retries=0`` (the default) surfaces backpressure and
+    drops, never absorbs them.
 
     ``connect_timeout`` (optional) bounds only the TCP handshake,
     separately from the read ``timeout``: set it when the cost of a
@@ -130,21 +138,26 @@ class ServeClient:
 
         A 429/503 carrying a ``Retry-After`` header sleeps exactly
         the server's hint (capped at ``max_retry_after``) and
-        re-sends, up to ``retries`` extra attempts; the final
-        response — success or not — is returned.  Retries performed
-        are counted in :attr:`retried`.
+        re-sends; a dropped connection re-sends at once.  Both draw
+        on one budget of ``retries`` extra attempts; the final
+        response — success or not — is returned, and the final drop
+        is raised.  Retries performed are counted in :attr:`retried`.
         """
-        response = self._exchange(method, path, payload)
-        for _ in range(self.retries):
-            if response.status not in RETRYABLE_STATUSES:
-                break
-            hint = response.retry_after
-            if hint is None:
-                break
+        attempt = 0
+        while True:
+            last = attempt == self.retries
+            try:
+                response = self._exchange(method, path, payload)
+            except _DROPPED:
+                if last:
+                    raise
+            else:
+                hint = response.retry_after
+                if last or response.status not in RETRYABLE_STATUSES or hint is None:
+                    return response
+                _sleep(min(hint, self.max_retry_after))
+            attempt += 1
             self.retried += 1
-            _sleep(min(hint, self.max_retry_after))
-            response = self._exchange(method, path, payload)
-        return response
 
     def _exchange(
         self, method: str, path: str, payload=None

@@ -30,8 +30,8 @@ class CoalesceCancelledError(RuntimeError):
     retryable 503 + Retry-After — a cancelled leader must never
     silently drop the followers' connections.  The leader settles the
     shared future with this error on its way out (see
-    ``SimulationServer._lead_async``); ``_await_body`` also maps a
-    directly-cancelled future to it for the same reason.
+    ``SimulationServer._lead_async``), and ``_await_pieces`` answers
+    it, like a directly-cancelled future, with the retryable 503.
     """
 
 

@@ -86,8 +86,9 @@ class LoadPlan:
 
     ``retries`` is forwarded to each :class:`ServeClient`: with
     ``retries > 0`` the fleet honors 429/503 ``Retry-After`` hints
-    (sleeping the server's own deterministic jitter) instead of
-    booking backpressure as terminal errors.
+    (sleeping the server's own deterministic jitter) and re-sends
+    over a dropped connection, instead of booking backpressure or a
+    killed worker as terminal errors.
     """
 
     clients: int = 4
@@ -399,7 +400,7 @@ def format_report(report: dict) -> str:
     ]
     if report.get("retried"):
         lines.append(
-            f"  client retries honoring Retry-After: {report['retried']}"
+            f"  client retries (Retry-After or dropped): {report['retried']}"
         )
     chaos = report.get("chaos")
     if chaos is not None:

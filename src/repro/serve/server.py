@@ -1,25 +1,28 @@
-"""The asyncio simulation server: admit → coalesce → cache → pool.
+"""The asyncio simulation server: coalesce → admit → cache → pool.
 
 A :class:`SimulationServer` turns the existing job/cache/obs stack
-into a long-running JSON-over-HTTP service.  The request path is the
-serving skeleton later sharding / multi-backend work builds on:
+into a long-running JSON-over-HTTP service.  ``/v1/simulate``,
+``/v1/sweep`` and the ``/v1/predict`` fallback share one compute path
+(:meth:`SimulationServer._compute`); each route only parses its body
+and wraps the payload bytes:
 
-1. **Admit** — every compute request passes the bounded
-   :class:`~repro.serve.queue.AdmissionQueue`; over the limit it is
-   shed with ``429`` and a jittered, job-keyed ``Retry-After``.
-2. **Coalesce** — requests are single-flighted on the job's content
+1. **Coalesce** — every job spec is single-flighted on its content
    hash (:class:`~repro.serve.coalesce.Coalescer`): N identical
-   concurrent requests cost one computation, and all N receive the
-   same bytes.
-3. **Cache** — cold results are written through the PR-1
+   concurrent requests, on any route, cost one computation, and all N
+   receive the same bytes.
+2. **Admit** — the specs a request leads pass the bounded
+   :class:`~repro.serve.queue.AdmissionQueue` as one batch; over the
+   limit they are shed with ``429`` and a jittered, job-keyed
+   ``Retry-After``.
+3. **Cache** — cold results are written through the
    :class:`~repro.parallel.ResultCache`, so a restarted server serves
    warm immediately.
-4. **Pool** — the actual simulation runs on a
+4. **Pool** — the simulation runs on a
    :class:`~repro.parallel.ParallelRunner` (process pool when
    ``jobs > 1``) inside the default thread executor, keeping the
    event loop free; the per-request deadline doubles as the runner's
-   PR-2 watchdog timeout, so a hung job becomes ``504``, never a
-   wedged loop.
+   watchdog timeout, so a hung job becomes ``504``, never a wedged
+   loop.
 
 Endpoints::
 
@@ -87,6 +90,9 @@ __all__ = [
 #: limit — the admission queue is what bounds concurrent work).
 MAX_SWEEP_JOBS = 4096
 
+#: ``GET /v1/figures/{figNN}`` is the one route matched by prefix.
+FIGURE_PREFIX = "/v1/figures/"
+
 
 def simulation_payload(job: SimulationJob, result: JobResult) -> bytes:
     """The canonical response bytes for one completed job.
@@ -117,6 +123,15 @@ def figure_payload(result) -> bytes:
             "metrics": result.metrics,
             "notes": list(result.notes),
         }
+    )
+
+
+def _retry_response(status: int, retry_after: float, **body) -> HttpResponse:
+    """A retryable answer: the hint in the body and as ``Retry-After``."""
+    return json_response(
+        status,
+        {**body, "retry_after": round(retry_after, 3)},
+        headers={"retry-after": f"{retry_after:.3f}"},
     )
 
 
@@ -174,6 +189,16 @@ class SimulationServer:
         )
         self._job_runner = job_runner or self._run_specs
         self._figure_runner = figure_runner or self._run_figure
+        #: ``path -> (method, handler)``; :data:`FIGURE_PREFIX` paths
+        #: route to :meth:`_figure`.
+        self._routes = {
+            "/healthz": ("GET", self._healthz),
+            "/readyz": ("GET", self._readyz),
+            "/metrics": ("GET", self._metrics),
+            "/v1/simulate": ("POST", self._simulate),
+            "/v1/sweep": ("POST", self._sweep),
+            "/v1/predict": ("POST", self._predict_route),
+        }
         self.draining = False
         self._asgi_server: asyncio.AbstractServer | None = None
         self._stopped: asyncio.Event | None = None
@@ -426,14 +451,10 @@ class SimulationServer:
             while True:
                 try:
                     request = await read_request(reader)
-                except PayloadTooLargeError as error:
-                    await self._write(
-                        writer, json_response(413, {"error": str(error)}), False
-                    )
-                    break
                 except BadRequestError as error:
+                    status = 413 if isinstance(error, PayloadTooLargeError) else 400
                     await self._write(
-                        writer, json_response(400, {"error": str(error)}), False
+                        writer, json_response(status, {"error": str(error)}), False
                     )
                     break
                 if request is None:
@@ -463,7 +484,10 @@ class SimulationServer:
             # transport.close() would otherwise raise into the GC.
             with suppress(RuntimeError):
                 writer.close()
-            with suppress(Exception):
+            # A handler cancelled at stop can be waiting right here;
+            # ending cancelled would make asyncio log the connection
+            # task's CancelledError, so the wait ends quietly instead.
+            with suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
 
     async def _write(self, writer, response: HttpResponse, keep: bool) -> None:
@@ -499,55 +523,38 @@ class SimulationServer:
         return response
 
     async def _dispatch(self, request: HttpRequest) -> HttpResponse:
-        path, method = request.path, request.method
-        if path == "/healthz":
-            if method != "GET":
-                return json_response(405, {"error": "use GET"})
-            # pid identifies *which* worker answered — behind a
-            # prefork fleet every fresh connection may land elsewhere.
-            # model_version + loaded table id let fleet operators
-            # detect stale-surrogate skew before byte-identity breaks.
-            service = self._predict_service()
-            return json_response(
-                200,
-                {
-                    "status": "ok",
-                    "pid": os.getpid(),
-                    "model_version": MODEL_VERSION,
-                    "predict_table": (
-                        service.table_id if service is not None else None
-                    ),
-                },
-            )
-        if path == "/readyz":
-            if method != "GET":
-                return json_response(405, {"error": "use GET"})
-            if self.draining:
-                return json_response(503, {"ready": False, "draining": True})
-            return json_response(200, {"ready": True, "draining": False})
-        if path == "/metrics":
-            if method != "GET":
-                return json_response(405, {"error": "use GET"})
-            return self._metrics_response()
-        if path == "/v1/simulate":
-            if method != "POST":
-                return json_response(405, {"error": "use POST"})
-            return await self._simulate(request)
-        if path == "/v1/sweep":
-            if method != "POST":
-                return json_response(405, {"error": "use POST"})
-            return await self._sweep(request)
-        if path == "/v1/predict":
-            if method != "POST":
-                return json_response(405, {"error": "use POST"})
-            return await self._predict_route(request)
-        if path.startswith("/v1/figures/"):
-            if method != "GET":
-                return json_response(405, {"error": "use GET"})
-            return await self._figure(path.removeprefix("/v1/figures/"))
-        return json_response(404, {"error": f"no route for {path}"})
+        route = self._routes.get(request.path)
+        if route is None and request.path.startswith(FIGURE_PREFIX):
+            route = ("GET", self._figure)
+        if route is None:
+            return json_response(404, {"error": f"no route for {request.path}"})
+        method, handler = route
+        if request.method != method:
+            return json_response(405, {"error": f"use {method}"})
+        return await handler(request)
 
-    def _metrics_response(self) -> HttpResponse:
+    async def _healthz(self, request: HttpRequest) -> HttpResponse:
+        # pid identifies *which* worker answered — behind a prefork
+        # fleet every fresh connection may land elsewhere.
+        # model_version + loaded table id let fleet operators detect
+        # stale-surrogate skew before byte-identity breaks.
+        service = self._predict_service()
+        return json_response(
+            200,
+            {
+                "status": "ok",
+                "pid": os.getpid(),
+                "model_version": MODEL_VERSION,
+                "predict_table": service.table_id if service is not None else None,
+            },
+        )
+
+    async def _readyz(self, request: HttpRequest) -> HttpResponse:
+        if self.draining:
+            return json_response(503, {"ready": False, "draining": True})
+        return json_response(200, {"ready": True, "draining": False})
+
+    async def _metrics(self, request: HttpRequest) -> HttpResponse:
         o = obs()
         snapshot = {
             "serve": self.metrics.snapshot(),
@@ -566,19 +573,10 @@ class SimulationServer:
             raise BadRequestError(f"invalid job spec: {error}")
 
     async def _simulate(self, request: HttpRequest) -> HttpResponse:
-        spec = self._parse_spec(request.json())
-        if self.draining:
-            return self._draining_response()
-        key = spec.cache_key()
-        future, leader = self.coalescer.claim(key)
-        if leader:
-            self._lead(
-                [future],
-                key,
-                lambda results, spec=spec: [simulation_payload(spec, results[0])],
-                [spec],
-            )
-        return await self._await_body(future, key)
+        pieces = await self._compute([self._parse_spec(request.json())])
+        if isinstance(pieces, HttpResponse):
+            return pieces
+        return HttpResponse(200, pieces[0])
 
     def _predict_service(self):
         """The loaded prediction tier, or None (lazy, load-once).
@@ -612,8 +610,7 @@ class SimulationServer:
 
     async def _predict_route(self, request: HttpRequest) -> HttpResponse:
         """``POST /v1/predict``: surrogate when trustworthy, else the
-        simulation fallback through the normal admit → coalesce →
-        claims → cache path.
+        simulation fallback through :meth:`_compute`.
 
         A surrogate hit is computed synchronously from the in-memory
         table — it never enters the admission queue, is never shed,
@@ -644,27 +641,16 @@ class SimulationServer:
         self.metrics.counter("serve.predict.fallbacks").inc()
         if reason == "out_of_range":
             self.metrics.counter("serve.predict.out_of_range").inc()
-        if self.draining:
-            return self._draining_response()
-        key = job.cache_key()
-        future, leader = self.coalescer.claim(key)
-        if leader:
-            self._lead(
-                [future],
-                key,
-                lambda results, job=job: [simulation_payload(job, results[0])],
-                [job],
-            )
-        sim_body, failure = await self._await_payload(future, key)
-        if failure is not None:
-            return failure
+        pieces = await self._compute([job])
+        if isinstance(pieces, HttpResponse):
+            return pieces
         meta = {"source": "fallback", "reason": reason, **detail}
         return HttpResponse(
             200,
             b'{"predict":'
             + canonical_json(meta).rstrip(b"\n")
             + b',"simulate":'
-            + sim_body.rstrip(b"\n")
+            + pieces[0].rstrip(b"\n")
             + b"}\n",
         )
 
@@ -680,50 +666,17 @@ class SimulationServer:
                 f"sweep of {len(raw_specs)} jobs exceeds the "
                 f"{MAX_SWEEP_JOBS}-job limit"
             )
-        specs = [self._parse_spec(data) for data in raw_specs]
-        if self.draining:
-            return self._draining_response()
-
-        # Claim every job; compute only the ones this request leads.
-        # Jobs already in flight (a concurrent /v1/simulate, or a
-        # duplicate spec within this sweep) coalesce for free.
-        futures: list[asyncio.Future] = []
-        led_futures: list[asyncio.Future] = []
-        led_specs: list[SimulationJob] = []
-        for spec in specs:
-            future, leader = self.coalescer.claim(spec.cache_key())
-            futures.append(future)
-            if leader:
-                led_futures.append(future)
-                led_specs.append(spec)
-        if led_specs:
-            batch_key = led_specs[0].cache_key()
-            self._lead(
-                led_futures,
-                batch_key,
-                lambda results, led=tuple(led_specs): [
-                    simulation_payload(spec, result)
-                    for spec, result in zip(led, results)
-                ],
-                led_specs,
-            )
-        try:
-            pieces = await asyncio.wait_for(
-                asyncio.shield(asyncio.gather(*futures)), self.config.deadline
-            )
-        except QueueFullError as error:
-            return self._shed_response(error)
-        except CoalesceCancelledError:
-            return self._cancelled_response(batch_key if led_specs else "")
-        except (asyncio.TimeoutError, JobTimeoutError):
-            return self._timeout_response()
+        pieces = await self._compute([self._parse_spec(data) for data in raw_specs])
+        if isinstance(pieces, HttpResponse):
+            return pieces
         # Splice the canonical per-job payloads into one canonical
         # body without re-encoding them (bytes equality with the
         # /v1/simulate payloads is part of the contract).
         joined = b",".join(piece.rstrip(b"\n") for piece in pieces)
         return HttpResponse(200, b'{"results":[' + joined + b"]}\n")
 
-    async def _figure(self, figure_id: str) -> HttpResponse:
+    async def _figure(self, request: HttpRequest) -> HttpResponse:
+        figure_id = request.path.removeprefix(FIGURE_PREFIX)
         if figure_id not in figure_ids():
             return json_response(
                 404,
@@ -749,22 +702,47 @@ class SimulationServer:
                 return [body]
 
             self._lead_async([future], key, produce)
-        return await self._await_body(future, key)
+        pieces = await self._await_pieces([future], key)
+        if isinstance(pieces, HttpResponse):
+            return pieces
+        return HttpResponse(200, pieces[0])
 
-    # -- the admit -> compute -> settle machinery -------------------------------
+    # -- the one compute path: coalesce -> admit -> await -----------------------
 
-    def _lead(self, futures, admission_key: str, to_payloads, specs) -> None:
-        """Leader path for job batches: admit, compute on the
-        executor, settle every led future with its payload bytes."""
-        loop = asyncio.get_running_loop()
+    async def _compute(
+        self, specs: list[SimulationJob]
+    ) -> list[bytes] | HttpResponse:
+        """Every job spec a request carries, as payload bytes.
 
-        async def produce() -> list[bytes]:
-            results = await loop.run_in_executor(
-                None, self._execute_specs, list(specs)
-            )
-            return to_payloads(results)
+        Claims each spec once on the coalescer, admits the specs this
+        request leads as one batch (one admission, keyed on the first
+        led spec's hash), runs them on the executor and waits for all
+        payloads through :meth:`_await_pieces`.  Specs already in
+        flight — a concurrent request on any route, or a duplicate
+        within one sweep — coalesce for free.  Returns the payloads in
+        spec order, or the draining / failure response.
+        """
+        if self.draining:
+            return self._draining_response()
+        claims = [self.coalescer.claim(spec.cache_key()) for spec in specs]
+        futures = [future for future, _ in claims]
+        led = [i for i, (_, leader) in enumerate(claims) if leader]
+        key = specs[led[0] if led else 0].cache_key()
+        if led:
+            led_specs = [specs[i] for i in led]
+            loop = asyncio.get_running_loop()
 
-        self._lead_async(futures, admission_key, produce)
+            async def produce() -> list[bytes]:
+                results = await loop.run_in_executor(
+                    None, self._execute_specs, led_specs
+                )
+                return [
+                    simulation_payload(spec, result)
+                    for spec, result in zip(led_specs, results)
+                ]
+
+            self._lead_async([futures[i] for i in led], key, produce)
+        return await self._await_pieces(futures, key)
 
     def _lead_async(self, futures, admission_key: str, produce) -> None:
         """Admit then run ``produce`` as a tracked task; settle
@@ -814,92 +792,64 @@ class SimulationServer:
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
-    async def _await_payload(
-        self, future: asyncio.Future, key: str
-    ) -> tuple[bytes | None, HttpResponse | None]:
-        """Wait (under the request deadline) for the shared bytes.
+    async def _await_pieces(
+        self, futures: list[asyncio.Future], key: str
+    ) -> list[bytes] | HttpResponse:
+        """Wait under the request deadline for every shared payload.
 
-        Returns ``(payload, None)`` on success or ``(None, response)``
-        when the wait resolved to a backpressure/timeout answer —
-        callers that embed the payload in a larger body (the predict
-        fallback) branch on the failure response, plain callers wrap
-        the bytes via :meth:`_await_body`.
+        The serving path's one failure mapping; ``key`` names the
+        request in the 503/504 bodies and seeds the 503's jitter:
+
+        * admission shed (:class:`QueueFullError`) → 429;
+        * a computation cancelled mid-flight (a leader's
+          :class:`CoalesceCancelledError`, or a shared future that was
+          itself cancelled) → 503;
+        * the deadline, or the runner's watchdog → 504.
+
+        429 and 503 carry a deterministic, job-keyed ``Retry-After``
+        (the shed batch's admission key for a 429), so retrying
+        clients spread out instead of re-stampeding.  A cancellation
+        of this handler itself still propagates.
         """
         try:
-            body = await asyncio.wait_for(
-                asyncio.shield(future), self.config.deadline
+            return await asyncio.wait_for(
+                asyncio.shield(asyncio.gather(*futures)), self.config.deadline
             )
         except QueueFullError as error:
-            return None, self._shed_response(error)
-        except CoalesceCancelledError:
-            return None, self._cancelled_response(key)
-        except asyncio.CancelledError:
-            # The shared future itself was cancelled (not this
-            # handler): answer retryably instead of unwinding the
-            # connection.  A genuine handler cancellation propagates.
-            if future.cancelled():
-                return None, self._cancelled_response(key)
-            raise
+            obs().emit(
+                "serve.shed",
+                f"queue full ({error.depth}/{error.limit}); "
+                f"shed with Retry-After {error.retry_after:.3f}s",
+                depth=error.depth,
+                limit=error.limit,
+            )
+            return _retry_response(429, error.retry_after, error="admission queue full")
+        except (CoalesceCancelledError, asyncio.CancelledError) as error:
+            if isinstance(error, asyncio.CancelledError) and not any(
+                future.cancelled() for future in futures
+            ):
+                raise
+            self.metrics.counter("serve.cancelled").inc()
+            return _retry_response(
+                503,
+                self.queue.retry_after(key),
+                error="computation cancelled; safe to retry",
+                key=key,
+            )
         except (asyncio.TimeoutError, JobTimeoutError):
-            return None, self._timeout_response(key)
-        return body, None
-
-    async def _await_body(self, future: asyncio.Future, key: str) -> HttpResponse:
-        """:meth:`_await_payload`, as a complete 200 response."""
-        body, failure = await self._await_payload(future, key)
-        if failure is not None:
-            return failure
-        return HttpResponse(200, body)
+            self.metrics.counter("serve.timeouts").inc()
+            return json_response(
+                504,
+                {
+                    "error": "deadline exceeded",
+                    "deadline": self.config.deadline,
+                    "key": key,
+                },
+            )
 
     def _draining_response(self) -> HttpResponse:
         return json_response(
             503, {"error": "server is draining"}, headers={"connection": "close"}
-        )
-
-    def _shed_response(self, error: QueueFullError) -> HttpResponse:
-        obs().emit(
-            "serve.shed",
-            f"queue full ({error.depth}/{error.limit}); "
-            f"shed with Retry-After {error.retry_after:.3f}s",
-            depth=error.depth,
-            limit=error.limit,
-        )
-        return json_response(
-            429,
-            {
-                "error": "admission queue full",
-                "retry_after": round(error.retry_after, 3),
-            },
-            headers={"retry-after": f"{error.retry_after:.3f}"},
-        )
-
-    def _cancelled_response(self, key: str = "") -> HttpResponse:
-        """Retryable 503 for a computation cancelled mid-flight.
-
-        Carries the same deterministic job-keyed Retry-After as a 429
-        shed, so retrying clients spread out instead of re-stampeding.
-        """
-        self.metrics.counter("serve.cancelled").inc()
-        retry_after = self.queue.retry_after(key or "cancelled")
-        return json_response(
-            503,
-            {
-                "error": "computation cancelled; safe to retry",
-                "key": key,
-                "retry_after": round(retry_after, 3),
-            },
-            headers={"retry-after": f"{retry_after:.3f}"},
-        )
-
-    def _timeout_response(self, key: str = "") -> HttpResponse:
-        self.metrics.counter("serve.timeouts").inc()
-        return json_response(
-            504,
-            {
-                "error": "deadline exceeded",
-                "deadline": self.config.deadline,
-                "key": key,
-            },
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -222,6 +222,13 @@ class TestServingCli:
             capsys.readouterr().err
         )
 
+    def test_bench_obs_rejects_jobs(self, capsys):
+        # The obs bench runs jobs=1; --jobs would be parsed and ignored.
+        assert main(["bench", "--obs", "--jobs", "4"]) == 2
+        assert "argument --jobs: not allowed with argument --obs" in (
+            capsys.readouterr().err
+        )
+
     def test_loadgen_against_a_live_server(self, capsys, tmp_path):
         from repro.serve import BackgroundServer, ServeConfig
 

@@ -3,8 +3,9 @@
 A scripted stub HTTP server answers a fixed sequence of responses, so
 the tests pin down exactly which statuses retry (429/503 with a
 Retry-After), which never do (504, hintless errors), how the sleeps
-follow the server's hint (capped), and that ``retries=0`` preserves
-surface-the-error behavior.
+follow the server's hint (capped), that a connection dropped after
+the request went out draws on the same budget, and that ``retries=0``
+preserves surface-the-error behavior.
 """
 
 import json
@@ -17,9 +18,14 @@ from repro.serve import ServeClient
 from repro.serve.client import RETRYABLE_STATUSES
 
 
+#: A script step that reads the request and hangs up without answering.
+DROP = "drop"
+
+
 class ScriptedServer:
     """Answers a scripted list of (status, headers, body) responses.
 
+    A :data:`DROP` step closes the connection instead of answering.
     Once the script is exhausted every request answers 200 ``{}``.
     """
 
@@ -35,6 +41,9 @@ class ScriptedServer:
                 with outer._lock:
                     outer.requests.append(self.path)
                     step = outer.script.pop(0) if outer.script else None
+                if step == DROP:
+                    self.close_connection = True
+                    return
                 status, headers, body = step or (200, {}, b"{}")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
@@ -149,6 +158,52 @@ class TestRetryPolicy:
                 response = client.request("POST", "/v1/simulate", {"seed": 9})
         assert response.status == 200
         assert stub.requests == ["/v1/simulate", "/v1/simulate"]
+
+
+class TestDroppedConnections:
+    """A peer that hangs up after the request went out (a worker killed
+    mid-request) is retried from the ``retries`` budget; every route
+    is idempotent by content hash, so re-sending is safe."""
+
+    def test_two_dropped_exchanges_retry_to_success(self, sleeps):
+        # Each exchange reconnects once on its own, so two dropped
+        # exchanges are four dropped connections.
+        with ScriptedServer([DROP] * 4) as stub:
+            with ServeClient("127.0.0.1", stub.port, retries=2) as client:
+                response = client.request("POST", "/v1/simulate", {"seed": 9})
+        assert response.status == 200
+        assert client.retried == 2
+        assert stub.requests == ["/v1/simulate"] * 5
+        assert sleeps == []  # no hint to honor: re-sent at once
+
+    def test_retries_zero_keeps_the_single_reconnect(self, sleeps):
+        with ScriptedServer([DROP]) as stub:
+            with ServeClient("127.0.0.1", stub.port) as client:
+                assert client.request("GET", "/x").status == 200
+        with ScriptedServer([DROP] * 2) as stub:
+            with ServeClient("127.0.0.1", stub.port) as client:
+                with pytest.raises(ConnectionResetError):
+                    client.request("GET", "/x")
+        assert client.retried == 0
+
+    def test_drops_and_sheds_share_one_budget(self, sleeps):
+        with ScriptedServer([DROP, DROP, shed(0.1), DROP, DROP]) as stub:
+            with ServeClient("127.0.0.1", stub.port, retries=2) as client:
+                with pytest.raises(ConnectionResetError):
+                    client.request("GET", "/x")
+        assert client.retried == 2
+        assert sleeps == [0.1]
+
+    def test_refused_connect_is_not_retried(self):
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            dead_port = probe.getsockname()[1]
+        with ServeClient("127.0.0.1", dead_port, retries=3) as client:
+            with pytest.raises(ConnectionRefusedError):
+                client.healthz()
+        assert client.retried == 0
 
 
 class TestConnectTimeout:

@@ -9,7 +9,10 @@ the PR's acceptance criteria directly:
   execution and every caller receives identical bytes;
 * backpressure — over the admission limit requests shed with 429 and
   a deterministic ``Retry-After``; past the deadline they answer 504;
-* drain — ``/readyz`` flips to 503, in-flight work completes.
+  ``/v1/simulate``, ``/v1/sweep`` and the ``/v1/predict`` fallback
+  share that path, so each is checked on all three routes;
+* drain — ``/readyz`` flips to 503, in-flight work completes, and a
+  stop with parked connections logs nothing.
 """
 
 import threading
@@ -39,6 +42,25 @@ def spec_dict(seed=1, horizon=1500.0, **overrides):
     )
     base.update(overrides)
     return SimulationJob(**base).to_dict()
+
+
+#: The fields a ``/v1/predict`` query shares with a job spec.
+PREDICT_FIELDS = (
+    "n_nodes", "tp", "tc", "tr", "seed", "horizon", "direction", "engine",
+)
+
+#: The three routes that compute one job spec.
+COMPUTE_ROUTES = ("simulate", "sweep", "predict")
+
+
+def post(client, route, spec):
+    """POST one spec: bare, as a one-job sweep, or as a predict query
+    (no table is loaded, so it falls back to the simulation path)."""
+    if route == "simulate":
+        return client.simulate(spec)
+    if route == "sweep":
+        return client.sweep([spec])
+    return client.predict({name: spec[name] for name in PREDICT_FIELDS})
 
 
 def config(tmp_path, **overrides):
@@ -157,6 +179,22 @@ class TestDeterminism:
         assert response.body == expected
 
 
+def wait_for_followers(bg, count):
+    """Block until ``count`` requests have coalesced behind leaders."""
+    with ServeClient(bg.host, bg.port) as probe:
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            followers = (
+                probe.metrics()["serve"]
+                .get("serve.coalesce.followers", {})
+                .get("value", 0)
+            )
+            if followers >= count:
+                return
+            time.sleep(0.01)
+    pytest.fail("followers never piled up behind the leader")
+
+
 class TestCoalescing:
     def test_eight_concurrent_identical_requests_run_one_job(self, tmp_path):
         runner = GatedRunner()
@@ -177,19 +215,7 @@ class TestCoalescing:
             # Release the (single) computation only once every other
             # request has coalesced behind the leader.
             assert runner.started.wait(timeout=30)
-            with ServeClient(bg.host, bg.port) as probe:
-                deadline = time.monotonic() + 30
-                while time.monotonic() < deadline:
-                    followers = (
-                        probe.metrics()["serve"]
-                        .get("serve.coalesce.followers", {})
-                        .get("value", 0)
-                    )
-                    if followers >= herd - 1:
-                        break
-                    time.sleep(0.01)
-                else:
-                    pytest.fail("followers never piled up behind the leader")
+            wait_for_followers(bg, herd - 1)
             runner.release.set()
             for thread in threads:
                 thread.join(timeout=60)
@@ -199,9 +225,42 @@ class TestCoalescing:
         bodies = {r.body for r in responses}
         assert len(bodies) == 1  # identical bytes to every caller
 
+    def test_simulate_sweep_and_predict_share_one_computation(self, tmp_path):
+        runner = GatedRunner()
+        spec = spec_dict(seed=32)
+        with BackgroundServer(config(tmp_path), job_runner=runner) as bg:
+            responses = {}
+
+            def fire(route):
+                with ServeClient(bg.host, bg.port, timeout=60) as client:
+                    responses[route] = post(client, route, spec)
+
+            threads = [
+                threading.Thread(target=fire, args=(route,))
+                for route in COMPUTE_ROUTES
+            ]
+            for thread in threads:
+                thread.start()
+            assert runner.started.wait(timeout=30)
+            wait_for_followers(bg, len(COMPUTE_ROUTES) - 1)
+            runner.release.set()
+            for thread in threads:
+                thread.join(timeout=60)
+
+        assert runner.calls == [[SimulationJob.from_dict(spec)]]
+        assert {r.status for r in responses.values()} == {200}
+        body = responses["simulate"].body.rstrip(b"\n")
+        assert responses["sweep"].body == b'{"results":[' + body + b"]}\n"
+        predicted = responses["predict"].body
+        assert predicted.endswith(b',"simulate":' + body + b"}\n")
+        assert responses["predict"].json()["predict"]["source"] == "fallback"
+
 
 class TestBackpressure:
-    def test_queue_full_sheds_429_with_deterministic_retry_after(self, tmp_path):
+    @pytest.mark.parametrize("route", COMPUTE_ROUTES)
+    def test_queue_full_sheds_429_with_deterministic_retry_after(
+        self, tmp_path, route
+    ):
         runner = GatedRunner()
         cfg = config(tmp_path, queue_depth=1, retry_after_base=2.0)
         blocker, shed_spec = spec_dict(seed=41), spec_dict(seed=42)
@@ -215,7 +274,7 @@ class TestBackpressure:
             holder.start()
             assert runner.started.wait(timeout=30)
             with ServeClient(bg.host, bg.port) as client:
-                shed = client.simulate(shed_spec)
+                shed = post(client, route, shed_spec)
             runner.release.set()
             holder.join(timeout=60)
 
@@ -227,16 +286,19 @@ class TestBackpressure:
         assert shed.json()["retry_after"] == round(expected, 3)
         assert holder_response[0].status == 200  # the admitted one finished
 
-    def test_deadline_overrun_answers_504(self, tmp_path):
+    @pytest.mark.parametrize("route", COMPUTE_ROUTES)
+    def test_deadline_overrun_answers_504(self, tmp_path, route):
         runner = GatedRunner()
         cfg = config(tmp_path, deadline=0.2)
+        spec = spec_dict(seed=51)
         with BackgroundServer(cfg, job_runner=runner) as bg:
             with ServeClient(bg.host, bg.port, timeout=60) as client:
-                response = client.simulate(spec_dict(seed=51))
+                response = post(client, route, spec)
                 metrics = client.metrics()["serve"]
             runner.release.set()
         assert response.status == 504
         assert response.json()["deadline"] == 0.2
+        assert response.json()["key"] == SimulationJob.from_dict(spec).cache_key()
         assert metrics["serve.timeouts"]["value"] >= 1
 
 
@@ -274,6 +336,25 @@ class TestDrain:
             inflight.join(timeout=60)
         assert inflight_response[0].status == 200
         assert len(runner.calls) == 1
+
+    def test_stop_with_parked_connections_logs_nothing(self, tmp_path):
+        # A stop cancels every connection handler; one cancelled while
+        # closing a hung-up connection must still end quietly.  The
+        # race lands on most rounds, so a few rounds catch a regression.
+        for _ in range(10):
+            recorded = []
+            bg = BackgroundServer(config(tmp_path)).start()
+            bg._loop.call_soon_threadsafe(
+                bg._loop.set_exception_handler,
+                lambda loop, context: recorded.append(context),
+            )
+            parked = ServeClient(bg.host, bg.port)
+            hung_up = ServeClient(bg.host, bg.port)
+            assert parked.healthz().status == hung_up.healthz().status == 200
+            hung_up.close()
+            bg.stop()
+            parked.close()
+            assert recorded == []
 
 
 class TestBatchEngine:
@@ -373,7 +454,7 @@ class TestCancellationPropagation:
             assert isinstance(error, CoalesceCancelledError)
             assert "safe to retry" in str(error)
 
-    def test_await_body_maps_cancellation_to_retryable_503(self, tmp_path):
+    def test_awaiter_maps_cancellation_to_retryable_503(self, tmp_path):
         import asyncio
 
         from repro.parallel import deterministic_jitter
@@ -384,10 +465,10 @@ class TestCancellationPropagation:
             loop = asyncio.get_running_loop()
             settled = loop.create_future()
             settled.set_exception(CoalesceCancelledError("boom"))
-            first = await server._await_body(settled, "k1")
+            first = await server._await_pieces([settled], "k1")
             torn = loop.create_future()
             torn.cancel()
-            second = await server._await_body(torn, "k1")
+            second = await server._await_pieces([torn], "k1")
             return server, first, second
 
         server, first, second = asyncio.run(go())
