@@ -30,6 +30,11 @@ with no packs pays one extra ``stat`` per miss and none per hit.
 Entries embed the spec and version they were computed from, so an
 entry that was hand-edited, truncated, or produced by a different
 model version is detected and treated as a miss rather than trusted.
+A hit is checked as bytes: the entry must start with the job's
+canonical text and the model version exactly as ``put`` writes them
+and end in a brace and a newline, and then only its result member is
+parsed.  An entry in another layout (older indented ones) is parsed
+whole and audited the way ``verify()`` audits it instead.
 
 Robustness model (the cache is an accelerator, never a dependency):
 
@@ -87,6 +92,13 @@ _KEY_END = len(_LINE_HEAD) + 64
 #: not trusted to stand for the directory.
 _MTIME_TICK = 0.05
 
+#: Bytes per ``os.read`` of an entry file; one call covers an entry.
+_READ_CHUNK = 1 << 16
+
+#: Parses a hit's result member (``raw_decode`` skips the whitespace
+#: scans ``json.loads`` adds; a member has none).
+_DECODER = json.JSONDecoder()
+
 
 def _entry_text(job: SimulationJob, result: JobResult) -> str:
     """A ``<key>.json`` body: compact sorted-key JSON of the payload.
@@ -104,6 +116,29 @@ def _entry_text(job: SimulationJob, result: JobResult) -> str:
 def _pack_line(key: str, job: SimulationJob, result: JobResult) -> str:
     """A pack line: the entry payload plus its key, sorted and compact."""
     return f'{_HEAD}{key}",' + _entry_text(job, result)[1:]
+
+
+def _read_bytes(path: str) -> bytes:
+    """A whole file as bytes, through the OS calls alone."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def _write_bytes(path: Path, data: bytes) -> None:
+    """Create or truncate ``path`` and write all of ``data`` to it."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+    finally:
+        os.close(fd)
 
 
 class ResultCache:
@@ -186,20 +221,20 @@ class ResultCache:
         key = job.cache_key()
         packed = self._packed_text(key)
         if packed is None:
-            path = self.path_for(job)
             try:
-                text = path.read_text()
+                # A str path: a hit need not build a Path.
+                data = _read_bytes(f"{self.root}{os.sep}{key}.json")
             except OSError:
                 packed = self._packed_text(key) if self._rescan_packs() else None
                 if packed is None:
                     return self._count(None)
             else:
-                result = self._accept(job, text)
+                result = self._accept(job, data, b"{")
                 if result is None:
-                    self._quarantine(path)
+                    self._quarantine(self.path_for(job))
                 return self._count(result)
         name, line = packed
-        result = self._accept(job, line)
+        result = self._accept(job, line, _LINE_HEAD + key.encode() + b'",')
         if result is None:
             self._quarantine_pack(name)
         return self._count(result)
@@ -211,16 +246,41 @@ class ResultCache:
             self.hits += 1
         return result
 
-    @staticmethod
-    def _accept(job: SimulationJob, text: str | bytes) -> JobResult | None:
-        """The entry's result if it is sound and belongs to ``job``."""
+    def _accept(
+        self, job: SimulationJob, data: bytes, head: bytes
+    ) -> JobResult | None:
+        """The entry's result if it is sound and belongs to ``job``.
+
+        ``head`` is what precedes the ``"job"`` member in this layout
+        (``{`` in a ``<key>.json``, ``{"cache_key":"<key>",`` on a pack
+        line).  An entry as :meth:`put` writes it starts with ``head``
+        plus the job's canonical text and the model version, byte for
+        byte, and ends in a brace and a newline: that much is checked
+        as bytes, and only the result member is parsed.  An entry in
+        another layout (older indented ones) is parsed whole and
+        audited like :meth:`verify` does.
+        """
+        prefix = b"".join(
+            (
+                head,
+                b'"job":',
+                job.canonical_json().encode(),
+                b',"model_version":',
+                json.dumps(MODEL_VERSION).encode(),
+                b',"result":',
+            )
+        )
         try:
-            payload = json.loads(text)
-            if payload.get("model_version") != MODEL_VERSION:
-                raise ValueError("model version mismatch")
-            if payload.get("job") != job.to_dict():
-                raise ValueError("job spec mismatch")
-            return JobResult.from_dict(payload["result"])
+            if not data.startswith(prefix):
+                payload = json.loads(data)
+                if self._payload_defect(payload, job.cache_key()) is not None:
+                    return None
+                return JobResult.from_dict(payload["result"])
+            if not data.endswith(b"}\n"):
+                return None  # torn behind a sound prefix
+            member = data[len(prefix) : -2].decode()
+            parsed, end = _DECODER.raw_decode(member)
+            return JobResult.from_dict(parsed) if end == len(member) else None
         except (ValueError, KeyError, TypeError, AttributeError):
             return None
 
@@ -257,7 +317,8 @@ class ResultCache:
                 return None
             name, offset, length = location
             try:
-                fd = os.open(self._pack_dir / name, os.O_RDONLY)
+                path = f"{self.root}{os.sep}{PACK_DIR}{os.sep}{name}"
+                fd = os.open(path, os.O_RDONLY)
                 try:
                     line = os.pread(fd, length, offset)
                 finally:
@@ -423,13 +484,14 @@ class ResultCache:
         """Write ``text`` to a pid-unique temp file in the root and
         rename it to ``path``, making missing directories once."""
         tmp = self.root / f"{key}.{os.getpid()}.{next(self._tmp_counter)}.tmp"
+        data = text.encode()
         try:
             try:
-                tmp.write_text(text)
+                _write_bytes(tmp, data)
             except FileNotFoundError:
                 # First put into a root that does not exist yet.
                 self.root.mkdir(parents=True, exist_ok=True)
-                tmp.write_text(text)
+                _write_bytes(tmp, data)
             try:
                 os.replace(tmp, path)
             except FileNotFoundError:

@@ -15,6 +15,7 @@ cache — yields the same :class:`JobResult` bit for bit.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -51,6 +52,24 @@ _DIRECTIONS = ("up", "down")
 #: Back-compat alias: engine validation now lives in
 #: :func:`repro.core.engines.resolve_engine`, the one shared check.
 validate_engine = resolve_engine
+
+#: The canonical encoder (compact, sorted keys) and the cache key's
+#: (sorted keys, json's default separators).  Shared instances:
+#: ``json.dumps`` with options builds an encoder per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+@functools.lru_cache(maxsize=256)
+def _canonical_topology(topology) -> str:
+    """A topology string's canonical form, parsed once per string.
+
+    Specs are frozen values, so the memo can never go stale; a string
+    that fails to parse raises on every call (errors are not cached).
+    """
+    from ..topo import ensure_spec
+
+    return ensure_spec(topology).canonical()
 
 
 @dataclass(frozen=True)
@@ -106,10 +125,7 @@ class SimulationJob:
                 f"unknown direction {self.direction!r}; known: {', '.join(_DIRECTIONS)}"
             )
         validate_engine(self.engine)
-        from ..topo import ensure_spec
-
-        spec = ensure_spec(self.topology)
-        object.__setattr__(self, "topology", spec.canonical())
+        object.__setattr__(self, "topology", _canonical_topology(self.topology))
         check_engine_topology(self.engine, self.topology, (self.n_nodes,))
 
     @classmethod
@@ -168,8 +184,17 @@ class SimulationJob:
 
     def canonical_json(self) -> str:
         """:meth:`to_dict` as compact sorted-key JSON, the form cache
-        entries and journal lines splice in."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        entries, journal lines and serve payloads splice in.
+
+        Memoized on the instance like :meth:`cache_key` (the memo is
+        not a field), so a job is encoded once however many records
+        carry it.
+        """
+        text = self.__dict__.get("_json_memo")
+        if text is None:
+            text = _CANONICAL.encode(self.to_dict())
+            object.__setattr__(self, "_json_memo", text)
+        return text
 
     def cache_key(self) -> str:
         """Content hash of the spec plus the model version tag.
@@ -187,9 +212,8 @@ class SimulationJob:
         memo = self.__dict__.get("_key_memo")
         if memo is not None and memo[0] == MODEL_VERSION:
             return memo[1]
-        payload = json.dumps(
-            {"job": self.to_dict(), "model_version": MODEL_VERSION},
-            sort_keys=True,
+        payload = _KEY_ENCODER.encode(
+            {"job": self.to_dict(), "model_version": MODEL_VERSION}
         )
         key = hashlib.sha256(payload.encode("ascii")).hexdigest()
         object.__setattr__(self, "_key_memo", (MODEL_VERSION, key))
@@ -237,7 +261,7 @@ class JobResult:
         """
         text = self.__dict__.get("_json_memo")
         if text is None:
-            text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            text = _CANONICAL.encode(self.to_dict())
             object.__setattr__(self, "_json_memo", text)
         return text
 

@@ -204,6 +204,9 @@ class ParallelRunner:
             with o.span("runner.run", submitted=len(specs), jobs=self.jobs):
                 return self._run(specs)
         finally:
+            if self.checkpoint is not None:
+                # Release the append handle; the journal file stays.
+                self.checkpoint.close()
             # Mirror the per-job ledger into metrics on every exit
             # path — including an on_error="raise" escape — so the
             # RunReport and the metrics snapshot always reconcile.

@@ -46,6 +46,7 @@ the determinism acceptance test is stated in exactly those terms.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 from contextlib import suppress
 from pathlib import Path
@@ -93,21 +94,25 @@ MAX_SWEEP_JOBS = 4096
 #: ``GET /v1/figures/{figNN}`` is the one route matched by prefix.
 FIGURE_PREFIX = "/v1/figures/"
 
+#: The model version as the JSON string payloads splice in.
+_VERSION_JSON = json.dumps(MODEL_VERSION)
+
 
 def simulation_payload(job: SimulationJob, result: JobResult) -> bytes:
     """The canonical response bytes for one completed job.
 
     A pure function of ``(job, result)`` — the unit the byte-identity
-    and coalescing guarantees are stated in.
+    and coalescing guarantees are stated in.  Spliced from the job's
+    and the result's memoized canonical text, so it equals
+    :func:`~repro.serve.http.canonical_json` of ``{"job", "key",
+    "model_version", "result"}`` byte for byte without encoding the
+    payload again.
     """
-    return canonical_json(
-        {
-            "key": job.cache_key(),
-            "model_version": MODEL_VERSION,
-            "job": job.to_dict(),
-            "result": result.to_dict(),
-        }
-    )
+    return (
+        f'{{"job":{job.canonical_json()},"key":"{job.cache_key()}",'
+        f'"model_version":{_VERSION_JSON},'
+        f'"result":{result.canonical_json()}}}\n'
+    ).encode()
 
 
 def figure_payload(result) -> bytes:

@@ -368,7 +368,7 @@ class TestKillAndResume:
             )
         finally:
             proc.kill()
-        proc.wait(timeout=30)
+        proc.communicate(timeout=30)  # reap it and close both pipes
         assert proc.returncode != 0
 
         committed = len(list(cache_dir.glob("*.json")))

@@ -485,3 +485,130 @@ class TestPacks:
         assert reader.get(jobs[2]) == results[2]
         assert reader.get(jobs[1]) is None
         assert reader.quarantined == 0
+
+
+class TestBytePath:
+    """``get`` checks the entry's prefix as bytes and parses only the
+    result member; every defect is still a miss plus a quarantine, on
+    a ``<key>.json`` and on a pack line alike."""
+
+    #: A result and a non-canonical spelling of its member: reversed
+    #: sizes, exponents, and an upper-case ``E``.
+    RESULT = JobResult(first_passages={1: 0.5, 2: 33.5, 5: 406.25})
+    ODD_MEMBER = b'{"first_passages":{"5":4.0625e2,"2":3.35E1,"1":5e-1}}'
+
+    def plant(self, tmp_path, layout, mutate, result=None):
+        """Commit jobs 1 and 2 (one file for job 2, or one pack of
+        both), then rewrite job 2's entry bytes through ``mutate``."""
+        jobs = jobs_for((1, 2))
+        results = [results_for((1,))[0], result or self.RESULT]
+        cache = ResultCache(tmp_path)
+        if layout == "file":
+            path = cache.put(jobs[1], results[1])
+            path.write_bytes(mutate(path.read_bytes()))
+        else:
+            cache.put_many(zip(jobs, results))
+            (path,) = (tmp_path / "packs").glob("*.pack")
+            first, second = path.read_bytes().splitlines(keepends=True)
+            path.write_bytes(first + mutate(second))
+        return jobs, results, path
+
+    def assert_defect(self, tmp_path, jobs, path):
+        for reader in (ResultCache(tmp_path), ResultCache(tmp_path)):
+            assert reader.get(jobs[1]) is None
+        assert not path.exists()
+        assert path.with_name(path.name + ".corrupt").exists()
+        assert ResultCache(tmp_path).get(jobs[1]) is None  # stays a miss
+
+    @staticmethod
+    def member_swap(member):
+        def mutate(data):
+            cut = data.index(b'"result":') + len(b'"result":')
+            return data[:cut] + member + b"}\n"
+
+        return mutate
+
+    @pytest.mark.parametrize("layout", ["file", "pack"])
+    @pytest.mark.parametrize(
+        "member",
+        [
+            b'{"first_passages":{,"1":0.5}}',  # not JSON
+            b'{"first_passages":{"1":0.5}',  # unbalanced
+            b'{"first_passages":[0.5]}',  # JSON, wrong shape
+            b'{"first_passages":{"one":0.5}}',  # JSON, bad size
+            b'{"first_passages":{"1":0.5}} {}',  # trailing data
+            b'{"first_passages":{"1":"x"}}',  # JSON, bad time
+        ],
+        ids=["syntax", "unbalanced", "shape", "size", "trailing", "time"],
+    )
+    def test_garbled_result_member_behind_a_valid_prefix(
+        self, tmp_path, layout, member
+    ):
+        jobs, _, path = self.plant(tmp_path, layout, self.member_swap(member))
+        # The prefix up to the result member is untouched.
+        assert f'"job":{jobs[1].canonical_json()},'.encode() in path.read_bytes()
+        self.assert_defect(tmp_path, jobs, path)
+
+    @pytest.mark.parametrize("layout", ["file", "pack"])
+    def test_wrong_model_version(self, tmp_path, layout):
+        jobs, _, path = self.plant(
+            tmp_path,
+            layout,
+            lambda data: data.replace(MODEL_VERSION.encode(), b"fj93-model-0"),
+        )
+        self.assert_defect(tmp_path, jobs, path)
+
+    @pytest.mark.parametrize("layout", ["file", "pack"])
+    def test_spec_mismatch(self, tmp_path, layout):
+        jobs, _, path = self.plant(
+            tmp_path, layout, lambda data: data.replace(b'"seed":2,', b'"seed":9,')
+        )
+        assert b'"seed":9,' in path.read_bytes()
+        self.assert_defect(tmp_path, jobs, path)
+
+    @pytest.mark.parametrize("layout", ["file", "pack"])
+    @pytest.mark.parametrize("cut", [1, 3, 20])
+    def test_torn_tail(self, tmp_path, layout, cut):
+        jobs, _, path = self.plant(tmp_path, layout, lambda data: data[:-cut])
+        self.assert_defect(tmp_path, jobs, path)
+
+    @pytest.mark.parametrize("layout", ["file", "pack"])
+    def test_non_canonical_member_behind_a_valid_prefix_reads(self, tmp_path, layout):
+        # Valid JSON is a hit whatever its spelling; the serve splice
+        # re-encodes it (tests/test_serve_payload.py).
+        jobs, results, _ = self.plant(
+            tmp_path, layout, self.member_swap(self.ODD_MEMBER)
+        )
+        reader = ResultCache(tmp_path)
+        assert reader.get(jobs[1]) == results[1]
+        assert (reader.hits, reader.quarantined) == (1, 0)
+
+    @staticmethod
+    def other_layout(data, spaced):
+        """The same entry as valid JSON with every key order reversed
+        (a pack line keeps its key first, so the index finds it)."""
+        payload = json.loads(data)
+        passages = payload["result"]["first_passages"]
+        payload["result"] = {"first_passages": dict(reversed(passages.items()))}
+        head = {"cache_key": payload.pop("cache_key")} if "cache_key" in payload else {}
+        reordered = {**head, **dict(reversed(payload.items()))}
+        separators = None if spaced else (",", ":")
+        return (json.dumps(reordered, separators=separators) + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "layout,spaced", [("file", True), ("file", False), ("pack", False)]
+    )
+    def test_valid_entry_in_another_layout_reads_the_old_way(
+        self, tmp_path, layout, spaced
+    ):
+        # Parsed whole and audited like verify does; older indented
+        # entries rely on this.
+        jobs, results, path = self.plant(
+            tmp_path, layout, lambda data: self.other_layout(data, spaced)
+        )
+        entry = path.read_bytes().splitlines()[-1]
+        assert f'"job":{jobs[1].canonical_json()},'.encode() not in entry
+        reader = ResultCache(tmp_path)
+        assert reader.get(jobs[1]) == results[1]
+        assert (reader.hits, reader.quarantined) == (1, 0)
+        assert reader.verify()["corrupt"] == {}

@@ -235,6 +235,34 @@ class TestRunnerResume:
         assert alone.run(specs) == reference[:2]
         assert alone.stats.resumed == 2
 
+    @pytest.mark.parametrize("outcome", ["complete", "raised"])
+    def test_runner_releases_the_journal_handle_and_keeps_the_file(
+        self, tmp_path, reference, outcome
+    ):
+        specs = specs_for((1, 2))
+        path = tmp_path / "run.jsonl"
+        journal = CheckpointJournal(path)
+        faults = (
+            FaultPlan.of(FaultPlan.deterministic(seeds=(2,)))
+            if outcome == "raised"
+            else None
+        )
+        runner = ParallelRunner(
+            jobs=1, checkpoint=journal, faults=faults, backoff_base=0.0
+        )
+        if faults is None:
+            assert runner.run(specs) == reference[:2]
+        else:
+            with pytest.raises(DeterministicInjectedError):
+                runner.run(specs)
+        assert journal._handle is None  # no append handle left open
+        assert path.is_file()  # the marker is the caller's to delete
+        # The journal stays usable: a later run appends to it again.
+        again = ParallelRunner(jobs=1, checkpoint=journal)
+        assert again.run(specs_for((1, 2, 3))) == reference[:3]
+        assert journal._handle is None
+        assert len(CheckpointJournal(path)) == 3
+
     def test_pooled_run_journals_as_it_goes(self, tmp_path, reference):
         specs = specs_for(range(1, 7))
         journal = CheckpointJournal(tmp_path / "run.jsonl")

@@ -99,6 +99,56 @@ class TestCacheKeyMemo:
         assert pickle.loads(shipped).cache_key() == job.cache_key()
 
 
+class TestTopologyMemo:
+    """Topology strings are canonicalized once per distinct string."""
+
+    def test_repeated_constructions_parse_once(self, monkeypatch):
+        import repro.topo
+        from repro.parallel import job as job_module
+
+        job_module._canonical_topology.cache_clear()
+        calls = []
+        real = repro.topo.ensure_spec
+
+        def counting(topology):
+            calls.append(topology)
+            return real(topology)
+
+        monkeypatch.setattr(repro.topo, "ensure_spec", counting)
+        jobs = [
+            SimulationJob.from_params(
+                FAST, seed=seed, horizon=100.0, topology="erdos_renyi(p=0.25)"
+            )
+            for seed in range(1, 6)
+        ]
+        assert calls == ["erdos_renyi(p=0.25)"]
+        assert {job.topology for job in jobs} == {"erdos_renyi(p=0.25,seed=1)"}
+        job_module._canonical_topology.cache_clear()
+
+    @pytest.mark.parametrize(
+        "topology",
+        ["tree(b=0)", "erdos_renyi(p=2.0)", "hypercube", "ring(", "switching()"],
+    )
+    def test_invalid_strings_raise_every_time(self, topology):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                SimulationJob.from_params(
+                    FAST, seed=1, horizon=100.0, topology=topology
+                )
+
+    def test_canonical_forms_are_unchanged(self):
+        for text, canonical in (
+            ("clique", "clique"),
+            ("switching(ring|star,period=60)", "switching(ring|star,period=60.0)"),
+            ("tree(b=2)", "tree(b=2)"),
+        ):
+            for _ in range(2):
+                job = SimulationJob.from_params(
+                    FAST, seed=1, horizon=100.0, topology=text
+                )
+                assert job.topology == canonical
+
+
 class TestJobResult:
     def test_round_trips_with_integer_sizes(self):
         result = JobResult(first_passages={1: 0.5, 5: 123.25})

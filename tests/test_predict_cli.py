@@ -6,6 +6,7 @@ built, in-tolerance answer, audit passed), 1 ran-but-unacceptable
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -72,10 +73,10 @@ class TestBuildEvalVerify:
     def test_build_is_idempotent_and_content_addressed(self, spec_path, capsys):
         table_id, path = build(spec_path, capsys)
         assert len(table_id) == 16
-        first = open(path, "rb").read()
+        first = Path(path).read_bytes()
         again_id, again_path = build(spec_path, capsys)
         assert (again_id, again_path) == (table_id, path)
-        assert open(path, "rb").read() == first
+        assert Path(path).read_bytes() == first
 
     def test_eval_in_range_point_answers_ok(self, spec_path, capsys):
         _, path = build(spec_path, capsys)

@@ -84,9 +84,8 @@ class TestSigtermDrain:
             responses = []
 
             def fire():
-                responses.append(
-                    ServeClient("127.0.0.1", port, timeout=60).simulate(spec)
-                )
+                with ServeClient("127.0.0.1", port, timeout=60) as client:
+                    responses.append(client.simulate(spec))
 
             thread = threading.Thread(target=fire)
             thread.start()

@@ -53,6 +53,13 @@ PREDICT_FIELDS = (
 COMPUTE_ROUTES = ("simulate", "sweep", "predict")
 
 
+def simulate_into(responses, bg, spec):
+    """POST one spec on its own client (a thread target) and keep the
+    response; the client's socket is closed on the way out."""
+    with ServeClient(bg.host, bg.port, timeout=60) as client:
+        responses.append(client.simulate(spec))
+
+
 def post(client, route, spec):
     """POST one spec: bare, as a one-job sweep, or as a predict query
     (no table is loaded, so it falls back to the simulation path)."""
@@ -267,9 +274,7 @@ class TestBackpressure:
         with BackgroundServer(cfg, job_runner=runner) as bg:
             holder_response = []
             holder = threading.Thread(
-                target=lambda: holder_response.append(
-                    ServeClient(bg.host, bg.port, timeout=60).simulate(blocker)
-                )
+                target=simulate_into, args=(holder_response, bg, blocker)
             )
             holder.start()
             assert runner.started.wait(timeout=30)
@@ -308,11 +313,8 @@ class TestDrain:
         with BackgroundServer(config(tmp_path), job_runner=runner) as bg:
             inflight_response = []
             inflight = threading.Thread(
-                target=lambda: inflight_response.append(
-                    ServeClient(bg.host, bg.port, timeout=60).simulate(
-                        spec_dict(seed=61)
-                    )
-                )
+                target=simulate_into,
+                args=(inflight_response, bg, spec_dict(seed=61)),
             )
             inflight.start()
             assert runner.started.wait(timeout=30)
