@@ -13,7 +13,7 @@ one host" into "a study across a fleet":
   execution: :class:`LocalDispatcher` (the process pool) or
   :class:`ServeDispatcher` (a PR-7 serve fleet over HTTP);
 * :func:`run_campaign` (:mod:`~repro.campaign.run`) — the
-  orchestrator: chunked lazy iteration, cache/journal commits per
+  orchestrator: chunked lazy iteration, one durable cache commit per
   chunk, SIGKILL-safe resume that re-executes only missing hashes;
 * :class:`CampaignProgress` (:mod:`~repro.campaign.progress`) —
   done/total, decaying rate, monotonic-clock ETA through ``repro.obs``;
@@ -45,7 +45,7 @@ from .run import (
     campaign_status,
     format_status,
     run_campaign,
-    shard_journal,
+    shard_marker,
 )
 from .shard import iter_shard, parse_shard, shard_index, shard_manifest
 from .spec import CampaignSpec, load_spec
@@ -72,7 +72,7 @@ __all__ = [
     "report_json",
     "run_campaign",
     "shard_index",
-    "shard_journal",
+    "shard_marker",
     "shard_manifest",
     "write_report",
 ]

@@ -17,8 +17,8 @@ optional console callback.  Two deliberate choices:
   tracks the *current* throughput (cache-hit bursts fade out of it in
   seconds rather than skewing the whole run's average).
 
-Cache hits and journal resumes are counted as progress (they retire
-jobs) but reported separately, so "how fast is the fleet simulating"
+Cache hits are counted as progress (they retire jobs) but reported
+separately from executed jobs, so "how fast is the fleet simulating"
 and "how much of the study is done" stay distinct questions.
 """
 
@@ -83,7 +83,6 @@ class CampaignProgress:
     done: int = field(default=0, init=False)
     executed: int = field(default=0, init=False)
     cached: int = field(default=0, init=False)
-    resumed: int = field(default=0, init=False)
     rate: float | None = field(default=None, init=False)
     _started: float | None = field(default=None, init=False, repr=False)
     _last: float | None = field(default=None, init=False, repr=False)
@@ -96,18 +95,15 @@ class CampaignProgress:
         obs().metrics.gauge("campaign.jobs_total").set(self.total)
         obs().metrics.gauge("campaign.jobs_done").set(0)
 
-    def advance(
-        self, executed: int = 0, cached: int = 0, resumed: int = 0
-    ) -> None:
-        """Retire jobs: freshly executed, cache hits, journal resumes."""
+    def advance(self, executed: int = 0, cached: int = 0) -> None:
+        """Retire jobs: freshly executed and committed, or cache hits."""
         if self._started is None:
             self.start()
-        retired = executed + cached + resumed
+        retired = executed + cached
         if retired <= 0:
             return
         self.executed += executed
         self.cached += cached
-        self.resumed += resumed
         self.done += retired
         now = self.clock()
         dt = now - (self._last if self._last is not None else now)
@@ -125,7 +121,6 @@ class CampaignProgress:
             metrics.gauge("campaign.rate_jobs_per_s").set(self.rate)
         metrics.counter("campaign.jobs_executed").inc(executed)
         metrics.counter("campaign.jobs_cached").inc(cached)
-        metrics.counter("campaign.jobs_resumed").inc(resumed)
         self._emit(now)
 
     @property
@@ -153,7 +148,6 @@ class CampaignProgress:
             "done": self.done,
             "executed": self.executed,
             "cached": self.cached,
-            "resumed": self.resumed,
             "rate": self.rate,
             "eta": self.eta,
             "elapsed": self.elapsed,
@@ -184,7 +178,6 @@ class CampaignProgress:
             total=self.total,
             executed=self.executed,
             cached=self.cached,
-            resumed=self.resumed,
             rate=self.rate,
             eta=self.eta,
         )

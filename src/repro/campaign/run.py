@@ -5,31 +5,28 @@ One :func:`run_campaign` call executes one shard of one campaign:
 1. the shard's jobs stream lazily out of the spec (canonical order,
    filtered by the content-hash shard map) in bounded chunks, so a
    million-point campaign never materializes;
-2. each chunk is split three ways — already in the
-   :class:`~repro.parallel.ResultCache` (skip), journaled by an
-   interrupted earlier run (replay into the cache), or missing
-   (dispatch);
+2. each chunk splits into jobs already in the
+   :class:`~repro.parallel.ResultCache` (skip) and missing ones;
 3. only the missing jobs go to the :class:`~repro.campaign.dispatch.
    Dispatcher` — local pool or serve fleet, the orchestrator cannot
    tell;
-4. every fresh result is committed to the cache *and* the shard's
-   :class:`~repro.parallel.CheckpointJournal` before the next chunk —
-   one cache commit (:meth:`~repro.parallel.ResultCache.put_many`:
-   one pack file for the chunk, or one entry file when a single
-   result retires) and one journal commit (one fsync) per chunk — so
-   a SIGKILL at any moment loses at most one in-flight chunk of
-   compute and zero completed results.
+4. the chunk's fresh results land in one durable commit before the
+   next chunk, :meth:`~repro.parallel.ResultCache.put_many` (one
+   fsynced pack file, or one ``<key>.json`` when a single result
+   retires), so a SIGKILL at any moment loses at most one in-flight
+   chunk of compute and zero committed results.
 
-Resume is therefore free: re-run the same command and steps 2-3 skip
-everything already done — only missing hashes execute, and because
-cache entries and journal lines store the same canonical result
-serialization, the resumed study is byte-identical to an
-uninterrupted one.  The journal is deleted only when the whole shard
-is accounted for; a surviving journal *means* an interrupted shard.
+Resume is therefore free: re-run the same command and step 2 skips
+everything already committed — only missing hashes execute, and the
+resumed study is byte-identical to an uninterrupted one.  A job
+counts as retired only once its entry landed, so a commit that drops
+entries leaves the shard incomplete.  A per-shard marker file under
+the checkpoint root exists from the start of a run until the whole
+shard is retired; a surviving marker *means* an interrupted shard.
 
-The orchestrator owns caching and journaling; dispatchers only
-execute.  (Campaign dispatchers are constructed without cache or
-checkpoint wiring — double-commit is a bug, not a belt-and-braces.)
+The orchestrator owns caching; dispatchers only execute.  (Campaign
+dispatchers are constructed without cache or checkpoint wiring —
+double-commit is a bug, not a belt-and-braces.)
 """
 
 from __future__ import annotations
@@ -37,6 +34,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 from ..obs import obs
@@ -53,7 +51,7 @@ __all__ = [
     "campaign_status",
     "format_status",
     "run_campaign",
-    "shard_journal",
+    "shard_marker",
 ]
 
 #: Jobs per orchestrator chunk: the commit granularity (a kill loses
@@ -62,18 +60,19 @@ __all__ = [
 DEFAULT_CHUNK_SIZE = 256
 
 
-def shard_journal(
+def shard_marker(
     spec: CampaignSpec,
     shard: int,
     num_shards: int,
     root: str | os.PathLike | None = None,
-) -> CheckpointJournal:
-    """The checkpoint journal for one shard of one campaign.
+) -> Path:
+    """The interrupted-shard marker for one shard of one campaign:
+    ``<run-id>.shard`` under ``root`` (``results/checkpoints/``).
 
-    Keyed on the canonical spec dict + model version + shard
+    The run id hashes the canonical spec dict + model version + shard
     coordinates, so any host resuming ``shard K/M`` of the same spec
-    finds the same journal file — and a different grid, seed range,
-    or sharding can never alias into it.
+    finds the same file — and a different grid, seed range, or
+    sharding can never alias into it.
     """
     descriptor = json.dumps(
         {
@@ -84,7 +83,7 @@ def shard_journal(
         },
         sort_keys=True,
     )
-    return CheckpointJournal.for_key(descriptor, root)
+    return CheckpointJournal.for_key(descriptor, root).path.with_suffix(".shard")
 
 
 @dataclass
@@ -98,7 +97,6 @@ class ShardRun:
     total: int
     executed: int = 0
     cached: int = 0
-    resumed: int = 0
     complete: bool = False
     dispatcher: str = ""
 
@@ -111,7 +109,6 @@ class ShardRun:
             "total": self.total,
             "executed": self.executed,
             "cached": self.cached,
-            "resumed": self.resumed,
             "complete": self.complete,
             "dispatcher": self.dispatcher,
         }
@@ -122,7 +119,7 @@ class ShardRun:
             f"campaign {self.campaign_id} name={self.name} "
             f"shard={self.shard}/{self.num_shards} total={self.total} "
             f"executed={self.executed} cached={self.cached} "
-            f"resumed={self.resumed} complete={str(self.complete).lower()}"
+            f"complete={str(self.complete).lower()}"
         )
 
 
@@ -149,7 +146,6 @@ def run_campaign(
         cache = ResultCache()
     if dispatcher is None:
         dispatcher = LocalDispatcher()
-    journal = shard_journal(spec, shard, num_shards, checkpoint_root)
     # Progress needs an exact denominator.  A single shard owns every
     # job; otherwise one counting pass hashes each job to its shard
     # (nothing is materialized or simulated).
@@ -170,6 +166,11 @@ def run_campaign(
         label=f"{spec.name} shard {shard}/{num_shards}",
         console=console,
     )
+    # The marker goes down before the first commit and stays until
+    # every job is retired: a kill or a short commit leaves it behind.
+    marker = shard_marker(spec, shard, num_shards, checkpoint_root)
+    marker.parent.mkdir(parents=True, exist_ok=True)
+    marker.touch()
     progress.start()
     with obs().span(
         "campaign.run",
@@ -179,32 +180,17 @@ def run_campaign(
         total=total,
         dispatcher=dispatcher.describe(),
     ):
-        try:
-            chunk: list = []
-            for job in iter_shard(spec, shard, num_shards):
-                chunk.append(job)
-                if len(chunk) >= chunk_size:
-                    _retire_chunk(
-                        chunk, dispatcher, cache, journal, progress, summary
-                    )
-                    chunk = []
-            if chunk:
-                _retire_chunk(
-                    chunk, dispatcher, cache, journal, progress, summary
-                )
-        except BaseException:
-            # Keep the journal: everything committed so far is safe
-            # and the next run resumes from it.
-            journal.close()
-            raise
+        chunk: list = []
+        for job in iter_shard(spec, shard, num_shards):
+            chunk.append(job)
+            if len(chunk) >= chunk_size:
+                _retire_chunk(chunk, dispatcher, cache, progress, summary)
+                chunk = []
+        if chunk:
+            _retire_chunk(chunk, dispatcher, cache, progress, summary)
     summary.complete = progress.done == total
     if summary.complete:
-        # Full success deletes the journal — its survival is the
-        # interrupted-shard marker, and every result lives in the
-        # cache now.
-        journal.complete()
-    else:  # pragma: no cover - defensive; retire accounts every job
-        journal.close()
+        marker.unlink(missing_ok=True)
     progress.finish()
     return summary
 
@@ -213,45 +199,21 @@ def _retire_chunk(
     chunk: list,
     dispatcher: Dispatcher,
     cache: ResultCache,
-    journal: CheckpointJournal,
     progress: CampaignProgress,
     summary: ShardRun,
 ) -> None:
-    """Retire one chunk: cache hits, journal replays, then dispatch."""
-    todo = []
-    replayed = []
-    hits = 0
-    for job in chunk:
-        if cache.get(job) is not None:
-            hits += 1
-            continue
-        journaled = journal.lookup(job)
-        if journaled is not None:
-            # An interrupted run completed this job but its cache
-            # write was lost (best-effort) or the cache moved; replay
-            # the journaled result into the cache so reports see it.
-            replayed.append((job, journaled))
-            continue
-        todo.append(job)
+    """Retire one chunk: cache hits, then dispatch, then one commit."""
+    todo = [job for job in chunk if cache.get(job) is None]
     results = dispatcher.run(todo) if todo else []
     # None is a job censored by an on_error="censor" local run.
     fresh = [(job, result) for job, result in zip(todo, results) if result is not None]
-    if replayed or fresh:
-        # One cache commit for the chunk: one pack file, or one entry
-        # file when the chunk retires a single result.
-        cache.put_many(replayed + fresh)
-    if fresh:
-        # One journal commit (one fsync) for the whole chunk, after its
-        # cache commit: a kill before it lands loses this chunk's
-        # compute at most, and the cache entries already written still
-        # count.
-        journal.record(fresh)
-    executed = len(fresh)
-    replays = len(replayed)
+    # Only what the commit landed is retired: a dropped entry leaves
+    # the shard incomplete and is executed again by the next run.
+    executed = cache.put_many(fresh) if fresh else 0
+    hits = len(chunk) - len(todo)
     summary.executed += executed
     summary.cached += hits
-    summary.resumed += replays
-    progress.advance(executed=executed, cached=hits, resumed=replays)
+    progress.advance(executed=executed, cached=hits)
 
 
 def campaign_status(
@@ -264,31 +226,22 @@ def campaign_status(
     """How far along a campaign is, per shard, without running anything.
 
     One hashing pass over the grid checks each job against the cache
-    (``job in cache``: an entry on disk, packed or not = retired) and
-    counts journal-only completions (finished by an interrupted run,
-    not yet replayed into the cache).
+    (``job in cache``: an entry on disk, packed or not = retired); a
+    shard whose marker survives and is not done reads ``interrupted``.
     """
     if cache is None:
         cache = ResultCache()
-    journals = [
-        shard_journal(spec, k, num_shards, checkpoint_root)
-        for k in range(num_shards)
-    ]
-    shards = [
-        {"shard": k, "jobs": 0, "done": 0, "journaled": 0}
-        for k in range(num_shards)
-    ]
+    shards = [{"shard": k, "jobs": 0, "done": 0} for k in range(num_shards)]
     for job in spec.jobs():
-        k = shard_index(job, num_shards)
-        row = shards[k]
+        row = shards[shard_index(job, num_shards)]
         row["jobs"] += 1
         if job in cache:
             row["done"] += 1
-        elif journals[k].lookup(job) is not None:
-            row["journaled"] += 1
-    for row, journal in zip(shards, journals):
+    for k, row in enumerate(shards):
         row["complete"] = row["done"] >= row["jobs"]
-        row["interrupted"] = journal.exists() and not row["complete"]
+        row["interrupted"] = not row["complete"] and shard_marker(
+            spec, k, num_shards, checkpoint_root
+        ).is_file()
     done = sum(row["done"] for row in shards)
     return {
         "campaign_id": spec.campaign_id(),
@@ -309,17 +262,14 @@ def format_status(status: dict) -> str:
         f"model={status['model_version']} "
         f"jobs={status['done']}/{status['total_jobs']} "
         f"complete={str(status['complete']).lower()}",
-        f"{'shard':>6} {'jobs':>8} {'done':>8} {'journaled':>10} state",
+        f"{'shard':>6} {'jobs':>8} {'done':>8} state",
     ]
     for row in status["shards"]:
         if row["complete"]:
             state = "complete"
-        elif row["interrupted"] or row["done"] or row["journaled"]:
+        elif row["interrupted"] or row["done"]:
             state = "partial"
         else:
             state = "pending"
-        lines.append(
-            f"{row['shard']:>6} {row['jobs']:>8} {row['done']:>8} "
-            f"{row['journaled']:>10} {state}"
-        )
+        lines.append(f"{row['shard']:>6} {row['jobs']:>8} {row['done']:>8} {state}")
     return "\n".join(lines)

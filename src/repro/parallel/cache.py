@@ -19,7 +19,7 @@ Two layouts share the directory, one per kind of commit:
   more entries writes ``packs/<first-key>.pack``: one line per entry,
   the same JSON with a leading ``"cache_key"`` field.  The campaign
   orchestrator commits each chunk this way, so a chunk costs one file
-  instead of one per job.
+  instead of one per job (a chunk of one writes ``<key>.json``).
 
 ``get`` looks a key up in an in-process index of the packs (keys and
 byte locations, never entries), then tries ``<key>.json``, and only
@@ -44,7 +44,11 @@ Robustness model (the cache is an accelerator, never a dependency):
 * **Writes are collision-free.**  Temp files are unique per process
   (pid + counter), so two runners sharing a cache directory can never
   clobber each other's half-written files; the final rename is atomic
-  either way.  Neither layout fsyncs: a lost entry is recomputed.
+  either way.
+* **Only chunk commits are durable.**  ``put_many`` fsyncs the file
+  before its rename and the directory after it, in both layouts: a
+  campaign chunk has no other record.  ``put`` fsyncs nothing; the
+  runner, the serve fleet and the claims path recompute a lost entry.
 * **Corruption self-repairs.**  A defective entry found by ``get`` is
   quarantined — ``<key>.json.corrupt``, or its whole pack to
   ``<first-key>.pack.corrupt`` (the pack's other entries become misses
@@ -130,13 +134,25 @@ def _read_bytes(path: str) -> bytes:
     return b"".join(chunks)
 
 
-def _write_bytes(path: Path, data: bytes) -> None:
-    """Create or truncate ``path`` and write all of ``data`` to it."""
+def _write_bytes(path: Path, data: bytes, durable: bool) -> None:
+    """Create or truncate ``path`` and write all of ``data`` to it,
+    fsynced before it closes when ``durable``."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
         view = memoryview(data)
         while view:
             view = view[os.write(fd, view) :]
+        if durable:
+            os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _fsync_dir(path: Path) -> None:
+    """Make the entries of directory ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
     finally:
         os.close(fd)
 
@@ -387,48 +403,50 @@ class ResultCache:
         """Store a result as ``<key>.json``; atomic and best-effort.
 
         Writes to a pid-unique temp file then renames, so concurrent
-        runners never interleave.  On ``OSError`` (disk full,
-        read-only mount) the failure is warned and counted in
-        ``write_errors`` but never propagated — losing a cache entry
+        runners never interleave; nothing is fsynced.  On ``OSError``
+        (disk full, read-only mount) the failure is warned and counted
+        in ``write_errors`` but never propagated — losing a cache entry
         must not lose the run.  Returns the entry path, or None when
         the write failed.
 
         With the obs runtime on, write latency lands in
         ``cache.put_seconds`` and successes in ``cache.puts``.
         """
-        o = obs()
-        if not o.enabled:
-            return self._put(job, result)
-        t0 = monotonic()
-        path = self._put(job, result)
-        o.metrics.histogram("cache.put_seconds").observe(monotonic() - t0)
-        if path is not None:
-            o.metrics.counter("cache.puts").inc()
-        return path
+        return self._put(job, result, durable=False)
 
-    def _put(self, job: SimulationJob, result: JobResult) -> Path | None:
+    def _put(
+        self, job: SimulationJob, result: JobResult, durable: bool
+    ) -> Path | None:
+        o = obs()
+        t0 = monotonic() if o.enabled else 0.0
         key = job.cache_key()
         path = self.root / f"{key}.json"
         text = _entry_text(job, result)
         try:
             if self.faults is not None:
                 self.faults.on_cache_put(job)
-            self._commit(key, text, path)
+            self._commit(key, text, path, durable)
         except OSError as error:
             self._write_failed(path, error, 1)
             return None
         if self.faults is not None and self.faults.corrupts_entry(job):
             # Injected torn write: chop the entry mid-JSON.
             path.write_text(text[: len(text) // 3])
+        if o.enabled:
+            o.metrics.histogram("cache.put_seconds").observe(monotonic() - t0)
+            o.metrics.counter("cache.puts").inc()
         return path
 
     def put_many(self, pairs: Iterable[tuple[SimulationJob, JobResult]]) -> int:
-        """Store several results in one commit; returns how many landed.
+        """Store several results in one durable commit; returns how
+        many landed.
 
-        One pair is a :meth:`put` (``<key>.json``, byte for byte).  Two
-        or more go into one file, ``packs/<first-key>.pack``, one line
-        per entry, written to a temp file and renamed like a single
-        entry; a key repeated within ``pairs`` is stored once.  Faults
+        One pair writes ``<key>.json``, byte for byte as :meth:`put`.
+        Two or more go into one file, ``packs/<first-key>.pack``, one
+        line per entry; a key repeated within ``pairs`` is stored once.
+        Either way the temp file is fsynced before its rename and the
+        directory after it, so what this counts as landed survives a
+        power loss: it is the campaign's one record of a chunk.  Faults
         act per entry as in :meth:`put`: an injected write error drops
         that entry, an injected corruption tears its line.  A real
         ``OSError`` loses the whole commit, warned and counted per
@@ -436,7 +454,10 @@ class ResultCache:
         """
         pairs = list(pairs)
         if len(pairs) <= 1:
-            return sum(self.put(job, result) is not None for job, result in pairs)
+            return sum(
+                self._put(job, result, durable=True) is not None
+                for job, result in pairs
+            )
         o = obs()
         t0 = monotonic() if o.enabled else 0.0
         keys: list[str] = []
@@ -463,7 +484,7 @@ class ResultCache:
         name = f"{keys[0]}.pack"
         path = self._pack_dir / name
         try:
-            self._commit(keys[0], "".join(lines), path)
+            self._commit(keys[0], "".join(lines), path, durable=True)
         except OSError as error:
             self._write_failed(path, error, len(lines))
             return 0
@@ -480,23 +501,33 @@ class ResultCache:
             o.metrics.counter("cache.puts").inc(len(lines))
         return len(lines)
 
-    def _commit(self, key: str, text: str, path: Path) -> None:
+    def _commit(self, key: str, text: str, path: Path, durable: bool) -> None:
         """Write ``text`` to a pid-unique temp file in the root and
-        rename it to ``path``, making missing directories once."""
+        rename it to ``path``, making missing directories once.
+
+        ``durable`` fsyncs the temp file before the rename, then the
+        directory, and the parent of any directory made just now.
+        """
         tmp = self.root / f"{key}.{os.getpid()}.{next(self._tmp_counter)}.tmp"
         data = text.encode()
+        synced = [path.parent]
         try:
             try:
-                _write_bytes(tmp, data)
+                _write_bytes(tmp, data, durable)
             except FileNotFoundError:
                 # First put into a root that does not exist yet.
                 self.root.mkdir(parents=True, exist_ok=True)
-                _write_bytes(tmp, data)
+                _write_bytes(tmp, data, durable)
+                synced.append(self.root.parent)
             try:
                 os.replace(tmp, path)
             except FileNotFoundError:
                 path.parent.mkdir(exist_ok=True)  # first pack
                 os.replace(tmp, path)
+                synced.append(self.root)
+            if durable:
+                for directory in synced:
+                    _fsync_dir(directory)
         except OSError:
             try:
                 tmp.unlink(missing_ok=True)

@@ -27,10 +27,10 @@ Safety properties:
   text, encoded once per result), so a resumed run is byte-identical
   to an uninterrupted one.
 
-The journal stays a file of its own beside the result cache, with
-one fsync per :meth:`~CheckpointJournal.record` call: its survival is
-the interrupted-run marker ``campaign status`` and resume read, so it
-is not folded into the cache's packs.
+The runner and ``--resume`` journal here, because their cache writes
+are not fsynced.  A campaign does not: its chunk commit
+(:meth:`~repro.parallel.ResultCache.put_many`) is fsynced, and its
+interrupted-shard marker is a file of its own.
 """
 
 from __future__ import annotations

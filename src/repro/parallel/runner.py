@@ -219,6 +219,7 @@ class ParallelRunner:
         results: list[JobResult | None] = [None] * len(specs)
         failures: dict[int, BaseException] = {}
         pending: list[tuple[int, SimulationJob]] = []
+        hits: list[tuple[SimulationJob, JobResult]] = []
 
         for index, spec in enumerate(specs):
             key = spec.cache_key()
@@ -234,10 +235,12 @@ class ParallelRunner:
                 results[index] = cached
                 self.stats.cache_hits += 1
                 self.report.add(index, key, "cache_hit", attempts=0)
-                if self.checkpoint is not None:
-                    self.checkpoint.record([(spec, cached)])
+                hits.append((spec, cached))
                 continue
             pending.append((index, spec))
+        if hits and self.checkpoint is not None:
+            # Every hit in one journal commit, before anything executes.
+            self.checkpoint.record(hits)
 
         def commit(index: int, spec: SimulationJob, result: JobResult, attempts: int):
             # Commit immediately, not after the gather: if a later job

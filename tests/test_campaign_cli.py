@@ -127,6 +127,27 @@ class TestCampaignLifecycle:
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["complete"] is True
 
+    def test_short_commit_exits_1_and_a_rerun_completes(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.parallel import ResultCache
+
+        path = write_spec(tmp_path)
+        real_put_many = ResultCache.put_many
+        with monkeypatch.context() as patch:
+            # A commit that lands every entry but the first of its chunk.
+            patch.setattr(
+                ResultCache,
+                "put_many",
+                lambda cache, pairs: real_put_many(cache, list(pairs)[1:]),
+            )
+            assert main(["campaign", "run", str(path)]) == 1
+        assert "executed=5 cached=0 complete=false" in capsys.readouterr().out
+        assert list((tmp_path / "results" / "checkpoints").glob("*.shard"))
+        assert main(["campaign", "run", str(path)]) == 0
+        assert "executed=1 cached=5 complete=true" in capsys.readouterr().out
+        assert not list((tmp_path / "results" / "checkpoints").glob("*.shard"))
+
     def test_sharded_runs_compose(self, capsys, tmp_path):
         path = write_spec(tmp_path)
         assert main(["campaign", "run", str(path), "--shard", "0/2"]) == 0

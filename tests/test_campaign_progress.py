@@ -93,8 +93,8 @@ class TestRateAndEta:
         p, clock = progress(total=10)
         p.start()
         clock.tick(1.0)
-        p.advance(executed=2, cached=3, resumed=1)
-        assert (p.executed, p.cached, p.resumed, p.done) == (2, 3, 1, 6)
+        p.advance(executed=2, cached=4)
+        assert (p.executed, p.cached, p.done) == (2, 4, 6)
         assert p.remaining == 4
         snap = p.snapshot()
         assert snap["done"] == 6 and snap["total"] == 10

@@ -1,8 +1,8 @@
 """Orchestrator tests: exactly-once retirement, resume, kill-safety.
 
 The contract under test: across any number of interrupted attempts,
-every job of a shard is retired exactly once — cache hits and journal
-replays are honored, only missing hashes execute — and the finished
+every job of a shard is retired exactly once — committed results are
+honored from the cache, only missing hashes execute — and the finished
 study is byte-identical to an uninterrupted one.  The SIGKILL test at
 the bottom proves it end to end through the CLI with a real ``kill
 -9`` mid-campaign.
@@ -25,10 +25,11 @@ from repro.campaign import (
     format_status,
     report_json,
     run_campaign,
-    shard_journal,
+    shard_marker,
 )
-from repro.parallel import CheckpointJournal, ResultCache
+from repro.parallel import CheckpointJournal, FaultPlan, ResultCache
 from repro.parallel.job import run_job
+from repro.predict.tables import build_table
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -71,11 +72,11 @@ class TestRunCampaign:
         )
         assert summary.total == s.total_jobs
         assert summary.executed == s.total_jobs
-        assert summary.cached == 0 and summary.resumed == 0
+        assert summary.cached == 0
         assert summary.complete is True
         assert len(cache) == s.total_jobs
-        # Clean finish deletes the journal — survival means interrupted.
-        assert not shard_journal(s, 0, 1, tmp_path / "ckpt").exists()
+        # Clean finish deletes the marker — survival means interrupted.
+        assert not shard_marker(s, 0, 1, tmp_path / "ckpt").exists()
 
     def test_rerun_is_a_pure_cache_read(self, tmp_path):
         s = spec()
@@ -85,24 +86,6 @@ class TestRunCampaign:
         assert again.executed == 0
         assert again.cached == s.total_jobs
         assert again.complete is True
-
-    def test_journal_entries_replay_into_the_cache(self, tmp_path):
-        s = spec()
-        jobs = list(s.jobs())
-        # An earlier interrupted run journaled three completions whose
-        # cache writes were lost (the cache is best-effort).
-        journal = shard_journal(s, 0, 1, tmp_path / "ckpt")
-        for job in jobs[:3]:
-            journal.record([(job, run_job(job))])
-        journal.close()
-        cache = ResultCache(tmp_path / "cache")
-        summary = run_campaign(
-            s, cache=cache, checkpoint_root=tmp_path / "ckpt"
-        )
-        assert summary.resumed == 3
-        assert summary.executed == s.total_jobs - 3
-        assert summary.complete is True
-        assert len(cache) == s.total_jobs
 
     def test_interrupted_run_keeps_journal_and_resumes_missing_only(
         self, tmp_path
@@ -119,14 +102,15 @@ class TestRunCampaign:
             )
         committed = len(cache)
         assert committed == 4  # two good chunks of two
-        assert shard_journal(s, 0, 1, tmp_path / "ckpt").exists()
+        marker = shard_marker(s, 0, 1, tmp_path / "ckpt")
+        assert marker.is_file()
         summary = run_campaign(
             s, cache=cache, checkpoint_root=tmp_path / "ckpt"
         )
-        assert summary.cached + summary.resumed == committed
+        assert summary.cached == committed
         assert summary.executed == s.total_jobs - committed
         assert summary.complete is True
-        assert not shard_journal(s, 0, 1, tmp_path / "ckpt").exists()
+        assert not marker.exists()
 
     def test_sharded_runs_compose_to_the_full_study(self, tmp_path):
         s = spec()
@@ -148,29 +132,70 @@ class TestRunCampaign:
             build_report(s, solo)
         )
 
-    def test_one_journal_commit_per_chunk(self, tmp_path, monkeypatch):
-        commits = []
-        real_record = CheckpointJournal.record
+    def test_one_durable_commit_per_chunk(self, tmp_path, monkeypatch):
+        commits, journaled, fsyncs = [], [], []
+        real_put_many = ResultCache.put_many
+        real_fsync = os.fsync
 
-        def counting_record(journal, pairs):
+        def counting_put_many(cache, pairs):
             pairs = list(pairs)
             commits.append(len(pairs))
-            return real_record(journal, pairs)
+            return real_put_many(cache, pairs)
 
-        monkeypatch.setattr(CheckpointJournal, "record", counting_record)
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            return real_fsync(fd)
+
+        monkeypatch.setattr(ResultCache, "put_many", counting_put_many)
+        monkeypatch.setattr(CheckpointJournal, "record", journaled.append)
+        monkeypatch.setattr(os, "fsync", counting_fsync)
         s = spec()  # 10 jobs
         cache = ResultCache(tmp_path / "cache")
         summary = run_campaign(
             s, cache=cache, checkpoint_root=tmp_path / "ckpt", chunk_size=4
         )
         assert summary.executed == s.total_jobs
-        assert commits == [4, 4, 2]
+        assert commits == [4, 4, 2] and journaled == []
+        # Per chunk: the pack file and packs/; the first also makes
+        # packs/ (root) and the root (its parent).
+        assert len(fsyncs) == 2 * len(commits) + 2
+        assert not list((tmp_path / "ckpt").iterdir())
         # A chunk with nothing fresh (all cache hits) commits nothing.
         commits.clear()
+        fsyncs.clear()
         again = run_campaign(
             s, cache=cache, checkpoint_root=tmp_path / "ckpt", chunk_size=4
         )
-        assert again.cached == s.total_jobs and commits == []
+        assert again.cached == s.total_jobs and commits == [] and fsyncs == []
+
+    def test_short_commit_leaves_the_shard_incomplete(self, tmp_path):
+        s = spec()  # 10 jobs, seeds 1-5 at two tr values
+        root = tmp_path / "cache"
+        ckpt = tmp_path / "ckpt"
+        faulty = ResultCache(
+            root, faults=FaultPlan.of(FaultPlan.cache_write_error(seeds=(1, 2)))
+        )
+        with pytest.warns(RuntimeWarning, match="cache write failed"):
+            summary = run_campaign(s, cache=faulty, checkpoint_root=ckpt, chunk_size=4)
+        # The four dropped entries were executed but never retired.
+        assert (summary.executed, summary.complete) == (6, False)
+        assert "complete=false" in summary.summary_line()
+        assert shard_marker(s, 0, 1, ckpt).is_file()
+        report = build_report(s, ResultCache(root))
+        assert (report["complete"], report["missing"]) == (False, 4)
+        status = campaign_status(s, cache=ResultCache(root), checkpoint_root=ckpt)
+        row = status["shards"][0]
+        assert (row["done"], row["interrupted"], status["complete"]) == (6, True, False)
+        with pytest.warns(RuntimeWarning, match="cache write failed"):
+            with pytest.raises(ValueError, match="did not complete"):
+                build_table(s, faulty, checkpoint_root=ckpt)
+        # A rerun with a sound cache executes only the missing jobs.
+        again = run_campaign(
+            s, cache=ResultCache(root), checkpoint_root=ckpt, chunk_size=4
+        )
+        assert (again.executed, again.cached, again.complete) == (4, 6, True)
+        assert not shard_marker(s, 0, 1, ckpt).exists()
+        assert build_report(s, ResultCache(root))["complete"] is True
 
     def test_one_cache_commit_per_chunk(self, tmp_path):
         s = spec()  # 10 jobs
@@ -201,19 +226,22 @@ class TestRunCampaign:
         assert len(set(reports)) == 1
         assert not list((tmp_path / "chunk-1" / "cache").glob("packs/*"))
 
-    def test_journal_replays_and_fresh_results_share_one_commit(self, tmp_path):
+    def test_a_leftover_shard_journal_is_ignored(self, tmp_path):
+        # Older versions journaled each chunk beside the marker's path;
+        # such a journal is neither read nor removed.
         s = spec()
-        jobs = list(s.jobs())
-        journal = shard_journal(s, 0, 1, tmp_path / "ckpt")
-        journal.record([(job, run_job(job)) for job in jobs[:3]])
+        jobs = list(s.jobs())[:3]
+        ckpt = tmp_path / "ckpt"
+        journal = CheckpointJournal(shard_marker(s, 0, 1, ckpt).with_suffix(".jsonl"))
+        journal.record([(job, run_job(job)) for job in jobs])
         journal.close()
         cache = ResultCache(tmp_path / "cache")
-        summary = run_campaign(
-            s, cache=cache, checkpoint_root=tmp_path / "ckpt", chunk_size=5
-        )
-        assert (summary.resumed, summary.executed) == (3, s.total_jobs - 3)
-        packs = list((tmp_path / "cache" / "packs").glob("*.pack"))
-        assert len(packs) == 2 and len(cache) == s.total_jobs
+        summary = run_campaign(s, cache=cache, checkpoint_root=ckpt)
+        assert (summary.executed, summary.complete) == (s.total_jobs, True)
+        assert journal.path.is_file()
+        solo = ResultCache(tmp_path / "solo")
+        run_campaign(s, cache=solo, checkpoint_root=tmp_path / "ckpt2")
+        assert report_json(build_report(s, cache)) == report_json(build_report(s, solo))
 
     def test_chunk_size_validated(self, tmp_path):
         with pytest.raises(ValueError):
@@ -230,7 +258,7 @@ class TestRunCampaign:
         assert line == (
             f"campaign {s.campaign_id()} name={s.name} shard=0/1 "
             f"total={s.total_jobs} executed={s.total_jobs} cached=0 "
-            f"resumed=0 complete=true"
+            f"complete=true"
         )
 
 
@@ -272,25 +300,12 @@ class TestCampaignStatus:
         assert row["interrupted"] is True and row["complete"] is False
         assert "partial" in format_status(status)
 
-    def test_journal_only_completions_are_visible(self, tmp_path):
-        s = spec()
-        jobs = list(s.jobs())
-        journal = shard_journal(s, 0, 1, tmp_path / "ckpt")
-        journal.record([(jobs[0], run_job(jobs[0]))])
-        journal.close()
-        status = campaign_status(
-            s,
-            cache=ResultCache(tmp_path / "cache"),
-            checkpoint_root=tmp_path / "ckpt",
-        )
-        assert status["shards"][0]["journaled"] == 1
-
 
 SUMMARY_RE = re.compile(
     r"campaign (?P<id>[0-9a-f]{16}) name=(?P<name>\S+) "
     r"shard=(?P<shard>\d+)/(?P<num>\d+) total=(?P<total>\d+) "
     r"executed=(?P<executed>\d+) cached=(?P<cached>\d+) "
-    r"resumed=(?P<resumed>\d+) complete=(?P<complete>true|false)"
+    r"complete=(?P<complete>true|false)"
 )
 
 
@@ -373,8 +388,8 @@ class TestKillAndResume:
 
         committed = len(list(cache_dir.glob("*.json")))
         assert 0 < committed < s.total_jobs
-        journals = list((workdir / "results" / "checkpoints").glob("*.jsonl"))
-        assert journals, "an interrupted shard must leave its journal"
+        marker = shard_marker(s, 0, 1, workdir / "results" / "checkpoints")
+        assert marker.is_file(), "an interrupted shard must leave its marker"
 
         resume = self.run_cli(workdir, "run")
         assert resume.returncode == 0, resume.stderr
@@ -382,11 +397,11 @@ class TestKillAndResume:
         assert summary["complete"] == "true"
         assert summary["total"] == s.total_jobs
         # Exactly the missing hashes execute; every committed result
-        # is honored from the cache or replayed from the journal.
-        assert summary["cached"] + summary["resumed"] == committed
+        # is honored from the cache.
+        assert summary["cached"] == committed
         assert summary["executed"] == s.total_jobs - committed
         # The clean finish removed the interrupted-shard marker.
-        assert not list((workdir / "results" / "checkpoints").glob("*.jsonl"))
+        assert not marker.exists()
 
         report = self.run_cli(workdir, "report", "-o", "report.json")
         assert report.returncode == 0, report.stderr

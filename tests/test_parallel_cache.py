@@ -342,6 +342,47 @@ class TestPacks:
         alone.put(job, result)
         assert cache.path_for(job).read_bytes() == alone.path_for(job).read_bytes()
 
+    @pytest.fixture
+    def synced(self, monkeypatch):
+        """Inodes of everything fsynced, in call order."""
+        inodes = []
+        real = cache_module.os.fsync
+
+        def recording_fsync(fd):
+            inodes.append(os.fstat(fd).st_ino)
+            return real(fd)
+
+        monkeypatch.setattr(cache_module.os, "fsync", recording_fsync)
+        return inodes
+
+    def test_put_many_fsyncs_file_then_directory_in_both_layouts(
+        self, tmp_path, synced
+    ):
+        jobs, results = jobs_for((1, 2, 3, 4)), results_for((1, 2, 3, 4))
+        tmp_path.joinpath("cache").mkdir()
+        cache = ResultCache(tmp_path / "cache")
+
+        def ino(path):
+            return os.stat(path).st_ino
+
+        assert cache.put_many([(jobs[0], results[0])]) == 1
+        assert synced == [ino(cache.path_for(jobs[0])), ino(cache.root)]
+        synced.clear()
+        # The first pack also makes packs/, whose entry is the root's.
+        assert cache.put_many(zip(jobs[1:3], results[1:3])) == 2
+        pack = cache.root / "packs" / f"{jobs[1].cache_key()}.pack"
+        assert synced == [ino(pack), ino(pack.parent), ino(cache.root)]
+        synced.clear()
+        assert cache.put_many(zip(jobs[2:], results[2:])) == 2
+        pack = cache.root / "packs" / f"{jobs[2].cache_key()}.pack"
+        assert synced == [ino(pack), ino(pack.parent)]
+
+    def test_put_fsyncs_nothing(self, tmp_path, job, result, synced):
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(job, result)
+        cache.put(jobs_for((2,))[0], result)
+        assert synced == [] and len(cache) == 2
+
     def test_repeated_key_is_stored_once(self, tmp_path, job, result):
         cache = ResultCache(tmp_path)
         other = jobs_for((2,))[0]

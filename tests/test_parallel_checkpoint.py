@@ -235,6 +235,53 @@ class TestRunnerResume:
         assert alone.run(specs) == reference[:2]
         assert alone.stats.resumed == 2
 
+    def test_warm_run_journals_its_hits_in_one_commit(self, tmp_path, monkeypatch):
+        specs = specs_for(range(1, 13))
+        cache = ResultCache(tmp_path / "cache")
+        expected = ParallelRunner(jobs=1, cache=cache).run(specs)  # warm
+        commits, fsyncs = [], []
+        real_record = CheckpointJournal.record
+        real_fsync = checkpoint_module.os.fsync
+
+        def counting_record(journal, pairs):
+            pairs = list(pairs)
+            commits.append(len(pairs))
+            return real_record(journal, pairs)
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            return real_fsync(fd)
+
+        monkeypatch.setattr(CheckpointJournal, "record", counting_record)
+        monkeypatch.setattr(checkpoint_module.os, "fsync", counting_fsync)
+        journal = CheckpointJournal(tmp_path / "run.jsonl")
+        runner = ParallelRunner(jobs=1, cache=cache, checkpoint=journal)
+        assert runner.run(specs) == expected
+        assert commits == [len(specs)] and len(fsyncs) == 1
+        assert runner.report.counts()["cache_hit"] == len(specs)
+        assert len(CheckpointJournal(journal.path)) == len(specs)
+
+    def test_hits_are_journaled_before_pending_jobs_execute(self, tmp_path, reference):
+        specs = specs_for(range(1, 7))
+        cache = ResultCache(tmp_path / "cache")
+        ParallelRunner(jobs=1, cache=cache).run(specs[:3])
+        path = tmp_path / "run.jsonl"
+        doomed = ParallelRunner(
+            jobs=1,
+            cache=cache,
+            checkpoint=CheckpointJournal(path),
+            faults=FaultPlan.of(FaultPlan.deterministic(seeds=(4,))),
+            backoff_base=0.0,
+        )
+        with pytest.raises(DeterministicInjectedError):
+            doomed.run(specs)
+        # The hits' commit landed before seed 4 raised; the jobs after
+        # it committed one by one.
+        resumed = ParallelRunner(jobs=1, checkpoint=CheckpointJournal(path))
+        assert resumed.run(specs) == reference
+        assert resumed.report.counts()["resumed"] == 5
+        assert resumed.stats.executed == 1
+
     @pytest.mark.parametrize("outcome", ["complete", "raised"])
     def test_runner_releases_the_journal_handle_and_keeps_the_file(
         self, tmp_path, reference, outcome
