@@ -466,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.excludes = (("--obs", "--jobs"),)  # the obs bench runs jobs=1
     target(
         "serve", _run_serve, "--host", "--port", "--jobs", "--queue-depth",
-        "--deadline", "--workers", "--engine", "--no-cache", "--resume",
-        "--cache-root", "--predict-table",
+        "--deadline", "--workers", "--engine", "--no-cache", "--cache-root",
+        "--predict-table",
         help="run the simulation-serving API until SIGTERM",
     )
     target(
@@ -703,7 +703,6 @@ def _run_serve(args) -> int:
         queue_depth=args.queue_depth,
         deadline=args.deadline,
         cache_root=None if args.no_cache else (args.cache_root or "results/cache"),
-        checkpoint=bool(args.resume),
         engine=args.engine or "cascade",
         workers=args.workers,
         predict_table=args.predict_table,

@@ -52,7 +52,6 @@ from .job import (
     run_batch,
     run_job,
     run_jobs,
-    validate_engine,
 )
 from .report import OUTCOMES, JobRecord, RunReport
 from .runner import (
@@ -93,5 +92,4 @@ __all__ = [
     "run_batch",
     "run_job",
     "run_jobs",
-    "validate_engine",
 ]

@@ -27,14 +27,15 @@ then rescans ``packs/`` — and only when that directory's mtime has
 moved — so packs other processes write become visible and a cache
 with no packs pays one extra ``stat`` per miss and none per hit.
 
-Entries embed the spec and version they were computed from, so an
-entry that was hand-edited, truncated, or produced by a different
-model version is detected and treated as a miss rather than trusted.
-A hit is checked as bytes: the entry must start with the job's
-canonical text and the model version exactly as ``put`` writes them
-and end in a brace and a newline, and then only its result member is
-parsed.  An entry in another layout (older indented ones) is parsed
-whole and audited the way ``verify()`` audits it instead.
+Entries embed the spec and version they were computed from, and one
+check decides whether an entry is sound: its bytes must be what
+``put``/``put_many`` write for the job its key names — the layout's
+head, the job's canonical text, the model version, a result member
+that parses whole, and a closing brace and newline.  ``get`` applies
+it to the job it looks up; ``verify`` and ``repair`` rebuild the job
+from the entry's ``"job"`` member, check it against the key, and apply
+the same check.  Anything else (hand-edited, truncated, re-spaced or
+indented, another model version) is a miss, quarantined and recomputed.
 
 Robustness model (the cache is an accelerator, never a dependency):
 
@@ -66,7 +67,7 @@ import itertools
 import json
 import os
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ..obs import WARNING, obs
 from ..obs.clock import monotonic, wall_time
@@ -84,10 +85,12 @@ PACK_DIR = "packs"
 #: writer — no healthy put keeps one alive for more than moments.
 STALE_TMP_AGE = 3600.0
 
+#: What precedes the ``"job"`` member of a ``<key>.json``.
+_FILE_HEAD = b"{"
+
 #: Every pack line starts with this, then the entry's 64-hex key, so
 #: the index reads keys without parsing entries.
-_HEAD = '{"cache_key":"'
-_LINE_HEAD = _HEAD.encode()
+_LINE_HEAD = b'{"cache_key":"'
 _KEY_END = len(_LINE_HEAD) + 64
 
 #: Seconds within which a directory mtime may not have moved yet for a
@@ -104,22 +107,57 @@ _READ_CHUNK = 1 << 16
 _DECODER = json.JSONDecoder()
 
 
-def _entry_text(job: SimulationJob, result: JobResult) -> str:
-    """A ``<key>.json`` body: compact sorted-key JSON of the payload.
+def _pack_head(key: str) -> bytes:
+    """What precedes the ``"job"`` member on a pack line."""
+    return b'%s%s",' % (_LINE_HEAD, key.encode())
 
-    Spliced from the job's and the result's canonical text, so it
-    equals ``json.dumps(payload, sort_keys=True, separators=(",",
-    ":"))`` byte for byte while the result's floats are encoded once.
-    """
-    return (
-        f'{{"job":{job.canonical_json()},"model_version":{json.dumps(MODEL_VERSION)},'
-        f'"result":{result.canonical_json()}}}\n'
+
+def _prefix(head: bytes, job: SimulationJob) -> bytes:
+    """An entry's bytes up to its result member, as the writer lays
+    them out: compact sorted-key JSON of ``{"job", "model_version",
+    "result"}`` behind the layout's head."""
+    return b'%s"job":%s,"model_version":%s,"result":' % (
+        head,
+        job.canonical_json().encode(),
+        json.dumps(MODEL_VERSION).encode(),
     )
 
 
-def _pack_line(key: str, job: SimulationJob, result: JobResult) -> str:
-    """A pack line: the entry payload plus its key, sorted and compact."""
-    return f'{_HEAD}{key}",' + _entry_text(job, result)[1:]
+def _check(job: SimulationJob, data: bytes, head: bytes) -> JobResult | str:
+    """The result ``data`` holds if it is the entry the writer lays out
+    for ``job`` behind ``head``, else why it is not.
+
+    The prefix is compared as bytes and only the result member is
+    parsed: it must parse whole and be followed by ``}`` and a newline.
+    """
+    prefix = _prefix(head, job)
+    if not data.startswith(prefix):
+        return "not the entry put writes for this job (layout, job or model version)"
+    if not data.endswith(b"}\n"):
+        return "torn: no closing brace and newline"
+    try:
+        member = data[len(prefix) : -2].decode()
+        parsed, end = _DECODER.raw_decode(member)
+        if end != len(member):
+            return "data after the result member"
+        return JobResult.from_dict(parsed)
+    except (ValueError, KeyError, TypeError, AttributeError) as error:
+        return f"malformed result ({error})"
+
+
+def _audit(key: str, head: bytes, data: bytes) -> str | None:
+    """Why a stored entry is unsound under ``key``, or None if sound:
+    the job is rebuilt from the entry's ``"job"`` member, checked
+    against the key, and then :func:`_check` decides."""
+    try:
+        member, _ = _DECODER.raw_decode(data[len(head) + len(b'"job":') :].decode())
+        job = SimulationJob.from_dict(member)
+    except (ValueError, KeyError, TypeError, AttributeError) as error:
+        return f"no job member where put writes it ({error})"
+    if job.cache_key() != key:
+        return "content does not match its key"
+    checked = _check(job, data, head)
+    return checked if isinstance(checked, str) else None
 
 
 def _read_bytes(path: str) -> bytes:
@@ -209,9 +247,10 @@ class ResultCache:
     def get(self, job: SimulationJob) -> JobResult | None:
         """Return the cached result, or None on a miss.
 
-        Any defect — missing entry, unparsable JSON, wrong model
-        version, spec mismatch — counts as a miss.  Defective entries
-        are quarantined to ``*.corrupt`` (a packed one takes its whole
+        An entry that is not byte for byte what the writer lays out
+        for ``job`` — torn, re-spaced, another model version, a
+        mismatched spec, a result that does not parse — is a miss and
+        is quarantined to ``*.corrupt`` (a packed one takes its whole
         pack along) so the next ``put`` writes a clean entry and the
         evidence survives for inspection.
 
@@ -245,14 +284,16 @@ class ResultCache:
                 if packed is None:
                     return self._count(None)
             else:
-                result = self._accept(job, data, b"{")
-                if result is None:
+                result = _check(job, data, _FILE_HEAD)
+                if isinstance(result, str):
                     self._quarantine(self.path_for(job))
+                    result = None
                 return self._count(result)
         name, line = packed
-        result = self._accept(job, line, _LINE_HEAD + key.encode() + b'",')
-        if result is None:
+        result = _check(job, line, _pack_head(key))
+        if isinstance(result, str):
             self._quarantine_pack(name)
+            result = None
         return self._count(result)
 
     def _count(self, result: JobResult | None) -> JobResult | None:
@@ -261,44 +302,6 @@ class ResultCache:
         else:
             self.hits += 1
         return result
-
-    def _accept(
-        self, job: SimulationJob, data: bytes, head: bytes
-    ) -> JobResult | None:
-        """The entry's result if it is sound and belongs to ``job``.
-
-        ``head`` is what precedes the ``"job"`` member in this layout
-        (``{`` in a ``<key>.json``, ``{"cache_key":"<key>",`` on a pack
-        line).  An entry as :meth:`put` writes it starts with ``head``
-        plus the job's canonical text and the model version, byte for
-        byte, and ends in a brace and a newline: that much is checked
-        as bytes, and only the result member is parsed.  An entry in
-        another layout (older indented ones) is parsed whole and
-        audited like :meth:`verify` does.
-        """
-        prefix = b"".join(
-            (
-                head,
-                b'"job":',
-                job.canonical_json().encode(),
-                b',"model_version":',
-                json.dumps(MODEL_VERSION).encode(),
-                b',"result":',
-            )
-        )
-        try:
-            if not data.startswith(prefix):
-                payload = json.loads(data)
-                if self._payload_defect(payload, job.cache_key()) is not None:
-                    return None
-                return JobResult.from_dict(payload["result"])
-            if not data.endswith(b"}\n"):
-                return None  # torn behind a sound prefix
-            member = data[len(prefix) : -2].decode()
-            parsed, end = _DECODER.raw_decode(member)
-            return JobResult.from_dict(parsed) if end == len(member) else None
-        except (ValueError, KeyError, TypeError, AttributeError):
-            return None
 
     def _quarantine(self, path: Path) -> Path | None:
         """Move a defective file aside; returns the new path or None."""
@@ -369,21 +372,28 @@ class ResultCache:
         self._packs_mtime = mtime if settled else None
         return True
 
-    def _index_pack(self, name: str) -> None:
-        """Record the key and byte span of every line of one pack."""
+    def _pack_lines(self, name: str) -> list[tuple[str, int, bytes]]:
+        """``(key, byte offset, line)`` for every line of one pack,
+        newlines kept; a line without a key yields one no job has."""
         try:
             data = (self._pack_dir / name).read_bytes()
         except OSError:
-            return
-        keys = []
+            return []  # quarantined or cleared since it was listed
+        lines = []
         offset = 0
         for line in data.splitlines(keepends=True):
-            if line.startswith(_LINE_HEAD) and len(line) > _KEY_END:
-                key = line[len(_LINE_HEAD) : _KEY_END].decode("ascii", "replace")
-                if key not in self._located:
-                    self._located[key] = (name, offset, len(line))
-                    keys.append(key)
+            key = line[len(_LINE_HEAD) : _KEY_END].decode("ascii", "replace")
+            lines.append((key, offset, line))
             offset += len(line)
+        return lines
+
+    def _index_pack(self, name: str) -> None:
+        """Record the key and byte span of every line of one pack."""
+        keys = []
+        for key, offset, line in self._pack_lines(name):
+            if key not in self._located:
+                self._located[key] = (name, offset, len(line))
+                keys.append(key)
         self._pack_keys[name] = keys
 
     def _forget_pack(self, name: str) -> None:
@@ -412,104 +422,88 @@ class ResultCache:
         With the obs runtime on, write latency lands in
         ``cache.put_seconds`` and successes in ``cache.puts``.
         """
-        return self._put(job, result, durable=False)
-
-    def _put(
-        self, job: SimulationJob, result: JobResult, durable: bool
-    ) -> Path | None:
-        o = obs()
-        t0 = monotonic() if o.enabled else 0.0
-        key = job.cache_key()
-        path = self.root / f"{key}.json"
-        text = _entry_text(job, result)
-        try:
-            if self.faults is not None:
-                self.faults.on_cache_put(job)
-            self._commit(key, text, path, durable)
-        except OSError as error:
-            self._write_failed(path, error, 1)
-            return None
-        if self.faults is not None and self.faults.corrupts_entry(job):
-            # Injected torn write: chop the entry mid-JSON.
-            path.write_text(text[: len(text) // 3])
-        if o.enabled:
-            o.metrics.histogram("cache.put_seconds").observe(monotonic() - t0)
-            o.metrics.counter("cache.puts").inc()
-        return path
+        return self._write([(job, result)], durable=False)[0]
 
     def put_many(self, pairs: Iterable[tuple[SimulationJob, JobResult]]) -> int:
         """Store several results in one durable commit; returns how
         many landed.
 
-        One pair writes ``<key>.json``, byte for byte as :meth:`put`.
-        Two or more go into one file, ``packs/<first-key>.pack``, one
-        line per entry; a key repeated within ``pairs`` is stored once.
-        Either way the temp file is fsynced before its rename and the
-        directory after it, so what this counts as landed survives a
-        power loss: it is the campaign's one record of a chunk.  Faults
-        act per entry as in :meth:`put`: an injected write error drops
-        that entry, an injected corruption tears its line.  A real
-        ``OSError`` loses the whole commit, warned and counted per
-        entry, never raised.
+        The commit :meth:`put` makes, fsynced: the temp file before
+        its rename and the directory after it, so what this counts as
+        landed survives a power loss — it is the campaign's one record
+        of a chunk.  Two or more entries go into one file,
+        ``packs/<first-key>.pack``, one line per entry; one writes
+        ``<key>.json`` byte for byte as :meth:`put`.
         """
-        pairs = list(pairs)
-        if len(pairs) <= 1:
-            return sum(
-                self._put(job, result, durable=True) is not None
-                for job, result in pairs
-            )
+        return self._write(pairs, durable=True)[1]
+
+    def _write(
+        self, pairs: Iterable[tuple[SimulationJob, JobResult]], durable: bool
+    ) -> tuple[Path | None, int]:
+        """The one commit path: ``(path, entries landed)``.
+
+        A key repeated within ``pairs`` is stored once.  Faults act per
+        entry: an injected write error drops that entry, an injected
+        corruption tears its text before the commit.  What remains
+        picks the layout — one entry ``<key>.json``, more one pack —
+        and a real ``OSError`` loses the whole commit, warned and
+        counted per entry, never raised.
+        """
         o = obs()
         t0 = monotonic() if o.enabled else 0.0
-        keys: list[str] = []
-        lines: list[str] = []
+        entries: dict[str, tuple[SimulationJob, JobResult]] = {}
         seen: set[str] = set()
         for job, result in pairs:
             key = job.cache_key()
             if key in seen:
                 continue
             seen.add(key)
-            line = _pack_line(key, job, result)
             if self.faults is not None:
                 try:
                     self.faults.on_cache_put(job)
                 except OSError as error:
                     self._write_failed(self.path_for(job), error, 1)
                     continue
-                if self.faults.corrupts_entry(job):
-                    line = line[: len(line) // 3] + "\n"  # injected torn line
-            keys.append(key)
-            lines.append(line)
-        if not lines:
-            return 0
-        name = f"{keys[0]}.pack"
-        path = self._pack_dir / name
+            entries[key] = (job, result)
+        if not entries:
+            return None, 0
+        first = next(iter(entries))
+        packed = len(entries) > 1
+        path = self._pack_dir / f"{first}.pack" if packed else self.root / f"{first}.json"
+        texts = []
+        for key, (job, result) in entries.items():
+            head = _pack_head(key) if packed else _FILE_HEAD
+            text = _prefix(head, job) + result.canonical_json().encode() + b"}\n"
+            if self.faults is not None and self.faults.corrupts_entry(job):
+                text = text[: len(text) // 3] + b"\n"  # injected torn write
+            texts.append(text)
         try:
-            self._commit(keys[0], "".join(lines), path, durable=True)
+            self._commit(first, b"".join(texts), path, durable)
         except OSError as error:
-            self._write_failed(path, error, len(lines))
-            return 0
-        # Index what was just written: this process never rescans its
-        # own commits to find them.
-        self._forget_pack(name)
-        offset = 0
-        for key, line in zip(keys, lines):
-            self._located[key] = (name, offset, len(line))
-            offset += len(line)
-        self._pack_keys[name] = keys
+            self._write_failed(path, error, len(texts))
+            return None, 0
+        if packed:
+            # Index what was just written: this process never rescans
+            # its own commits to find them.
+            self._forget_pack(path.name)
+            offset = 0
+            for key, text in zip(entries, texts):
+                self._located[key] = (path.name, offset, len(text))
+                offset += len(text)
+            self._pack_keys[path.name] = list(entries)
         if o.enabled:
             o.metrics.histogram("cache.put_seconds").observe(monotonic() - t0)
-            o.metrics.counter("cache.puts").inc(len(lines))
-        return len(lines)
+            o.metrics.counter("cache.puts").inc(len(texts))
+        return path, len(texts)
 
-    def _commit(self, key: str, text: str, path: Path, durable: bool) -> None:
-        """Write ``text`` to a pid-unique temp file in the root and
+    def _commit(self, key: str, data: bytes, path: Path, durable: bool) -> None:
+        """Write ``data`` to a pid-unique temp file in the root and
         rename it to ``path``, making missing directories once.
 
         ``durable`` fsyncs the temp file before the rename, then the
         directory, and the parent of any directory made just now.
         """
         tmp = self.root / f"{key}.{os.getpid()}.{next(self._tmp_counter)}.tmp"
-        data = text.encode()
         synced = [path.parent]
         try:
             try:
@@ -549,54 +543,20 @@ class ResultCache:
 
     # -- maintenance ---------------------------------------------------------
 
-    @staticmethod
-    def _payload_defect(payload, key: str) -> str | None:
-        """Why a parsed entry is unusable under ``key``, or None."""
-        try:
-            if payload.get("model_version") != MODEL_VERSION:
-                return f"model version {payload.get('model_version')!r}"
-            job = SimulationJob.from_dict(payload["job"])
-            JobResult.from_dict(payload["result"])
-            if job.cache_key() != key:
-                return "content does not match its key"
-        except (ValueError, KeyError, TypeError, AttributeError) as error:
-            return f"malformed entry ({error})"
-        return None
-
-    def _entry_defect(self, path: Path) -> str | None:
-        """Why an on-disk ``<key>.json`` is unusable, or None if sound."""
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return "unreadable or not JSON"
-        return self._payload_defect(payload, path.stem)
-
-    def _pack_audit(self, path: Path) -> tuple[int, dict[str, str]]:
-        """``(entries, {label: defect})`` for one pack, one entry per
-        line; labels read ``packs/<name>:<line number>``."""
-        label = f"{PACK_DIR}/{path.name}"
-        lines = self._pack_lines(path)
-        defects = {}
-        for number, line in enumerate(lines, 1):
+    def _stored(self) -> Iterator[tuple[Path, str, str, bytes, bytes]]:
+        """Every stored entry as ``(file, label, key, head, bytes)``:
+        each ``<key>.json``, then each line of each pack, labelled
+        ``packs/<pack>:<line number>``."""
+        for path in sorted(self.root.glob("*.json")):
             try:
-                payload = json.loads(line)
-                defect = self._payload_defect(payload, payload["cache_key"])
-            except (ValueError, KeyError, TypeError):
-                defect = "unreadable or not JSON"
-            if defect is not None:
-                defects[f"{label}:{number}"] = defect
-        return len(lines), defects
-
-    def _packs(self) -> list[Path]:
-        return sorted(self._pack_dir.glob("*.pack"))
-
-    @staticmethod
-    def _pack_lines(path: Path) -> list[bytes]:
-        """A pack's entries, one per non-empty line."""
-        try:
-            return [line for line in path.read_bytes().splitlines() if line.strip()]
-        except OSError:
-            return []  # quarantined or cleared since it was listed
+                data = _read_bytes(str(path))
+            except OSError:
+                data = b""  # unreadable: audited as unsound
+            yield path, path.name, path.stem, _FILE_HEAD, data
+        for path in sorted(self._pack_dir.glob("*.pack")):
+            for number, (key, _, line) in enumerate(self._pack_lines(path.name), 1):
+                label = f"{PACK_DIR}/{path.name}:{number}"
+                yield path, label, key, _pack_head(key), line
 
     def _corpses(self) -> list[Path]:
         return [*self.root.glob("*.corrupt"), *self._pack_dir.glob("*.corrupt")]
@@ -618,9 +578,9 @@ class ResultCache:
         Returns ``{"entries", "valid", "corrupt": {name: why},
         "stale_tmp": [names], "quarantined", "claims"}`` — every line
         of a pack counts as one entry, named ``packs/<pack>:<line>``
-        in ``corrupt``; ``corrupt`` covers unreadable entries, version
-        mismatches, and key/content drift; ``claims`` counts leftover
-        single-flight files in the conventional ``claims/``
+        in ``corrupt``; ``corrupt`` lists exactly the entries ``get``
+        would quarantine (the same check decides); ``claims`` counts
+        leftover single-flight files in the conventional ``claims/``
         subdirectory (records, tombstones, heartbeat temps) so
         registry debris is at least *visible* here — pruning it is
         ``claims gc``'s job, not verify's.
@@ -633,20 +593,13 @@ class ResultCache:
             "quarantined": 0,
             "claims": {"records": 0, "tombstones": 0, "beats": 0},
         }
-        if not self.root.is_dir():
-            return report
-        for path in sorted(self.root.glob("*.json")):
+        for _, label, key, head, data in self._stored():
             report["entries"] += 1
-            defect = self._entry_defect(path)
+            defect = _audit(key, head, data)
             if defect is None:
                 report["valid"] += 1
             else:
-                report["corrupt"][path.name] = defect
-        for path in self._packs():
-            entries, defects = self._pack_audit(path)
-            report["entries"] += entries
-            report["valid"] += entries - len(defects)
-            report["corrupt"].update(defects)
+                report["corrupt"][label] = defect
         report["stale_tmp"] = [p.name for p in self._stale_tmps(max_tmp_age)]
         report["quarantined"] = len(self._corpses())
         claims_dir = self.root / "claims"
@@ -667,17 +620,14 @@ class ResultCache:
         quarantine uses the same atomic rename ``get`` does.
         """
         done: dict = {"quarantined": [], "removed_tmp": []}
-        if not self.root.is_dir():
-            return done
-        for path in sorted(self.root.glob("*.json")):
-            if self._entry_defect(path) is not None:
-                if self._quarantine(path) is not None:
-                    done["quarantined"].append(path.name)
-        for path in self._packs():
-            if self._pack_audit(path)[1]:
-                self._forget_pack(path.name)
-                if self._quarantine(path) is not None:
-                    done["quarantined"].append(f"{PACK_DIR}/{path.name}")
+        moved: set[Path] = set()
+        for path, _, key, head, data in self._stored():
+            if path in moved or _audit(key, head, data) is None:
+                continue
+            moved.add(path)
+            self._forget_pack(path.name)
+            if self._quarantine(path) is not None:
+                done["quarantined"].append(path.relative_to(self.root).as_posix())
         for tmp in self._stale_tmps(max_tmp_age):
             try:
                 tmp.unlink(missing_ok=True)
@@ -689,31 +639,21 @@ class ResultCache:
     def clear(self) -> int:
         """Delete every cache entry (plus quarantine/temp debris);
         returns how many *entries* were removed."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.json"):
-                path.unlink(missing_ok=True)
-                removed += 1
-            for path in self._packs():
-                removed += len(self._pack_lines(path))
-                path.unlink(missing_ok=True)
-            for debris in itertools.chain(self._corpses(), self.root.glob("*.tmp")):
-                debris.unlink(missing_ok=True)
-            try:
-                self._pack_dir.rmdir()
-            except OSError:
-                pass  # absent, or holds files that are not the cache's
+        stored = [path for path, *_ in self._stored()]
+        for path in itertools.chain(set(stored), self._corpses(), self.root.glob("*.tmp")):
+            path.unlink(missing_ok=True)
+        try:
+            self._pack_dir.rmdir()
+        except OSError:
+            pass  # absent, or holds files that are not the cache's
         self._located.clear()
         self._pack_keys.clear()
         self._packs_mtime = None
-        return removed
+        return len(stored)
 
     def __len__(self) -> int:
         """Number of entries currently on disk, packed ones included."""
-        if not self.root.is_dir():
-            return 0
-        packed = sum(len(self._pack_lines(path)) for path in self._packs())
-        return sum(1 for _ in self.root.glob("*.json")) + packed
+        return sum(1 for _ in self._stored())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -35,8 +35,9 @@ Fault kinds
     Make :meth:`ResultCache.put` fail with ``OSError`` — models a
     full or read-only disk.
 ``cache_corrupt``
-    Truncate the cache entry right after it is written — models a
-    torn write / bit rot; recovery requires quarantine-and-recompute.
+    Write a torn cache entry (its first third and a newline) in place
+    of the whole one — models a torn write / bit rot; recovery
+    requires quarantine-and-recompute.
 ``serve_crash``
     Hard-kill a prefork *serve worker* mid-request (before the job
     executes) — models a worker process dying under load; the
@@ -310,7 +311,7 @@ class FaultPlan:
                 raise OSError(28, "injected: no space left on device")
 
     def corrupts_entry(self, job) -> bool:
-        """Whether ``ResultCache.put`` should corrupt this entry after writing."""
+        """Whether ``ResultCache`` should tear this entry as it writes it."""
         return any(
             rule.kind == "cache_corrupt" and rule.matches(job, 0)
             for rule in self.rules

@@ -39,7 +39,6 @@ __all__ = [
     "run_job",
     "run_jobs",
     "run_jobs_observed",
-    "validate_engine",
 ]
 
 #: Bump whenever a change alters simulation trajectories (RNG streams,
@@ -48,10 +47,6 @@ __all__ = [
 MODEL_VERSION = "fj93-model-1"
 
 _DIRECTIONS = ("up", "down")
-
-#: Back-compat alias: engine validation now lives in
-#: :func:`repro.core.engines.resolve_engine`, the one shared check.
-validate_engine = resolve_engine
 
 #: The canonical encoder (compact, sorted keys) and the cache key's
 #: (sorted keys, json's default separators).  Shared instances:
@@ -124,7 +119,7 @@ class SimulationJob:
             raise ValueError(
                 f"unknown direction {self.direction!r}; known: {', '.join(_DIRECTIONS)}"
             )
-        validate_engine(self.engine)
+        resolve_engine(self.engine)
         object.__setattr__(self, "topology", _canonical_topology(self.topology))
         check_engine_topology(self.engine, self.topology, (self.n_nodes,))
 

@@ -98,8 +98,20 @@ def deterministic_jitter(key: str, attempt: int) -> float:
     return 0.5 + int.from_bytes(digest[:8], "big") / 2**64
 
 
-#: Backwards-compatible module-private alias (pre-serve spelling).
-_jitter = deterministic_jitter
+def _under_deadline(budget: float, message: str, fn: Callable, *args):
+    """``fn(*args)`` on a watchdog thread; :class:`JobTimeoutError`
+    carrying ``message`` if it outlives ``budget`` seconds."""
+    watchdog = ThreadPoolExecutor(max_workers=1)
+    future = watchdog.submit(fn, *args)
+    try:
+        return future.result(timeout=budget)
+    except FutureTimeoutError:
+        future.cancel()
+        raise JobTimeoutError(message) from None
+    finally:
+        # Don't block on a hung job; the daemon-less thread ends when
+        # the (finite) simulation or injected hang returns.
+        watchdog.shutdown(wait=False)
 
 
 @dataclass
@@ -360,19 +372,13 @@ class ParallelRunner:
         """Run one batch group in-process, under its group deadline."""
         if self.timeout is None:
             return run_batch(specs)
-        watchdog = ThreadPoolExecutor(max_workers=1)
-        future = watchdog.submit(run_batch, specs)
-        try:
-            # The group gets the same budget its jobs would get singly.
-            return future.result(timeout=self.timeout * len(specs))
-        except FutureTimeoutError:
-            future.cancel()
-            raise JobTimeoutError(
-                f"batch group of {len(specs)} job(s) exceeded its group "
-                f"deadline ({self.timeout:g} s/job)"
-            ) from None
-        finally:
-            watchdog.shutdown(wait=False)
+        # The group gets the same budget its jobs would get singly.
+        return _under_deadline(
+            self.timeout * len(specs),
+            f"batch group of {len(specs)} job(s) exceeded its group "
+            f"deadline ({self.timeout:g} s/job)",
+            run_batch, specs,
+        )
 
     def _run_single(
         self,
@@ -427,26 +433,19 @@ class ParallelRunner:
         """Run one job in-process, under the per-job deadline if set."""
         if self.timeout is None:
             return run_job(spec, faults=self.faults, attempt=attempt)
-        watchdog = ThreadPoolExecutor(max_workers=1)
-        future = watchdog.submit(run_job, spec, self.faults, attempt)
-        try:
-            return future.result(timeout=self.timeout)
-        except FutureTimeoutError:
-            future.cancel()
-            raise JobTimeoutError(
-                f"job {spec.cache_key()[:12]} exceeded the {self.timeout} s "
-                f"per-job deadline in-process (attempt {attempt})"
-            ) from None
-        finally:
-            # Don't block on a hung job; the daemon-less thread ends
-            # when the (finite) simulation or injected hang returns.
-            watchdog.shutdown(wait=False)
+        return _under_deadline(
+            self.timeout,
+            f"job {spec.cache_key()[:12]} exceeded the {self.timeout} s "
+            f"per-job deadline in-process (attempt {attempt})",
+            run_job, spec, self.faults, attempt,
+        )
 
     def _sleep_backoff(self, spec: SimulationJob, attempt: int) -> None:
         if self.backoff_base <= 0:
             return
         delay = self.backoff_base * 2 ** (attempt - 1)
-        sleep_for = min(delay * _jitter(spec.cache_key(), attempt), BACKOFF_CAP)
+        jitter = deterministic_jitter(spec.cache_key(), attempt)
+        sleep_for = min(delay * jitter, BACKOFF_CAP)
         o = obs()
         with o.span("runner.backoff", attempt=attempt, seconds=sleep_for):
             time.sleep(sleep_for)

@@ -44,14 +44,6 @@ class ServeConfig:
         in-flight requests before giving up and exiting anyway.
     cache_root:
         Directory for the result cache, or None to disable caching.
-    checkpoint:
-        When True, every compute batch is journaled through the PR-2
-        :class:`~repro.parallel.CheckpointJournal`: a batch cut short
-        (SIGKILL, drain-grace expiry) leaves its completed jobs on
-        record, and the next identical request resumes instead of
-        recomputing.  Off by default — the write-through cache already
-        makes completed *jobs* durable; journals additionally make
-        partial *batches* resumable.
     engine:
         Simulation engine used for figure requests
         (``des``/``cascade``/``batch``; see
@@ -104,7 +96,6 @@ class ServeConfig:
     retry_after_base: float = 1.0
     drain_grace: float = 30.0
     cache_root: str | None = "results/cache"
-    checkpoint: bool = False
     engine: str = "cascade"
     workers: int = 1
     claims: bool | None = None
@@ -162,7 +153,6 @@ class ServeConfig:
             "retry_after_base": self.retry_after_base,
             "drain_grace": self.drain_grace,
             "cache_root": self.cache_root,
-            "checkpoint": self.checkpoint,
             "engine": self.engine,
             "workers": self.workers,
             "claims": self.claims,

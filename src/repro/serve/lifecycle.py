@@ -6,9 +6,8 @@ SIGTERM (or SIGINT) the server *drains* rather than dies:
 1. ``/readyz`` flips to 503 and compute endpoints stop admitting —
    a load balancer or client fleet sees the instance leave rotation.
 2. In-flight requests finish (bounded by ``drain_grace``); completed
-   jobs are already durable via the write-through cache, and with
-   ``checkpoint=True`` partially finished batches are journaled, so
-   whatever the drain cannot finish resumes on the next request.
+   jobs are already on disk via the write-through cache, so a request
+   the drain cannot finish recomputes only its missing jobs next time.
 3. The listener closes and the process exits 0.
 
 :class:`BackgroundServer` runs the same server on a daemon thread

@@ -63,7 +63,6 @@ from ..parallel import (
     ParallelRunner,
     ResultCache,
     SimulationJob,
-    resolve_checkpoint,
 )
 from ..parallel.job import MODEL_VERSION
 from .coalesce import CoalesceCancelledError, Coalescer
@@ -230,23 +229,12 @@ class SimulationServer:
         the cache and pool settings come from the config.  The request
         deadline doubles as the runner's per-job watchdog timeout.
         """
-        journal = (
-            resolve_checkpoint(True, specs) if self.config.checkpoint else None
-        )
         runner = ParallelRunner(
             jobs=self.config.jobs,
             cache=self.cache,
             timeout=self.config.deadline,
-            checkpoint=journal,
         )
-        try:
-            results = runner.run(specs)
-        except BaseException:
-            if journal is not None:
-                journal.close()
-            raise
-        if journal is not None:
-            journal.complete()
+        results = runner.run(specs)
         stats = runner.stats
         self.metrics.counter("serve.jobs.executed").inc(stats.executed)
         self.metrics.counter("serve.jobs.cache_hits").inc(stats.cache_hits)
@@ -307,6 +295,7 @@ class SimulationServer:
                 cached = self.cache.get(spec)
                 if cached is not None:
                     self.metrics.counter("serve.claims.peer_hits").inc()
+                    self.metrics.counter("serve.jobs.cache_hits").inc()
                     results[idx] = cached
                     continue
                 key = spec.cache_key()

@@ -105,16 +105,22 @@ class TestEntryFormat:
             self.payload(job, result), sort_keys=True, separators=(",", ":")
         ) + "\n"
 
-    def test_legacy_indented_entry_still_reads(self, tmp_path, job, result):
-        # The format older versions wrote: sorted keys, indent=1.
+    def test_legacy_indented_entry_is_a_quarantined_miss(self, tmp_path, job, result):
+        # The format older versions wrote (sorted keys, indent=1) is not
+        # what put writes: verify flags it, get misses and quarantines it.
         cache = ResultCache(tmp_path)
-        cache.path_for(job).write_text(
+        path = cache.path_for(job)
+        path.write_text(
             json.dumps(self.payload(job, result), sort_keys=True, indent=1) + "\n"
         )
         report = cache.verify()
-        assert (report["entries"], report["valid"], report["corrupt"]) == (1, 1, {})
+        assert (report["entries"], report["valid"]) == (1, 0)
+        assert list(report["corrupt"]) == [path.name]
+        assert cache.get(job) is None
+        assert (cache.hits, cache.quarantined) == (0, 1)
+        assert not path.exists()
+        cache.put(job, result)  # recomputed, in the one layout
         assert cache.get(job) == result
-        assert (cache.hits, cache.quarantined) == (1, 0)
 
     def test_root_is_created_on_first_put_only(
         self, tmp_path, job, result, monkeypatch
@@ -408,15 +414,9 @@ class TestPacks:
         cache = ResultCache(tmp_path)
         cache.put_many(zip(jobs[:2], results[:2]))
         cache.put(jobs[2], results[2])
-        # The indented form older versions wrote.
-        legacy = {
-            "model_version": MODEL_VERSION,
-            "job": jobs[3].to_dict(),
-            "result": results[3].to_dict(),
-        }
-        cache.path_for(jobs[3]).write_text(
-            json.dumps(legacy, sort_keys=True, indent=1) + "\n"
-        )
+        # A one-entry durable commit from another instance.
+        ResultCache(tmp_path).put_many([(jobs[3], results[3])])
+        assert cache.path_for(jobs[3]).is_file()
         for reader in (cache, ResultCache(tmp_path)):
             assert [reader.get(job) for job in jobs] == results
             assert reader.quarantined == 0
@@ -555,6 +555,11 @@ class TestBytePath:
         return jobs, results, path
 
     def assert_defect(self, tmp_path, jobs, path):
+        # verify flags exactly the entry get then quarantines.
+        report = ResultCache(tmp_path).verify()
+        label = path.name if path.suffix == ".json" else f"packs/{path.name}:2"
+        assert list(report["corrupt"]) == [label]
+        assert report["valid"] == report["entries"] - 1
         for reader in (ResultCache(tmp_path), ResultCache(tmp_path)):
             assert reader.get(jobs[1]) is None
         assert not path.exists()
@@ -579,8 +584,9 @@ class TestBytePath:
             b'{"first_passages":{"one":0.5}}',  # JSON, bad size
             b'{"first_passages":{"1":0.5}} {}',  # trailing data
             b'{"first_passages":{"1":"x"}}',  # JSON, bad time
+            b' {"first_passages":{"1":0.5}}',  # JSON, but spaced
         ],
-        ids=["syntax", "unbalanced", "shape", "size", "trailing", "time"],
+        ids=["syntax", "unbalanced", "shape", "size", "trailing", "time", "spaced"],
     )
     def test_garbled_result_member_behind_a_valid_prefix(
         self, tmp_path, layout, member
@@ -610,6 +616,8 @@ class TestBytePath:
     @pytest.mark.parametrize("layout", ["file", "pack"])
     @pytest.mark.parametrize("cut", [1, 3, 20])
     def test_torn_tail(self, tmp_path, layout, cut):
+        # cut=1 drops only the final newline; in a pack, job 2's line
+        # is the last one.
         jobs, _, path = self.plant(tmp_path, layout, lambda data: data[:-cut])
         self.assert_defect(tmp_path, jobs, path)
 
@@ -639,17 +647,14 @@ class TestBytePath:
     @pytest.mark.parametrize(
         "layout,spaced", [("file", True), ("file", False), ("pack", False)]
     )
-    def test_valid_entry_in_another_layout_reads_the_old_way(
+    def test_other_layout_is_a_quarantined_miss(
         self, tmp_path, layout, spaced
     ):
-        # Parsed whole and audited like verify does; older indented
-        # entries rely on this.
-        jobs, results, path = self.plant(
+        # Equal JSON in another key order or spacing is not what put
+        # writes: one check for get and verify, no whole-entry parse.
+        jobs, _, path = self.plant(
             tmp_path, layout, lambda data: self.other_layout(data, spaced)
         )
         entry = path.read_bytes().splitlines()[-1]
         assert f'"job":{jobs[1].canonical_json()},'.encode() not in entry
-        reader = ResultCache(tmp_path)
-        assert reader.get(jobs[1]) == results[1]
-        assert (reader.hits, reader.quarantined) == (1, 0)
-        assert reader.verify()["corrupt"] == {}
+        self.assert_defect(tmp_path, jobs, path)

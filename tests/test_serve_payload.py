@@ -178,6 +178,11 @@ def test_entries_in_other_spellings_are_never_spliced_verbatim(tmp_path, case):
         (pack,) = (tmp_path / "packs").glob("*.pack")
         pack.write_text(pack.read_text() + text)
     reader = ResultCache(tmp_path)
+    if not case.startswith("odd-member"):
+        # Not the bytes put writes ahead of the result member: a miss
+        # and a quarantine, never a hit (the cache has one check).
+        assert (reader.get(job), reader.quarantined) == (None, 1)
+        return
     assert (reader.get(job), reader.quarantined) == (ODD, 0)
     payload = simulation_payload(job, reader.get(job))
     assert payload == oracle(job, ODD)

@@ -170,6 +170,20 @@ class TestDeterminism:
         assert second == first
         assert executed.get("value", 0) == 0  # answered from cache
 
+    @pytest.mark.parametrize("claims", [False, True])
+    def test_a_repeated_request_counts_one_cache_hit(self, tmp_path, claims):
+        # Every fleet of two or more workers runs the claims path, which
+        # answers hits before the runner; loadgen reads this counter.
+        spec = spec_dict(seed=13)
+        with BackgroundServer(config(tmp_path, claims=claims)) as bg:
+            with ServeClient(bg.host, bg.port) as client:
+                first = client.simulate(spec).body
+                second = client.simulate(spec).body
+                metrics = client.metrics()["serve"]
+        assert second == first
+        assert metrics["serve.jobs.cache_hits"]["value"] == 1
+        assert metrics["serve.jobs.executed"]["value"] == 1
+
     def test_sweep_splices_the_exact_simulate_payloads(self, tmp_path):
         specs = [spec_dict(seed=21), spec_dict(seed=22)]
         jobs = [SimulationJob.from_dict(s) for s in specs]
