@@ -1,14 +1,13 @@
 """Pluggable dispatchers: where a batch of jobs actually executes.
 
-The campaign layer (and the sweep helpers) speak one interface —
-:class:`Dispatcher`, ``run(specs) -> list[JobResult]`` in spec order —
-and two implementations provide it:
+The campaign layer speaks one interface — :class:`Dispatcher`,
+``run(specs) -> list[JobResult]`` in spec order — and two
+implementations provide it:
 
-* :class:`LocalDispatcher` wraps the PR-1/2
+* :class:`LocalDispatcher` wraps the
   :class:`~repro.parallel.ParallelRunner`: a process pool (or
-  in-process execution) on this host, with the runner's full
-  deadline/retry/cache/checkpoint machinery available.
-* :class:`ServeDispatcher` fans batches out to one or more PR-7 serve
+  in-process execution) on this host.
+* :class:`ServeDispatcher` fans batches out to one or more serve
   endpoints over HTTP: chunks of specs are posted to ``/v1/sweep``
   through per-endpoint worker threads (bounded in-flight requests per
   endpoint), honoring the server's deterministic ``Retry-After``
@@ -20,10 +19,8 @@ Both return results **in spec order** and byte-identical to each
 other — the server computes with the same ``run_job`` the local pool
 does, and the response payload embeds the same canonical
 :class:`~repro.parallel.JobResult` serialization the cache uses.
-Dispatchers execute; they do not own campaign-level caching or
-journaling (the orchestrator in :mod:`repro.campaign.run` does), but
-:class:`LocalDispatcher` accepts a cache/checkpoint so the pre-campaign
-sweep call sites keep their exact behavior behind the new interface.
+Dispatchers execute; they own no caching or journaling (the
+orchestrator in :mod:`repro.campaign.run` commits to the cache).
 """
 
 from __future__ import annotations
@@ -35,14 +32,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..obs import obs
-from ..parallel import (
-    CheckpointJournal,
-    FaultPlan,
-    JobResult,
-    ParallelRunner,
-    ResultCache,
-    SimulationJob,
-)
+from ..parallel import JobResult, ParallelRunner, SimulationJob
 
 __all__ = [
     "Dispatcher",
@@ -80,45 +70,13 @@ class Dispatcher:
 
 @dataclass
 class LocalDispatcher(Dispatcher):
-    """Execute on this host through a :class:`ParallelRunner`.
-
-    A fresh runner is built per :meth:`run` call (exactly what the
-    serving layer does), so per-batch stats and reports never race;
-    the most recent runner stays reachable as :attr:`runner` for
-    callers that read ``stats``/``report`` afterwards.
-    """
+    """Execute on this host through a fresh :class:`ParallelRunner`
+    of ``jobs`` workers per :meth:`run` call."""
 
     jobs: int = 1
-    cache: ResultCache | None = None
-    checkpoint: CheckpointJournal | None = None
-    timeout: float | None = None
-    retries: int = 1
-    on_error: str = "raise"
-    chunk_size: int | None = None
-    faults: FaultPlan | None = None
-    runner: ParallelRunner | None = field(default=None, init=False, repr=False)
 
     def run(self, specs: Sequence[SimulationJob]) -> list[JobResult]:
-        self.runner = ParallelRunner(
-            jobs=self.jobs,
-            cache=self.cache,
-            checkpoint=self.checkpoint,
-            timeout=self.timeout,
-            retries=self.retries,
-            on_error=self.on_error,
-            chunk_size=self.chunk_size,
-            faults=self.faults,
-        )
-        return self.runner.run(specs)
-
-    @property
-    def report(self):
-        """The most recent run's per-job ledger (None before a run)."""
-        return self.runner.report if self.runner is not None else None
-
-    @property
-    def stats(self):
-        return self.runner.stats if self.runner is not None else None
+        return ParallelRunner(jobs=self.jobs).run(specs)
 
     def describe(self) -> str:
         return f"local(jobs={self.jobs})"

@@ -24,13 +24,13 @@ entries leaves the shard incomplete.  A per-shard marker file under
 the checkpoint root exists from the start of a run until the whole
 shard is retired; a surviving marker *means* an interrupted shard.
 
-The orchestrator owns caching; dispatchers only execute.  (Campaign
-dispatchers are constructed without cache or checkpoint wiring —
-double-commit is a bug, not a belt-and-braces.)
+The orchestrator owns caching; dispatchers only execute (they hold
+no cache or journal — double-commit is a bug, not a belt-and-braces).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..obs import obs
-from ..parallel import CheckpointJournal, ResultCache
+from ..parallel import DEFAULT_CHECKPOINT_DIR, ResultCache
 from ..parallel.job import MODEL_VERSION
 from .dispatch import Dispatcher, LocalDispatcher
 from .progress import CampaignProgress
@@ -83,7 +83,9 @@ def shard_marker(
         },
         sort_keys=True,
     )
-    return CheckpointJournal.for_key(descriptor, root).path.with_suffix(".shard")
+    run_id = hashlib.sha256(descriptor.encode("utf-8")).hexdigest()[:16]
+    directory = Path(root) if root is not None else DEFAULT_CHECKPOINT_DIR
+    return directory / f"{run_id}.shard"
 
 
 @dataclass
@@ -204,9 +206,7 @@ def _retire_chunk(
 ) -> None:
     """Retire one chunk: cache hits, then dispatch, then one commit."""
     todo = [job for job in chunk if cache.get(job) is None]
-    results = dispatcher.run(todo) if todo else []
-    # None is a job censored by an on_error="censor" local run.
-    fresh = [(job, result) for job, result in zip(todo, results) if result is not None]
+    fresh = list(zip(todo, dispatcher.run(todo))) if todo else []
     # Only what the commit landed is retired: a dropped entry leaves
     # the shard incomplete and is executed again by the next run.
     executed = cache.put_many(fresh) if fresh else 0

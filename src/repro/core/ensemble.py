@@ -107,19 +107,11 @@ class FirstPassageEnsemble:
         Optional :class:`~repro.parallel.ResultCache`; completed seeds
         are never recomputed.
     checkpoint:
-        Resume support: ``True`` journals completed seeds under
-        ``results/checkpoints/`` (content-addressed run id) so a
-        killed ensemble resumes where it stopped; also accepts an
-        explicit path or :class:`~repro.parallel.CheckpointJournal`.
-        The journal is deleted once the ensemble completes cleanly.
-    on_error:
-        ``"raise"`` (default) surfaces the first seed failure after
-        completed seeds are committed; ``"censor"`` degrades failed
-        seeds to censored observations so partial results are
-        harvestable (inspect :attr:`report` for which).
-    timeout, retries:
-        Per-seed deadline (seconds) and retry budget, passed to the
-        :class:`~repro.parallel.ParallelRunner`.
+        Resume support: ``True`` has the
+        :class:`~repro.parallel.ParallelRunner` journal completed
+        seeds under ``results/checkpoints/`` (content-addressed run
+        id) so a killed ensemble resumes where it stopped; the runner
+        deletes the journal once the ensemble completes cleanly.
     topology:
         Coupling graph for every run (grammar of
         :func:`repro.topo.parse_topology`); the default clique is the
@@ -133,10 +125,7 @@ class FirstPassageEnsemble:
     engine: str = "cascade"
     jobs: int = 1
     cache: object | None = None
-    checkpoint: object | None = None
-    on_error: Literal["raise", "censor"] = "raise"
-    timeout: float | None = None
-    retries: int = 1
+    checkpoint: bool = False
     topology: str = "clique"
     report: object | None = field(default=None, init=False)
     _passages: list[dict[int, float]] = field(default_factory=list, init=False)
@@ -157,7 +146,7 @@ class FirstPassageEnsemble:
     def run(self) -> "FirstPassageEnsemble":
         """Execute every run (idempotent: re-running clears old data)."""
         from ..obs import obs
-        from ..parallel import ParallelRunner, SimulationJob, resolve_checkpoint
+        from ..parallel import ParallelRunner, SimulationJob
 
         specs = [
             SimulationJob.from_params(
@@ -170,14 +159,8 @@ class FirstPassageEnsemble:
             )
             for seed in self.seeds
         ]
-        journal = resolve_checkpoint(self.checkpoint, specs)
         runner = ParallelRunner(
-            jobs=self.jobs,
-            cache=self.cache,
-            checkpoint=journal,
-            on_error=self.on_error,
-            timeout=self.timeout,
-            retries=self.retries,
+            jobs=self.jobs, cache=self.cache, checkpoint=self.checkpoint
         )
         try:
             with obs().span(
@@ -193,15 +176,6 @@ class FirstPassageEnsemble:
                 ]
         finally:
             self.report = runner.report
-            if journal is not None:
-                # A clean, complete batch needs no resume marker; any
-                # censored/failed seed keeps the journal for a retry.
-                if runner.report.fully_accounted(len(specs)) and (
-                    runner.report.incomplete == 0
-                ):
-                    journal.complete()
-                else:
-                    journal.close()
         return self
 
     def result_for(self, size: int) -> EnsembleResult:

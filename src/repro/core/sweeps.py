@@ -141,29 +141,19 @@ def _run_sweep(
     engine: str,
     jobs: int,
     cache,
-    checkpoint=None,
-    on_error: str = "raise",
-    dispatcher=None,
+    checkpoint: bool = False,
     topology: str = "clique",
 ) -> list[SweepResult]:
-    """Execute a (parameter, seed) grid through a dispatcher.
-
-    By default the grid runs on a
-    :class:`~repro.campaign.dispatch.LocalDispatcher` built from the
-    ``jobs``/``cache``/``checkpoint``/``on_error`` knobs — exactly the
-    pre-campaign runner behavior, journal lifecycle included.  Passing
-    an explicit ``dispatcher`` routes execution elsewhere (e.g. a
-    :class:`~repro.campaign.dispatch.ServeDispatcher` fleet); the
-    runner knobs then stay with whoever built the dispatcher, and
-    journaling is the caller's concern.
+    """Execute a (parameter, seed) grid through one
+    :class:`~repro.parallel.ParallelRunner` call (which owns the
+    ``checkpoint`` journal's lifecycle).
 
     ``topology`` (parse grammar of :func:`repro.topo.parse_topology`)
     applies to every point; the default clique reproduces the paper's
     fully-coupled model and the historical cache keys.
     """
-    from ..campaign.dispatch import LocalDispatcher
     from ..obs import obs
-    from ..parallel import SimulationJob, resolve_checkpoint
+    from ..parallel import ParallelRunner, SimulationJob
 
     if direction not in ("synchronize", "break_up"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -181,33 +171,18 @@ def _run_sweep(
         )
         for _value, seed, params in grid
     ]
-    journal = None
-    if dispatcher is None:
-        journal = resolve_checkpoint(checkpoint, specs)
-        dispatcher = LocalDispatcher(
-            jobs=jobs, cache=cache, checkpoint=journal, on_error=on_error
-        )
-    try:
-        with obs().span(
-            "sweep.run",
-            direction=direction,
-            points=len(points),
-            seeds=len(list(seeds)),
-            grid=len(specs),
-            engine=engine,
-            jobs=jobs,
-            dispatcher=dispatcher.describe(),
-        ):
-            results = dispatcher.run(specs)
-    finally:
-        if journal is not None:
-            report = dispatcher.report
-            if report is not None and report.fully_accounted(len(specs)) and (
-                report.incomplete == 0
-            ):
-                journal.complete()  # clean finish: no resume marker to keep
-            else:
-                journal.close()
+    with obs().span(
+        "sweep.run",
+        direction=direction,
+        points=len(points),
+        seeds=len(list(seeds)),
+        grid=len(specs),
+        engine=engine,
+        jobs=jobs,
+    ):
+        results = ParallelRunner(
+            jobs=jobs, cache=cache, checkpoint=checkpoint
+        ).run(specs)
     return [
         SweepResult(
             parameter=value,
@@ -228,9 +203,7 @@ def sweep_tr(
     engine: str = "cascade",
     jobs: int = 1,
     cache=None,
-    checkpoint=None,
-    on_error: str = "raise",
-    dispatcher=None,
+    checkpoint: bool = False,
     topology: str = "clique",
 ) -> list[SweepResult]:
     """First-passage times across a range of random components.
@@ -241,16 +214,12 @@ def sweep_tr(
 
     ``checkpoint=True`` journals completed grid points under
     ``results/checkpoints/`` so an interrupted sweep resumes without
-    re-simulating; ``on_error="censor"`` harvests partial grids
-    (failed points read as censored) instead of aborting.
-    ``dispatcher`` overrides where the grid executes (see
-    :func:`_run_sweep`); the default is the local pool.
+    re-simulating.
     """
     points = [(tr, base.with_tr(tr)) for tr in tr_values]
     return _run_sweep(
         points, horizon, direction, seeds, engine, jobs, cache,
-        checkpoint=checkpoint, on_error=on_error, dispatcher=dispatcher,
-        topology=topology,
+        checkpoint=checkpoint, topology=topology,
     )
 
 
@@ -263,21 +232,18 @@ def sweep_nodes(
     engine: str = "cascade",
     jobs: int = 1,
     cache=None,
-    checkpoint=None,
-    on_error: str = "raise",
-    dispatcher=None,
+    checkpoint: bool = False,
     topology: str = "clique",
 ) -> list[SweepResult]:
     """First-passage times across a range of network sizes (Figure 15's axis).
 
-    See :func:`sweep_tr` for ``checkpoint``/``on_error``/``dispatcher``;
-    ``topology`` applies the same coupling graph at every size.
+    See :func:`sweep_tr` for ``checkpoint``; ``topology`` applies the
+    same coupling graph at every size.
     """
     points = [(float(n), base.with_nodes(n)) for n in n_values]
     return _run_sweep(
         points, horizon, direction, seeds, engine, jobs, cache,
-        checkpoint=checkpoint, on_error=on_error, dispatcher=dispatcher,
-        topology=topology,
+        checkpoint=checkpoint, topology=topology,
     )
 
 
@@ -289,7 +255,6 @@ def find_transition_n(
     seed: int = 1,
     engine: str = "cascade",
     cache=None,
-    checkpoint=None,
     topology: str = "clique",
 ) -> int:
     """Smallest N that synchronizes within the horizon (bisection).
@@ -303,45 +268,17 @@ def find_transition_n(
 
     Bisection is inherently sequential, so there is no ``jobs``
     parameter — but with a ``cache`` every probe is remembered, so
-    repeated or overlapping searches converge almost for free.
-    ``checkpoint=True`` journals the probes too (the run id derives
-    from the search descriptor, since the probe set is adaptive), so
-    a killed search replays its completed probes instantly.
+    repeated, overlapping or killed-and-restarted searches converge
+    almost for free.  (Each probe is a one-job batch, so there is no
+    journal to resume: the cache is the search's memory.)
     """
-    import json as _json
-
-    from ..parallel import (
-        MODEL_VERSION,
-        CheckpointJournal,
-        ParallelRunner,
-        SimulationJob,
-        resolve_checkpoint,
-    )
+    from ..parallel import ParallelRunner, SimulationJob
 
     resolve_engine(engine)
     from ..topo import ensure_spec
 
     topology = ensure_spec(topology).canonical()
-    if checkpoint is True:
-        fields = {
-            "fn": "find_transition_n",
-            "base": [base.n_nodes, base.tp, base.tc, base.tr],
-            "horizon": horizon,
-            "n_low": n_low,
-            "n_high": n_high,
-            "seed": seed,
-            "engine": engine,
-            "model_version": MODEL_VERSION,
-        }
-        if topology != "clique":
-            # Key omitted for cliques: pre-topology searches keep
-            # resuming from their existing journals.
-            fields["topology"] = topology
-        descriptor = _json.dumps(fields, sort_keys=True)
-        journal = CheckpointJournal.for_key(descriptor)
-    else:
-        journal = resolve_checkpoint(checkpoint, [])
-    runner = ParallelRunner(jobs=1, cache=cache, checkpoint=journal)
+    runner = ParallelRunner(jobs=1, cache=cache)
 
     def synchronizes(n: int) -> bool:
         from ..obs import obs
@@ -356,17 +293,10 @@ def find_transition_n(
             span.set(synchronized=synced)
         return synced
 
-    def finish(answer: int) -> int:
-        if journal is not None:
-            journal.complete()  # search done: drop the resume marker
-        return answer
-
     if not synchronizes(n_high):
-        if journal is not None:
-            journal.close()  # keep probes: a wider re-search resumes them
         raise ValueError(f"no synchronization even at N={n_high} within horizon {horizon}")
     if synchronizes(n_low):
-        return finish(n_low)
+        return n_low
     lo, hi = n_low, n_high  # invariant: lo does not synchronize, hi does
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -374,4 +304,4 @@ def find_transition_n(
             hi = mid
         else:
             lo = mid
-    return finish(hi)
+    return hi

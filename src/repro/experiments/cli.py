@@ -492,7 +492,6 @@ def _run_figures(args) -> int:
     from ..parallel import ResultCache
 
     cache = None if args.no_cache else ResultCache(args.cache_root)
-    checkpoint = True if args.resume else None
     targets = figure_ids() if args.target == "all" else [args.target]
     try:
         for figure_id in targets:
@@ -501,7 +500,7 @@ def _run_figures(args) -> int:
                 fast=args.fast,
                 jobs=args.jobs,
                 cache=cache,
-                checkpoint=checkpoint,
+                checkpoint=args.resume,
                 engine=args.engine,
                 topology=args.topology,
             )

@@ -25,7 +25,7 @@ def run(
     seeds: tuple[int, ...] = (1,),
     jobs: int = 1,
     cache=None,
-    checkpoint=None,
+    checkpoint: bool = False,
     engine: str = "cascade",
 ) -> FigureResult:
     """Reproduce Figure 7 (pass a smaller horizon for a fast run).

@@ -24,7 +24,7 @@ def run(
     f2: float = 19.0,
     jobs: int = 1,
     cache=None,
-    checkpoint=None,
+    checkpoint: bool = False,
     engine: str = "cascade",
     topology: str = "clique",
 ) -> FigureResult:
@@ -32,7 +32,7 @@ def run(
 
     ``jobs`` fans the seeds out over worker processes; ``cache`` (a
     :class:`~repro.parallel.ResultCache`) makes repeated runs free;
-    ``checkpoint`` journals completed seeds so an interrupted run
+    ``checkpoint=True`` journals completed seeds so an interrupted run
     resumes (CLI ``--resume``); ``engine`` picks the simulation
     backend (``cascade``/``batch``/``des``).  None of them changes
     the numbers.  ``topology`` (CLI ``--topology``) replaces the

@@ -21,7 +21,7 @@ def run(
     seeds: tuple[int, ...] = tuple(range(1, 21)),
     jobs: int = 1,
     cache=None,
-    checkpoint=None,
+    checkpoint: bool = False,
     engine: str = "cascade",
     topology: str = "clique",
 ) -> FigureResult:

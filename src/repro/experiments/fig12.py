@@ -30,7 +30,7 @@ def run(
     seeds: tuple[int, ...] = (1, 2),
     jobs: int = 1,
     cache=None,
-    checkpoint=None,
+    checkpoint: bool = False,
     engine: str = "cascade",
 ) -> FigureResult:
     """Reproduce Figure 12.

@@ -40,7 +40,7 @@ def run(
     families: tuple[str, ...] = FAMILIES,
     jobs: int = 1,
     cache=None,
-    checkpoint=None,
+    checkpoint: bool = False,
     engine: str = "cascade",
 ) -> FigureResult:
     """Time-to-synchronize vs diameter across graph families.

@@ -34,7 +34,7 @@ def run(
     graph_seeds: tuple[int, ...] = (1, 2, 3),
     jobs: int = 1,
     cache=None,
-    checkpoint=None,
+    checkpoint: bool = False,
     engine: str = "cascade",
 ) -> FigureResult:
     """Synchronization onset vs mean degree on Erdős–Rényi graphs.

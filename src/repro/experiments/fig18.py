@@ -106,7 +106,7 @@ def run(
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5),
     jobs: int = 1,
     cache=None,
-    checkpoint=None,
+    checkpoint: bool = False,
     engine: str = "cascade",
 ) -> FigureResult:
     """Live-protocol round trip against the abstract model.

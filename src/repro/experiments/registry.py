@@ -116,7 +116,7 @@ def run_figure(
     fast: bool = False,
     jobs: int | None = None,
     cache=None,
-    checkpoint=None,
+    checkpoint: bool = False,
     engine: str | None = None,
     topology: str | None = None,
     **overrides,
@@ -137,11 +137,11 @@ def run_figure(
     cache:
         Optional :class:`~repro.parallel.ResultCache`, same scoping.
     checkpoint:
-        Resume support for :data:`PARALLEL_FIGURES` (``True``, a
-        journal, or a journal path — see
-        :func:`repro.parallel.resolve_checkpoint`); an interrupted
-        figure run picks up where it stopped.  Same scoping as
-        ``jobs``/``cache``.
+        Resume support for :data:`PARALLEL_FIGURES`: ``True`` has
+        each runner batch journal under ``results/checkpoints/``
+        (see :class:`repro.parallel.ParallelRunner`), so an
+        interrupted figure run picks up where it stopped.  Same
+        scoping as ``jobs``/``cache``.
     engine:
         Simulation engine for :data:`PARALLEL_FIGURES`
         (``des``/``cascade``/``batch``; validated by
@@ -172,8 +172,8 @@ def run_figure(
             kwargs["jobs"] = jobs
         if cache is not None:
             kwargs["cache"] = cache
-        if checkpoint is not None:
-            kwargs["checkpoint"] = checkpoint
+        if checkpoint:
+            kwargs["checkpoint"] = True
         if engine is not None:
             kwargs["engine"] = engine
     if topology is not None and figure_id in TOPOLOGY_FIGURES:

@@ -32,6 +32,8 @@ multi-process trace, no shared state.
 
 from __future__ import annotations
 
+import sys
+
 from . import clock
 from .events import DEBUG, ERROR, INFO, WARNING, ConsoleSink, Event, EventLog
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -121,14 +123,15 @@ def configure(
     """Replace the global runtime; returns the new one.
 
     ``console_level`` installs a :class:`ConsoleSink` at that level
-    (the CLI maps ``--quiet``/``--verbose`` onto it); ``None`` leaves
-    the event log sinkless, where warning-level events fall back to
-    ``warnings.warn``.
+    writing every event to ``stderr``, so stdout stays the program's
+    own output (the CLI maps ``--quiet``/``--verbose`` onto it);
+    ``None`` leaves the event log sinkless, where warning-level events
+    fall back to ``warnings.warn``.
     """
     global _GLOBAL
     _GLOBAL = Obs(enabled=enabled, profile=profile)
     if console_level is not None:
-        _GLOBAL.events.add_sink(ConsoleSink(level=console_level))
+        _GLOBAL.events.add_sink(ConsoleSink(level=console_level, out=sys.stderr))
     return _GLOBAL
 
 

@@ -17,7 +17,8 @@ retries lost work with deterministically-jittered exponential backoff
 instead of lockstep re-attempts, enforces per-job deadlines on every
 path (pool *and* in-process fallback), accounts for each submitted
 job exactly once in a :class:`RunReport`, journals completed jobs to
-a :class:`CheckpointJournal` so killed runs resume where they
+a :class:`CheckpointJournal` (``ParallelRunner(checkpoint=True)``, the
+one owner of the journal's lifecycle) so killed runs resume where they
 stopped, and treats the cache as self-repairing (best-effort writes,
 corrupt-entry quarantine).  :class:`FaultPlan` is the deterministic
 chaos harness the test suite drives through all of it.
@@ -32,7 +33,7 @@ fallbacks and resumes preserve that identity (asserted in
 """
 
 from .cache import DEFAULT_CACHE_DIR, ResultCache
-from .checkpoint import DEFAULT_CHECKPOINT_DIR, CheckpointJournal, resolve_checkpoint
+from .checkpoint import DEFAULT_CHECKPOINT_DIR, CheckpointJournal
 from .claims import DEFAULT_CLAIM_TTL, Claim, ClaimRegistry
 from .faults import (
     FAULT_KINDS,
@@ -88,7 +89,6 @@ __all__ = [
     "TransientInjectedError",
     "batch_group_key",
     "deterministic_jitter",
-    "resolve_checkpoint",
     "run_batch",
     "run_job",
     "run_jobs",

@@ -6,16 +6,17 @@ of a batch as ``{key, job, result, model_version}``.  A run killed
 mid-way (SIGINT, OOM, power loss) leaves a journal whose prefix is
 every job that finished; re-running the same batch against the same
 journal serves those jobs back without re-execution and continues
-exactly where the run stopped.  On a fully successful run the caller
+exactly where the run stopped.  On a fully successful run the runner
 deletes the journal via :meth:`complete` — a leftover journal *means*
-an interrupted run.
+an interrupted run.  :class:`~repro.parallel.ParallelRunner` (with
+``checkpoint=True``) is the one owner of that lifecycle.
 
 Safety properties:
 
-* **Content-addressed** — the run id derives from the job specs (or a
-  caller-supplied descriptor), and each entry is keyed by the job's
-  ``cache_key`` which folds in ``MODEL_VERSION``.  A journal can only
-  ever resume the exact batch that wrote it; anything else misses.
+* **Content-addressed** — the run id derives from the job specs, and
+  each entry is keyed by the job's ``cache_key`` which folds in
+  ``MODEL_VERSION``.  A journal can only ever resume the exact batch
+  that wrote it; anything else misses.
 * **Kill-tolerant** — a process death mid-append leaves at most one
   torn final line, which :meth:`load` skips; every earlier entry is
   intact because each :meth:`~CheckpointJournal.record` call is one
@@ -45,7 +46,7 @@ from ..obs import obs
 from ..obs.clock import wall_time
 from .job import MODEL_VERSION, JobResult, SimulationJob
 
-__all__ = ["DEFAULT_CHECKPOINT_DIR", "CheckpointJournal", "resolve_checkpoint"]
+__all__ = ["DEFAULT_CHECKPOINT_DIR", "CheckpointJournal"]
 
 #: Default journal location, relative to the working directory.
 DEFAULT_CHECKPOINT_DIR = Path("results") / "checkpoints"
@@ -72,12 +73,9 @@ class CheckpointJournal:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def for_specs(
-        cls,
-        specs: Sequence[SimulationJob],
-        root: str | os.PathLike | None = None,
-    ) -> "CheckpointJournal":
-        """Journal whose run id is the content hash of the batch.
+    def for_specs(cls, specs: Sequence[SimulationJob]) -> "CheckpointJournal":
+        """Journal under :data:`DEFAULT_CHECKPOINT_DIR` whose run id is
+        the content hash of the batch.
 
         The same batch (in any order) always maps to the same journal
         file, so "resume" needs no bookkeeping beyond re-running the
@@ -86,22 +84,7 @@ class CheckpointJournal:
         digest = hashlib.sha256(
             "\n".join(sorted(spec.cache_key() for spec in specs)).encode("ascii")
         ).hexdigest()
-        return cls._at(digest[:16], root)
-
-    @classmethod
-    def for_key(
-        cls, descriptor: str, root: str | os.PathLike | None = None
-    ) -> "CheckpointJournal":
-        """Journal for an adaptive batch (e.g. bisection) whose job
-        set is unknown upfront; ``descriptor`` should canonically
-        encode everything that determines the run."""
-        digest = hashlib.sha256(descriptor.encode("utf-8")).hexdigest()
-        return cls._at(digest[:16], root)
-
-    @classmethod
-    def _at(cls, run_id: str, root: str | os.PathLike | None) -> "CheckpointJournal":
-        directory = Path(root) if root is not None else DEFAULT_CHECKPOINT_DIR
-        return cls(directory / f"{run_id}.jsonl")
+        return cls(DEFAULT_CHECKPOINT_DIR / f"{digest[:16]}.jsonl")
 
     @property
     def run_id(self) -> str:
@@ -161,9 +144,6 @@ class CheckpointJournal:
 
     def __len__(self) -> int:
         return len(self._load())
-
-    def exists(self) -> bool:
-        return self.path.is_file()
 
     # -- write side ----------------------------------------------------------
 
@@ -237,34 +217,3 @@ class CheckpointJournal:
             f"CheckpointJournal(path={str(self.path)!r}, "
             f"entries={len(self)}, recorded={self.recorded})"
         )
-
-
-def resolve_checkpoint(
-    checkpoint, specs: Sequence[SimulationJob]
-) -> CheckpointJournal | None:
-    """Normalize the user-facing ``checkpoint=`` argument.
-
-    ``None``/``False`` — no journaling.  ``True`` — derive the journal
-    from the batch content under :data:`DEFAULT_CHECKPOINT_DIR`.  A
-    path — journal at exactly that file.  A journal — use as given.
-    """
-    if checkpoint is None or checkpoint is False:
-        return None
-    if checkpoint is True:
-        journal = CheckpointJournal.for_specs(specs)
-    elif isinstance(checkpoint, CheckpointJournal):
-        journal = checkpoint
-    else:
-        journal = CheckpointJournal(checkpoint)
-    if journal.exists() and len(journal):
-        stale = journal.staleness()
-        obs().emit(
-            "checkpoint.resume",
-            f"resuming run {journal.run_id}: {len(journal)} completed "
-            "job(s) on record"
-            + (f", newest {stale:.0f}s old" if stale is not None else ""),
-            run_id=journal.run_id,
-            entries=len(journal),
-            staleness_seconds=stale,
-        )
-    return journal

@@ -36,6 +36,13 @@ Failure policy (the part the paper would approve of):
 Every submitted job lands in exactly one :class:`RunReport` category
 (ok / retried / cache_hit / resumed / timed_out / failed) — asserted
 by the fault-injection suite in ``tests/test_parallel_faults.py``.
+
+Resume lives here and nowhere else: with ``checkpoint=True`` each
+:meth:`ParallelRunner.run` opens the batch's content-addressed
+:class:`CheckpointJournal`, serves what it holds as ``resumed``, and
+on exit deletes it after a clean batch or keeps it (handle closed)
+after a censored, failed or interrupted one — so re-running the same
+command resumes where it stopped.
 """
 
 from __future__ import annotations
@@ -96,6 +103,24 @@ def deterministic_jitter(key: str, attempt: int) -> float:
     """
     digest = hashlib.sha256(f"{key}:{attempt}".encode("ascii")).digest()
     return 0.5 + int.from_bytes(digest[:8], "big") / 2**64
+
+
+def _open_journal(specs: Sequence[SimulationJob]) -> CheckpointJournal:
+    """The batch's journal under ``results/checkpoints/``, announcing
+    the completed jobs it already holds (a resumed run)."""
+    journal = CheckpointJournal.for_specs(specs)
+    if len(journal):
+        stale = journal.staleness()
+        obs().emit(
+            "checkpoint.resume",
+            f"resuming run {journal.run_id}: {len(journal)} completed "
+            "job(s) on record"
+            + (f", newest {stale:.0f}s old" if stale is not None else ""),
+            run_id=journal.run_id,
+            entries=len(journal),
+            staleness_seconds=stale,
+        )
+    return journal
 
 
 def _under_deadline(budget: float, message: str, fn: Callable, *args):
@@ -168,9 +193,12 @@ class ParallelRunner:
         yield an empty result (reads as censored downstream), the
         report says which.
     checkpoint:
-        Optional :class:`CheckpointJournal`; journaled jobs are served
-        without execution (outcome ``resumed``) and every completed
-        job is appended, so an interrupted run resumes where it died.
+        ``True`` journals each :meth:`run` batch under
+        ``results/checkpoints/`` (:meth:`CheckpointJournal.for_specs`):
+        journaled jobs are served without execution (outcome
+        ``resumed``), cache hits and completed jobs are appended, and
+        the journal is deleted once every job completed — a censored,
+        failed or interrupted batch keeps it for the next run.
     faults:
         Optional :class:`~repro.parallel.faults.FaultPlan` — the
         deterministic chaos hook, threaded through to workers and the
@@ -187,7 +215,7 @@ class ParallelRunner:
     retries: int = 1
     backoff_base: float = 0.1
     on_error: str = "raise"
-    checkpoint: CheckpointJournal | None = None
+    checkpoint: bool = False
     faults: FaultPlan | None = None
     stats: RunnerStats = field(default_factory=RunnerStats, init=False)
     report: RunReport = field(default_factory=RunReport, init=False)
@@ -211,14 +239,21 @@ class ParallelRunner:
         specs = list(specs)
         self.stats = RunnerStats(submitted=len(specs))
         self.report = RunReport()
+        journal = _open_journal(specs) if self.checkpoint else None
         o = obs()
         try:
             with o.span("runner.run", submitted=len(specs), jobs=self.jobs):
-                return self._run(specs)
+                return self._run(specs, journal)
         finally:
-            if self.checkpoint is not None:
-                # Release the append handle; the journal file stays.
-                self.checkpoint.close()
+            if journal is not None:
+                # A clean, complete batch needs no resume marker; a
+                # censored, failed or interrupted one keeps it.
+                if self.report.fully_accounted(len(specs)) and (
+                    self.report.incomplete == 0
+                ):
+                    journal.complete()
+                else:
+                    journal.close()
             # Mirror the per-job ledger into metrics on every exit
             # path — including an on_error="raise" escape — so the
             # RunReport and the metrics snapshot always reconcile.
@@ -227,7 +262,9 @@ class ParallelRunner:
                     self.report.counts(), prefix="runner.jobs."
                 )
 
-    def _run(self, specs: list[SimulationJob]) -> list[JobResult]:
+    def _run(
+        self, specs: list[SimulationJob], journal: CheckpointJournal | None
+    ) -> list[JobResult]:
         results: list[JobResult | None] = [None] * len(specs)
         failures: dict[int, BaseException] = {}
         pending: list[tuple[int, SimulationJob]] = []
@@ -235,8 +272,8 @@ class ParallelRunner:
 
         for index, spec in enumerate(specs):
             key = spec.cache_key()
-            if self.checkpoint is not None:
-                journaled = self.checkpoint.lookup(spec)
+            if journal is not None:
+                journaled = journal.lookup(spec)
                 if journaled is not None:
                     results[index] = journaled
                     self.stats.resumed += 1
@@ -250,9 +287,9 @@ class ParallelRunner:
                 hits.append((spec, cached))
                 continue
             pending.append((index, spec))
-        if hits and self.checkpoint is not None:
+        if hits and journal is not None:
             # Every hit in one journal commit, before anything executes.
-            self.checkpoint.record(hits)
+            journal.record(hits)
 
         def commit(index: int, spec: SimulationJob, result: JobResult, attempts: int):
             # Commit immediately, not after the gather: if a later job
@@ -263,8 +300,8 @@ class ParallelRunner:
             self.report.add(index, spec.cache_key(), outcome, attempts=attempts)
             if self.cache is not None:
                 self.cache.put(spec, result)
-            if self.checkpoint is not None:
-                self.checkpoint.record([(spec, result)])
+            if journal is not None:
+                journal.record([(spec, result)])
 
         def fail(
             index: int,

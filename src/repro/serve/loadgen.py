@@ -231,7 +231,10 @@ def run_load(plan: LoadPlan, host: str, port: int) -> dict:
     The report carries throughput, a latency histogram, per-status
     counts, the SHA-256 of each job's payload bytes (equal-for-equal
     asserted), and the server-side coalesce / cache / shed deltas
-    scraped from ``/metrics`` around the run.
+    scraped from ``/metrics`` around the run.  Those counters are one
+    worker's (``server["pid"]``); when the before and after probes
+    reach different workers of a fleet the deltas would mix two
+    processes, so ``server`` is None instead.
     """
     schedule = build_schedule(plan)
     with ServeClient(host, port) as probe:
@@ -259,8 +262,9 @@ def run_load(plan: LoadPlan, host: str, port: int) -> dict:
                 identical = False
             payload_sha.setdefault(key, sha)
 
-    server_delta = {
-        name: _counter(after, metric) - _counter(before, metric)
+    server_delta = None
+    if before.get("pid") == after.get("pid"):
+        server_delta = {"pid": after.get("pid")}
         for name, metric in (
             ("shed", "serve.shed"),
             ("coalesce_leaders", "serve.coalesce.leaders"),
@@ -268,8 +272,8 @@ def run_load(plan: LoadPlan, host: str, port: int) -> dict:
             ("jobs_executed", "serve.jobs.executed"),
             ("cache_hits", "serve.jobs.cache_hits"),
             ("timeouts", "serve.timeouts"),
-        )
-    }
+        ):
+            server_delta[name] = _counter(after, metric) - _counter(before, metric)
     return {
         "plan": {
             "clients": plan.clients,
@@ -391,10 +395,7 @@ def format_report(report: dict) -> str:
         + ", ".join(f"{k}: {v}" for k, v in report["by_status"].items()),
         f"  latency: mean {latency.get('mean', 0.0) * 1000:.2f} ms over "
         f"{latency.get('count', 0)} request(s)",
-        f"  server: executed {report['server']['jobs_executed']:g} job(s), "
-        f"{report['server']['cache_hits']:g} cache hit(s), "
-        f"coalesced {report['server']['coalesce_followers']:g} follower(s), "
-        f"shed {report['server']['shed']:g}",
+        _format_server(report["server"]),
         "  payloads identical per job: "
         + ("yes" if report["identical_payloads_per_key"] else "NO"),
     ]
@@ -413,3 +414,19 @@ def format_report(report: dict) -> str:
             + f"; drain exit {chaos['drain_exit_code']}"
         )
     return "\n".join(lines)
+
+
+def _format_server(server: dict | None) -> str:
+    """The report's server line: one worker's deltas, or why none."""
+    if server is None:
+        return (
+            "  server: no deltas (the /metrics probes before and after "
+            "the run reached different workers)"
+        )
+    return (
+        f"  server (worker pid {server['pid']}): executed "
+        f"{server['jobs_executed']:g} job(s), "
+        f"{server['cache_hits']:g} cache hit(s), "
+        f"coalesced {server['coalesce_followers']:g} follower(s), "
+        f"shed {server['shed']:g}"
+    )

@@ -35,7 +35,7 @@ Endpoints::
     GET  /v1/figures/{figNN} reduced-scale figure reproduction
     GET  /healthz            liveness (always 200 while the loop runs)
     GET  /readyz             readiness (503 once draining)
-    GET  /metrics            serve + obs metric snapshots as JSON
+    GET  /metrics            serve + obs metric snapshots (and pid) as JSON
 
 Response bodies are canonical JSON (sorted keys, fixed separators):
 the bytes for a given job are a pure function of the job spec, equal
@@ -551,6 +551,9 @@ class SimulationServer:
     async def _metrics(self, request: HttpRequest) -> HttpResponse:
         o = obs()
         snapshot = {
+            # Which worker's counters these are: behind a prefork
+            # fleet every fresh connection may land elsewhere.
+            "pid": os.getpid(),
             "serve": self.metrics.snapshot(),
             "obs": o.metrics.snapshot() if o.enabled else {},
         }

@@ -83,14 +83,6 @@ class TestLocalDispatcher:
             run_job(j).to_dict() for j in jobs
         ]
 
-    def test_report_and_stats_proxy_the_last_runner(self):
-        dispatcher = LocalDispatcher()
-        assert dispatcher.report is None and dispatcher.stats is None
-        jobs = list(spec().jobs())[:2]
-        dispatcher.run(jobs)
-        assert dispatcher.report.fully_accounted(2)
-        assert dispatcher.stats is not None
-
     def test_describe_names_the_pool(self):
         assert LocalDispatcher(jobs=3).describe() == "local(jobs=3)"
 

@@ -4,9 +4,11 @@ The acceptance scenario for the compiled batch kernel: a Tr sweep
 at the paper's Figure 12 parameter point with an ensemble size that
 was impractical event-by-event, driven through the full production
 path — ``sweep_tr`` -> ``ParallelRunner`` -> batch kernel, with the
-result cache and checkpoint journal armed — and byte-identical to the
+result cache and ``checkpoint=True`` armed — and byte-identical to the
 serial cascade engine at every spot-checked grid point.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,8 @@ from repro.core import RouterTimingParameters
 from repro.core.batch import default_backend
 from repro.core.sweeps import sweep_tr, time_to_synchronize
 from repro.parallel import CheckpointJournal, ParallelRunner, ResultCache, SimulationJob
+
+CHECKPOINTS = Path("results", "checkpoints")
 
 #: Figure 12's parameter point (fig12.PAPER_PARAMS), sweep-ready.
 PARAMS = RouterTimingParameters(n_nodes=20, tp=121.0, tc=0.11, tr=0.1)
@@ -26,9 +30,11 @@ SEEDS = tuple(range(1, 26))  # 3 points x 25 seeds = 75 simulations
 @pytest.mark.skipif(
     default_backend() != "compiled", reason="fig12 scale needs the compiled kernel"
 )
-def test_fig12_sweep_completes_through_runner_cache_checkpoint(tmp_path):
+def test_fig12_sweep_completes_through_runner_cache_checkpoint(
+    tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
     cache = ResultCache(tmp_path / "cache")
-    journal = CheckpointJournal(tmp_path / "sweep.journal")
     results = sweep_tr(
         PARAMS,
         TR_VALUES,
@@ -37,9 +43,11 @@ def test_fig12_sweep_completes_through_runner_cache_checkpoint(tmp_path):
         seeds=SEEDS,
         engine="batch",
         cache=cache,
-        checkpoint=journal,
+        checkpoint=True,
     )
     assert len(results) == len(TR_VALUES) * len(SEEDS)
+    # The journal was written as the grid ran and dropped at the end.
+    assert CHECKPOINTS.is_dir() and not list(CHECKPOINTS.glob("*.jsonl"))
     by_key = {(round(r.parameter, 6), r.seed): r for r in results}
     assert len(by_key) == len(results)
 
@@ -70,10 +78,11 @@ def test_fig12_sweep_completes_through_runner_cache_checkpoint(tmp_path):
 @pytest.mark.skipif(
     default_backend() != "compiled", reason="fig12 scale needs the compiled kernel"
 )
-def test_fig12_sweep_resumes_from_checkpoint(tmp_path):
+def test_fig12_sweep_resumes_from_checkpoint(tmp_path, monkeypatch):
     # The same grid through the same runner path, interrupted halfway:
-    # a second runner sharing the journal serves the first half as
-    # "resumed" and only executes the remainder.
+    # the grid's journal holds the first half, which the resumed run
+    # serves as "resumed" while executing only the remainder.
+    monkeypatch.chdir(tmp_path)
     specs = [
         SimulationJob.from_params(
             PARAMS.with_tr(tr), seed=seed, horizon=HORIZON,
@@ -82,14 +91,15 @@ def test_fig12_sweep_resumes_from_checkpoint(tmp_path):
         for tr in TR_VALUES
         for seed in SEEDS
     ]
-    path = tmp_path / "sweep.journal"
     half = len(specs) // 2
-    first = ParallelRunner(checkpoint=CheckpointJournal(path))
-    partial = first.run(specs[:half])
-    assert first.stats.executed == half
+    partial = ParallelRunner().run(specs[:half])
+    journal = CheckpointJournal.for_specs(specs)
+    journal.record(zip(specs[:half], partial))
+    journal.close()
 
-    second = ParallelRunner(checkpoint=CheckpointJournal(path))
-    complete = second.run(specs)
-    assert second.stats.resumed == half
-    assert second.stats.executed == len(specs) - half
+    resumed = ParallelRunner(checkpoint=True)
+    complete = resumed.run(specs)
+    assert resumed.stats.resumed == half
+    assert resumed.stats.executed == len(specs) - half
     assert complete[:half] == partial
+    assert not journal.path.exists()

@@ -160,15 +160,31 @@ class TestBenchObs:
         assert "overhead_percent" in snapshot
         assert code in (0, 1)  # tiny workload may miss the 5% budget
 
-    def test_verbose_installs_console_sink(self, capsys):
-        # --resume with a pre-existing journal narrates at info level.
-        code = main(["fig10", "--fast", "--no-cache", "--resume"])
-        assert code == 0
-        capsys.readouterr()
-        code = main(["fig10", "--fast", "--no-cache", "--resume", "--verbose"])
-        assert code == 0
-        # Second run resumes from the journal the first wrote... but a
-        # clean finish deletes it, so just assert the run still works
-        # and stdout stays the program's own output.
-        out = capsys.readouterr().out
-        assert "fig10" in out
+    def test_verbose_installs_console_sink(self, capsys, monkeypatch, tmp_path):
+        # A real resume: the first --resume run dies on one seed after
+        # the others are journaled; the --verbose rerun narrates the
+        # resume on stderr and prints exactly the uninterrupted figure.
+        import repro.parallel.runner as runner_mod
+
+        command = ["fig10", "--fast", "--no-cache", "--resume"]
+        uninterrupted = run_fig10(capsys).out
+        real_run_job = runner_mod.run_job
+
+        def dies_on_seed_4(spec, faults=None, attempt=0):
+            if spec.seed == 4:
+                raise ValueError("killed mid-run")
+            return real_run_job(spec, faults=faults, attempt=attempt)
+
+        monkeypatch.setattr(runner_mod, "run_job", dies_on_seed_4)
+        assert main(command) == 2
+        assert "killed mid-run" in capsys.readouterr().err
+        checkpoints = tmp_path / "results" / "checkpoints"
+        (journal,) = checkpoints.glob("*.jsonl")
+        assert len(journal.read_text().splitlines()) == 2  # seeds 1 and 5
+
+        monkeypatch.setattr(runner_mod, "run_job", real_run_job)
+        assert main([*command, "--verbose"]) == 0
+        resumed = capsys.readouterr()
+        assert resumed.out == uninterrupted
+        assert f"resuming run {journal.stem}: 2 completed job(s)" in resumed.err
+        assert not list(checkpoints.glob("*.jsonl"))

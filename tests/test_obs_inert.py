@@ -151,7 +151,7 @@ class TestCheckpointStaleness:
 
         journal = CheckpointJournal(tmp_path / "run.jsonl")
         specs = specs_for([1])
-        ParallelRunner(jobs=1, checkpoint=journal).run(specs)
+        journal.record(zip(specs, ParallelRunner(jobs=1).run(specs)))
         journal.close()
         entry = json.loads(journal.path.read_text().splitlines()[0])
         assert isinstance(entry["ts"], float)
@@ -176,16 +176,19 @@ class TestCheckpointStaleness:
         assert journal.lookup(spec) is not None
         assert journal.staleness() is None
 
-    def test_resume_emits_info_event(self, tmp_path):
-        from repro.parallel import CheckpointJournal, resolve_checkpoint
+    def test_resume_emits_info_event(self, tmp_path, monkeypatch):
+        from repro.parallel import CheckpointJournal
 
+        monkeypatch.chdir(tmp_path)
         specs = specs_for([1, 2])
-        journal = CheckpointJournal(tmp_path / "run.jsonl")
-        ParallelRunner(jobs=1, checkpoint=journal).run(specs[:1])
+        # The journal a run killed after its first job leaves behind.
+        journal = CheckpointJournal.for_specs(specs)
+        journal.record(zip(specs[:1], ParallelRunner(jobs=1).run(specs[:1])))
         journal.close()
         obs_runtime.configure(enabled=True)
-        resolved = resolve_checkpoint(journal.path, specs)
-        assert resolved is not None
+        runner = ParallelRunner(jobs=1, checkpoint=True)
+        runner.run(specs)
+        assert runner.stats.resumed == 1
         events = obs_runtime.obs().events.events
         assert any(e.name == "checkpoint.resume" for e in events)
         resume = next(e for e in events if e.name == "checkpoint.resume")

@@ -1,25 +1,26 @@
 """Checkpoint/resume: journals, kill-and-resume, and science invariance.
 
-The protocol under test (see ``repro.parallel.checkpoint``): every
-completed job is appended to a JSONL journal as it finishes (one
-durable commit per ``record`` call, however many jobs it carries); a
-killed run leaves the journal behind; re-running the same batch
-against the same journal serves completed jobs back (outcome
-``resumed``) and executes only the remainder; a cleanly completed run
-deletes its journal.  Throughout, resumed results must be
-byte-identical to an uninterrupted serial run.
+The protocol under test (see ``repro.parallel.checkpoint``): with
+``ParallelRunner(checkpoint=True)`` every completed job is appended to
+the batch's content-addressed JSONL journal under
+``results/checkpoints/`` as it finishes (one durable commit per
+``record`` call, however many jobs it carries); a killed, failed or
+censored run leaves the journal behind; re-running the same batch
+serves completed jobs back (outcome ``resumed``) and executes only the
+remainder; a cleanly completed run deletes its journal.  Throughout,
+resumed results must be byte-identical to an uninterrupted serial run.
+
+Interrupted state is fabricated the way a killed run leaves it: the
+full batch's :meth:`CheckpointJournal.for_specs` journal holding a
+subset of its jobs, under a per-test working directory.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.core import (
-    FirstPassageEnsemble,
-    RouterTimingParameters,
-    find_transition_n,
-    sweep_tr,
-)
+from repro.core import FirstPassageEnsemble, RouterTimingParameters, sweep_tr
 from repro.parallel import (
     CheckpointJournal,
     DeterministicInjectedError,
@@ -27,7 +28,6 @@ from repro.parallel import (
     ParallelRunner,
     ResultCache,
     SimulationJob,
-    resolve_checkpoint,
 )
 from repro.parallel import checkpoint as checkpoint_module
 
@@ -48,14 +48,45 @@ def reference():
     return ParallelRunner(jobs=1).run(specs_for(range(1, 7)))
 
 
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    """Journals land under ``results/checkpoints/`` of a fresh cwd."""
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def journals() -> list:
+    """Every journal left under the working directory."""
+    return sorted(Path("results", "checkpoints").glob("*.jsonl"))
+
+
+def interrupted(specs, done):
+    """The journal a killed run of ``specs`` leaves: ``done`` is the
+    ``(spec, result)`` pairs that finished before the kill."""
+    journal = CheckpointJournal.for_specs(specs)
+    journal.record(done)
+    journal.close()
+    return journal.path
+
+
+def failing(seed, on_error="raise"):
+    """Runner kwargs under which ``seed`` fails on every attempt."""
+    return dict(
+        faults=FaultPlan.of(FaultPlan.deterministic(seeds=(seed,))),
+        on_error=on_error,
+        backoff_base=0.0,
+    )
+
+
 class TestJournalBasics:
-    def test_run_id_is_content_addressed_and_order_free(self, tmp_path):
+    def test_run_id_is_content_addressed_and_order_free(self):
         specs = specs_for((1, 2, 3))
-        a = CheckpointJournal.for_specs(specs, root=tmp_path)
-        b = CheckpointJournal.for_specs(list(reversed(specs)), root=tmp_path)
-        c = CheckpointJournal.for_specs(specs_for((1, 2, 4)), root=tmp_path)
+        a = CheckpointJournal.for_specs(specs)
+        b = CheckpointJournal.for_specs(list(reversed(specs)))
+        c = CheckpointJournal.for_specs(specs_for((1, 2, 4)))
         assert a.path == b.path
         assert a.path != c.path
+        assert a.path.parent == Path("results", "checkpoints")
 
     def test_record_and_lookup_round_trip(self, tmp_path, reference):
         specs = specs_for((1, 2))
@@ -97,20 +128,9 @@ class TestJournalBasics:
     def test_complete_deletes_the_journal(self, tmp_path, reference):
         journal = CheckpointJournal(tmp_path / "run.jsonl")
         journal.record([(specs_for((1,))[0], reference[0])])
-        assert journal.exists()
+        assert journal.path.is_file()
         journal.complete()
-        assert not journal.exists()
-
-    def test_resolve_checkpoint_forms(self, tmp_path):
-        specs = specs_for((1,))
-        assert resolve_checkpoint(None, specs) is None
-        assert resolve_checkpoint(False, specs) is None
-        journal = CheckpointJournal(tmp_path / "j.jsonl")
-        assert resolve_checkpoint(journal, specs) is journal
-        from_path = resolve_checkpoint(tmp_path / "k.jsonl", specs)
-        assert from_path.path == tmp_path / "k.jsonl"
-        derived = resolve_checkpoint(True, specs)
-        assert derived.path.name.endswith(".jsonl")
+        assert not journal.path.exists()
 
 
 class TestGroupCommit:
@@ -177,27 +197,69 @@ class TestGroupCommit:
         assert reread.skipped_lines == 1
 
 
+class TestRunnerLifecycle:
+    """The runner is the one owner of the journal: a clean batch
+    deletes it, a censored or raised one keeps it for the next run."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_clean_batch_deletes_its_journal(self, workdir, reference, jobs):
+        specs = specs_for(range(1, 7))
+        runner = ParallelRunner(jobs=jobs, checkpoint=True)
+        assert runner.run(specs) == reference
+        assert runner.report.counts()["ok"] == len(specs)
+        # Written as the batch ran, then deleted by the clean finish.
+        assert (workdir / "results" / "checkpoints").is_dir()
+        assert journals() == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_censored_batch_keeps_its_journal(self, workdir, reference, jobs):
+        specs = specs_for(range(1, 7))
+        runner = ParallelRunner(
+            jobs=jobs, chunk_size=1, checkpoint=True, **failing(4, "censor")
+        )
+        results = runner.run(specs)
+        assert runner.report.incomplete == 1
+        assert results[:3] == reference[:3] and results[4:] == reference[4:]
+        assert journals() == [CheckpointJournal.for_specs(specs).path]
+        assert len(CheckpointJournal.for_specs(specs)) == 5
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raised_batch_keeps_its_journal(self, workdir, reference, jobs):
+        specs = specs_for(range(1, 7))
+        runner = ParallelRunner(
+            jobs=jobs, chunk_size=1, checkpoint=True, **failing(4)
+        )
+        with pytest.raises(DeterministicInjectedError):
+            runner.run(specs)
+        assert journals() == [CheckpointJournal.for_specs(specs).path]
+        assert len(CheckpointJournal.for_specs(specs)) == 5
+        # The healed rerun of the same batch resumes and then cleans up.
+        again = ParallelRunner(jobs=jobs, checkpoint=True)
+        assert again.run(specs) == reference
+        counts = again.report.counts()
+        assert (counts["resumed"], counts["ok"]) == (5, 1)
+        assert journals() == []
+
+    def test_without_checkpoint_nothing_is_journaled(self, workdir):
+        ParallelRunner(jobs=1, **failing(2, "censor")).run(specs_for((1, 2)))
+        assert not (workdir / "results").exists()
+
+
 class TestRunnerResume:
-    def test_kill_and_resume_is_byte_identical(self, tmp_path, reference):
+    def test_kill_and_resume_is_byte_identical(self, workdir, reference):
         """A run killed mid-batch resumes without re-executing finished work."""
         specs = specs_for(range(1, 7))
-        path = tmp_path / "run.jsonl"
         # "Kill" the first run mid-batch: seed 4 hits a deterministic
         # injected error and on_error="raise" aborts the batch after
         # every other job committed.
-        doomed = ParallelRunner(
-            jobs=1,
-            checkpoint=CheckpointJournal(path),
-            faults=FaultPlan.of(FaultPlan.deterministic(seeds=(4,))),
-            backoff_base=0.0,
-        )
+        doomed = ParallelRunner(jobs=1, checkpoint=True, **failing(4))
         with pytest.raises(DeterministicInjectedError):
             doomed.run(specs)
-        doomed.checkpoint.close()
+        path = CheckpointJournal.for_specs(specs).path
         assert path.is_file()  # the interruption marker survives
 
         # The resumed run executes ONLY the job that never finished.
-        resumed = ParallelRunner(jobs=1, checkpoint=CheckpointJournal(path))
+        resumed = ParallelRunner(jobs=1, checkpoint=True)
         results = resumed.run(specs)
         assert results == reference
         counts = resumed.report.counts()
@@ -205,39 +267,36 @@ class TestRunnerResume:
         assert counts["ok"] == 1
         assert resumed.stats.executed == 1
         assert resumed.report.fully_accounted(len(specs))
+        assert not path.exists()
 
-    def test_resume_never_reorders_results(self, tmp_path, reference):
+    def test_resume_never_reorders_results(self, workdir, reference):
         specs = specs_for(range(1, 7))
-        path = tmp_path / "run.jsonl"
-        journal = CheckpointJournal(path)
         # Pre-journal an arbitrary subset, out of order.
-        for i in (4, 1, 3):
-            journal.record([(specs[i], reference[i])])
-        journal.close()
-        runner = ParallelRunner(jobs=1, checkpoint=CheckpointJournal(path))
+        interrupted(specs, [(specs[i], reference[i]) for i in (4, 1, 3)])
+        runner = ParallelRunner(jobs=1, checkpoint=True)
         assert runner.run(specs) == reference
         assert runner.stats.resumed == 3
         assert runner.stats.executed == 3
 
-    def test_cache_hits_are_journaled_for_later_resumes(self, tmp_path, reference):
-        specs = specs_for((1, 2))
-        cache = ResultCache(tmp_path / "cache")
-        ParallelRunner(jobs=1, cache=cache).run(specs)  # warm the cache
-        journal = CheckpointJournal(tmp_path / "run.jsonl")
-        runner = ParallelRunner(jobs=1, cache=cache, checkpoint=journal)
-        assert runner.run(specs) == reference[:2]
-        journal.close()
-        # Even though nothing executed, the journal can now resume the
-        # batch without the cache.
-        reread = CheckpointJournal(tmp_path / "run.jsonl")
-        assert len(reread) == 2
-        alone = ParallelRunner(jobs=1, checkpoint=reread)
-        assert alone.run(specs) == reference[:2]
-        assert alone.stats.resumed == 2
+    def test_cache_hits_are_journaled_for_later_resumes(self, workdir, reference):
+        specs = specs_for((1, 2, 3))
+        cache = ResultCache(workdir / "cache")
+        ParallelRunner(jobs=1, cache=cache).run(specs[:2])  # warm 2 of 3
+        # Seed 3 fails, so the batch keeps its journal — which now
+        # holds the two hits even though nothing executed.
+        runner = ParallelRunner(
+            jobs=1, cache=cache, checkpoint=True, **failing(3, "censor")
+        )
+        runner.run(specs)
+        assert len(CheckpointJournal.for_specs(specs)) == 2
+        # The journal resumes the batch without the cache.
+        alone = ParallelRunner(jobs=1, checkpoint=True)
+        assert alone.run(specs) == reference[:3]
+        assert alone.stats.resumed == 2 and alone.stats.executed == 1
 
-    def test_warm_run_journals_its_hits_in_one_commit(self, tmp_path, monkeypatch):
+    def test_warm_run_journals_its_hits_in_one_commit(self, workdir, monkeypatch):
         specs = specs_for(range(1, 13))
-        cache = ResultCache(tmp_path / "cache")
+        cache = ResultCache(workdir / "cache")
         expected = ParallelRunner(jobs=1, cache=cache).run(specs)  # warm
         commits, fsyncs = [], []
         real_record = CheckpointJournal.record
@@ -254,128 +313,126 @@ class TestRunnerResume:
 
         monkeypatch.setattr(CheckpointJournal, "record", counting_record)
         monkeypatch.setattr(checkpoint_module.os, "fsync", counting_fsync)
-        journal = CheckpointJournal(tmp_path / "run.jsonl")
-        runner = ParallelRunner(jobs=1, cache=cache, checkpoint=journal)
+        runner = ParallelRunner(jobs=1, cache=cache, checkpoint=True)
         assert runner.run(specs) == expected
         assert commits == [len(specs)] and len(fsyncs) == 1
         assert runner.report.counts()["cache_hit"] == len(specs)
-        assert len(CheckpointJournal(journal.path)) == len(specs)
+        assert journals() == []  # a clean batch, all hits
 
-    def test_hits_are_journaled_before_pending_jobs_execute(self, tmp_path, reference):
+    def test_hits_are_journaled_before_pending_jobs_execute(self, workdir, reference):
         specs = specs_for(range(1, 7))
-        cache = ResultCache(tmp_path / "cache")
+        cache = ResultCache(workdir / "cache")
         ParallelRunner(jobs=1, cache=cache).run(specs[:3])
-        path = tmp_path / "run.jsonl"
-        doomed = ParallelRunner(
-            jobs=1,
-            cache=cache,
-            checkpoint=CheckpointJournal(path),
-            faults=FaultPlan.of(FaultPlan.deterministic(seeds=(4,))),
-            backoff_base=0.0,
-        )
+        doomed = ParallelRunner(jobs=1, cache=cache, checkpoint=True, **failing(4))
         with pytest.raises(DeterministicInjectedError):
             doomed.run(specs)
         # The hits' commit landed before seed 4 raised; the jobs after
         # it committed one by one.
-        resumed = ParallelRunner(jobs=1, checkpoint=CheckpointJournal(path))
+        resumed = ParallelRunner(jobs=1, checkpoint=True)
         assert resumed.run(specs) == reference
         assert resumed.report.counts()["resumed"] == 5
         assert resumed.stats.executed == 1
 
-    @pytest.mark.parametrize("outcome", ["complete", "raised"])
+    @pytest.mark.parametrize("outcome", ["censored", "raised"])
     def test_runner_releases_the_journal_handle_and_keeps_the_file(
-        self, tmp_path, reference, outcome
+        self, workdir, reference, monkeypatch, outcome
     ):
+        opened = []
+        real_for_specs = CheckpointJournal.for_specs.__func__
+
+        def tracking_for_specs(cls, specs):
+            journal = real_for_specs(cls, specs)
+            opened.append(journal)
+            return journal
+
+        monkeypatch.setattr(
+            CheckpointJournal, "for_specs", classmethod(tracking_for_specs)
+        )
         specs = specs_for((1, 2))
-        path = tmp_path / "run.jsonl"
-        journal = CheckpointJournal(path)
-        faults = (
-            FaultPlan.of(FaultPlan.deterministic(seeds=(2,)))
-            if outcome == "raised"
-            else None
-        )
         runner = ParallelRunner(
-            jobs=1, checkpoint=journal, faults=faults, backoff_base=0.0
+            jobs=1, checkpoint=True,
+            **failing(2, "censor" if outcome == "censored" else "raise"),
         )
-        if faults is None:
-            assert runner.run(specs) == reference[:2]
+        if outcome == "censored":
+            runner.run(specs)
         else:
             with pytest.raises(DeterministicInjectedError):
                 runner.run(specs)
+        (journal,) = opened
         assert journal._handle is None  # no append handle left open
-        assert path.is_file()  # the marker is the caller's to delete
-        # The journal stays usable: a later run appends to it again.
-        again = ParallelRunner(jobs=1, checkpoint=journal)
-        assert again.run(specs_for((1, 2, 3))) == reference[:3]
-        assert journal._handle is None
-        assert len(CheckpointJournal(path)) == 3
+        assert journal.path.is_file()  # incomplete: the marker stays
+        # A later run of the same batch appends to it and completes.
+        again = ParallelRunner(jobs=1, checkpoint=True)
+        assert again.run(specs) == reference[:2]
+        assert again.stats.resumed == 1
+        assert opened[-1]._handle is None
+        assert not journal.path.exists()
 
-    def test_pooled_run_journals_as_it_goes(self, tmp_path, reference):
+    def test_pooled_run_journals_as_it_goes(self, workdir, reference):
         specs = specs_for(range(1, 7))
-        journal = CheckpointJournal(tmp_path / "run.jsonl")
-        runner = ParallelRunner(jobs=2, chunk_size=2, checkpoint=journal)
-        assert runner.run(specs) == reference
-        journal.close()
-        assert len(CheckpointJournal(tmp_path / "run.jsonl")) == len(specs)
+        runner = ParallelRunner(
+            jobs=2, chunk_size=2, checkpoint=True, **failing(6, "censor")
+        )
+        assert runner.run(specs)[:5] == reference[:5]
+        journal = CheckpointJournal.for_specs(specs)
+        assert [journal.lookup(spec) for spec in specs] == reference[:5] + [None]
 
 
 class TestEnsembleCheckpoint:
-    def test_clean_run_completes_and_deletes_journal(self, tmp_path):
-        path = tmp_path / "ensemble.jsonl"
+    def test_clean_run_completes_and_deletes_journal(self, workdir):
         ensemble = FirstPassageEnsemble(
-            params=FAST, horizon=20000.0, seeds=(1, 2, 3), checkpoint=path
+            params=FAST, horizon=20000.0, seeds=(1, 2, 3), checkpoint=True
         ).run()
-        assert not path.exists()  # clean finish: no resume marker
+        assert journals() == []  # clean finish: no resume marker
         assert ensemble.report.counts()["ok"] == 3
 
-    def test_interrupted_ensemble_resumes(self, tmp_path):
-        path = tmp_path / "ensemble.jsonl"
+    def test_interrupted_ensemble_resumes(self, workdir, reference):
         clean = FirstPassageEnsemble(
             params=FAST, horizon=20000.0, seeds=(1, 2, 3, 4)
         ).run()
         # Pre-journal two seeds as an interrupted run would have.
-        journal = CheckpointJournal(path)
-        runner = ParallelRunner(jobs=1, checkpoint=journal)
-        runner.run(specs_for((1, 3)))
-        journal.close()
+        specs = specs_for((1, 2, 3, 4))
+        interrupted(specs, [(specs[0], reference[0]), (specs[2], reference[2])])
         resumed = FirstPassageEnsemble(
-            params=FAST, horizon=20000.0, seeds=(1, 2, 3, 4), checkpoint=path
+            params=FAST, horizon=20000.0, seeds=(1, 2, 3, 4), checkpoint=True
         ).run()
         assert resumed.report.counts()["resumed"] == 2
         assert resumed.report.counts()["ok"] == 2
         for size in range(1, FAST.n_nodes + 1):
             assert resumed.result_for(size) == clean.result_for(size)
-        assert not path.exists()  # completed now, marker dropped
+        assert journals() == []  # completed now, marker dropped
 
-    def test_censored_batch_keeps_journal_for_retry(self, tmp_path):
-        # The keep-the-marker rule the ensemble/sweep layers implement:
-        # any incomplete (censored/failed) batch leaves its journal on
+    def test_censored_batch_keeps_journal_for_retry(self, workdir):
+        # Any incomplete (censored/failed) batch leaves its journal on
         # disk so a later retry resumes the completed seeds.
-        path = tmp_path / "batch.jsonl"
+        specs = specs_for((1, 2, 3))
         runner = ParallelRunner(
-            jobs=1, checkpoint=CheckpointJournal(path), on_error="censor",
+            jobs=1, checkpoint=True, on_error="censor",
             retries=0, backoff_base=0.0,
             faults=FaultPlan.of(FaultPlan.transient(seeds=(2,), attempts=99)),
         )
-        runner.run(specs_for((1, 2, 3)))
-        runner.checkpoint.close()
-        assert runner.report.incomplete == 1  # what ensemble.run checks
+        runner.run(specs)
+        assert runner.report.incomplete == 1
+        path = CheckpointJournal.for_specs(specs).path
         assert path.is_file()  # incomplete: the marker must survive
         assert len(CheckpointJournal(path)) == 2
         # The retry (fault healed) resumes those 2 and completes.
-        retry = ParallelRunner(jobs=1, checkpoint=CheckpointJournal(path))
-        retry.run(specs_for((1, 2, 3)))
-        assert retry.stats.resumed == 2 and retry.stats.executed == 1
+        retry = FirstPassageEnsemble(
+            params=FAST, horizon=20000.0, seeds=(1, 2, 3), checkpoint=True
+        ).run()
+        assert retry.report.counts()["resumed"] == 2
+        assert retry.report.counts()["ok"] == 1
+        assert not path.exists()
 
 
 class TestSweepCheckpoint:
-    def test_sweep_tr_resumes_byte_identically(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
+    def test_sweep_tr_resumes_byte_identically(self, workdir):
         kwargs = dict(
             base=FAST, tr_values=(0.05, 0.1, 0.2), horizon=20000.0, seeds=(1, 2)
         )
         clean = sweep_tr(**kwargs)
-        # Fabricate the interrupted state: journal half the grid.
+        # Fabricate the interrupted state: the grid's journal holding
+        # half of its points.
         grid_specs = [
             SimulationJob.from_params(
                 FAST.with_tr(tr), seed=seed, horizon=20000.0, direction="up"
@@ -383,40 +440,8 @@ class TestSweepCheckpoint:
             for tr in (0.05, 0.1, 0.2)
             for seed in (1, 2)
         ]
-        journal = CheckpointJournal(path)
-        half = ParallelRunner(jobs=1, checkpoint=journal)
-        half.run(grid_specs[:3])
-        journal.close()
-        resumed = sweep_tr(**kwargs, checkpoint=path)
+        half = grid_specs[:3]
+        interrupted(grid_specs, zip(half, ParallelRunner(jobs=1).run(half)))
+        resumed = sweep_tr(**kwargs, checkpoint=True)
         assert resumed == clean
-        assert not path.exists()  # clean completion deletes the journal
-
-    def test_find_transition_n_checkpoint_true(self, tmp_path, monkeypatch):
-        # checkpoint=True derives the journal under results/checkpoints
-        # relative to the cwd; run from tmp_path to keep the repo clean.
-        monkeypatch.chdir(tmp_path)
-        plain = find_transition_n(FAST, horizon=5000.0, n_low=2, n_high=12)
-        journaled = find_transition_n(
-            FAST, horizon=5000.0, n_low=2, n_high=12, checkpoint=True
-        )
-        assert journaled == plain
-        checkpoints = tmp_path / "results" / "checkpoints"
-        # The search completed, so its journal was deleted again.
-        assert not checkpoints.exists() or not list(checkpoints.glob("*.jsonl"))
-
-    def test_find_transition_n_resumes_probes(self, tmp_path):
-        path = tmp_path / "search.jsonl"
-        plain = find_transition_n(FAST, horizon=5000.0, n_low=2, n_high=12)
-        cache = ResultCache(tmp_path / "cache")
-        # First search populates the cache; the journaled re-search then
-        # serves every probe from the journal/cache without simulating.
-        first = find_transition_n(
-            FAST, horizon=5000.0, n_low=2, n_high=12,
-            cache=cache, checkpoint=path,
-        )
-        again = find_transition_n(
-            FAST, horizon=5000.0, n_low=2, n_high=12,
-            cache=cache, checkpoint=path,
-        )
-        assert first == again == plain
-        assert cache.hits > 0
+        assert journals() == []  # clean completion deletes the journal

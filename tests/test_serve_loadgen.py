@@ -1,11 +1,14 @@
 """Tests for the seeded load generator and the loopback report."""
 
+import os
+
 import pytest
 
 from repro.parallel import SimulationJob
 from repro.serve import (
     BackgroundServer,
     LoadPlan,
+    ServeClient,
     ServeConfig,
     build_schedule,
     default_specs,
@@ -118,3 +121,59 @@ class TestRunLoad:
         text = format_report(report)
         assert "2 client(s)" in text
         assert "payloads identical per job: yes" in text
+
+
+class TestFleetDeltas:
+    """``/metrics`` answers from whichever worker took the connection,
+    so the before/after deltas are only one worker's when both probes
+    reached the same pid."""
+
+    @staticmethod
+    def run_stubbed(monkeypatch, pids):
+        import repro.serve.loadgen as loadgen
+
+        snapshots = iter(
+            {"pid": pid, "serve": {"serve.jobs.cache_hits": {"value": hits}}}
+            for pid, hits in zip(pids, (3.0, 7.0))
+        )
+
+        class StubProbe:
+            def __init__(self, host, port, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def metrics(self):
+                return next(snapshots)
+
+        monkeypatch.setattr(loadgen, "ServeClient", StubProbe)
+        monkeypatch.setattr(loadgen, "_run_virtual", lambda *args: ([], 0))
+        plan = LoadPlan(clients=1, duration=1.0, specs=default_specs(count=1))
+        return run_load(plan, "127.0.0.1", 1)
+
+    def test_one_worker_reports_its_pid_and_deltas(self, monkeypatch):
+        report = self.run_stubbed(monkeypatch, (4242, 4242))
+        assert report["server"]["pid"] == 4242
+        assert report["server"]["cache_hits"] == 4.0
+        assert "server (worker pid 4242): executed 0 job(s), 4 cache hit(s)" in (
+            format_report(report)
+        )
+
+    def test_probes_on_different_workers_report_no_deltas(self, monkeypatch):
+        report = self.run_stubbed(monkeypatch, (4242, 4343))
+        assert report["server"] is None
+        assert "server: no deltas" in format_report(report)
+        assert "reached different workers" in format_report(report)
+
+    def test_metrics_names_the_answering_worker(self, tmp_path):
+        config = ServeConfig(port=0, cache_root=str(tmp_path / "cache"))
+        with BackgroundServer(config) as bg:
+            with ServeClient(bg.host, bg.port) as probe:
+                body = probe.metrics()
+        # BackgroundServer runs in this process; "serve" stays as is.
+        assert body["pid"] == os.getpid()
+        assert "serve" in body and "obs" in body
