@@ -12,9 +12,11 @@ by construction (their keys simply stop being looked up).
 Two layouts share the directory, one per kind of commit:
 
 * **One entry, one file.**  :meth:`ResultCache.put` writes
-  ``<key>.json``: compact sorted-key JSON of ``{"job", "model_version",
-  "result"}``.  The runner, the serve fleet and the claims path commit
-  this way, one job at a time.
+  ``<key>.json``: compact sorted-key JSON of ``{"crc32", "job",
+  "model_version", "result"}``, where ``crc32`` is the CRC-32 of the
+  result member's bytes as eight lower-case hex digits.  The runner,
+  the serve fleet and the claims path commit this way, one job at a
+  time.
 * **One chunk, one pack.**  :meth:`ResultCache.put_many` with two or
   more entries writes ``packs/<first-key>.pack``: one line per entry,
   the same JSON with a leading ``"cache_key"`` field.  The campaign
@@ -30,12 +32,18 @@ with no packs pays one extra ``stat`` per miss and none per hit.
 Entries embed the spec and version they were computed from, and one
 check decides whether an entry is sound: its bytes must be what
 ``put``/``put_many`` write for the job its key names — the layout's
-head, the job's canonical text, the model version, a result member
-that parses whole, and a closing brace and newline.  ``get`` applies
-it to the job it looks up; ``verify`` and ``repair`` rebuild the job
-from the entry's ``"job"`` member, check it against the key, and apply
-the same check.  Anything else (hand-edited, truncated, re-spaced or
-indented, another model version) is a miss, quarantined and recomputed.
+head, a digest, the job's canonical text, the model version, a result
+member whose CRC-32 is that digest, and a closing brace and newline.
+The check parses nothing: a hit is the verified member itself, the
+returned :class:`~repro.parallel.job.JobResult`'s canonical text, so
+the serve payload splices it as stored and the first-passage map is
+parsed only when a caller reads it.  ``get`` applies the check to the
+job it looks up; ``verify`` and ``repair`` rebuild the job from the
+entry's ``"job"`` member, check it against the key, and apply the same
+check.  Anything else (a flipped digit or a swapped member, hand-edited,
+truncated, re-spaced or indented, another model version) is a miss,
+quarantined and recomputed.  The digest guards against damage, not
+forgery: a member that matches it is taken as the writer's text.
 
 Robustness model (the cache is an accelerator, never a dependency):
 
@@ -66,6 +74,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import zlib
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -85,7 +94,7 @@ PACK_DIR = "packs"
 #: writer — no healthy put keeps one alive for more than moments.
 STALE_TMP_AGE = 3600.0
 
-#: What precedes the ``"job"`` member of a ``<key>.json``.
+#: What precedes the ``"crc32"`` member of a ``<key>.json``.
 _FILE_HEAD = b"{"
 
 #: Every pack line starts with this, then the entry's 64-hex key, so
@@ -102,24 +111,44 @@ _MTIME_TICK = 0.05
 #: Bytes per ``os.read`` of an entry file; one call covers an entry.
 _READ_CHUNK = 1 << 16
 
-#: Parses a hit's result member (``raw_decode`` skips the whitespace
-#: scans ``json.loads`` adds; a member has none).
+#: Every entry's first member (after a pack line's key): the CRC-32 of
+#: its result member, as eight lower-case hex digits.
+_DIGEST_OPEN = b'"crc32":"'
+_DIGEST_LEN = 8
+
+#: The model version as the JSON string entries splice in.
+_VERSION_JSON = json.dumps(MODEL_VERSION).encode()
+
+#: Parses the job member ``verify`` rebuilds an entry's job from.
 _DECODER = json.JSONDecoder()
 
 
 def _pack_head(key: str) -> bytes:
-    """What precedes the ``"job"`` member on a pack line."""
+    """What precedes the ``"crc32"`` member on a pack line."""
     return b'%s%s",' % (_LINE_HEAD, key.encode())
 
 
-def _prefix(head: bytes, job: SimulationJob) -> bytes:
-    """An entry's bytes up to its result member, as the writer lays
-    them out: compact sorted-key JSON of ``{"job", "model_version",
-    "result"}`` behind the layout's head."""
-    return b'%s"job":%s,"model_version":%s,"result":' % (
-        head,
+def _digest(member: bytes) -> bytes:
+    """The ``"crc32"`` value of a result member."""
+    return b"%08x" % zlib.crc32(member)
+
+
+def _after_digest(job: SimulationJob) -> bytes:
+    """An entry's bytes from the end of its digest to its result
+    member, as the writer lays them out for ``job``."""
+    return b'","job":%s,"model_version":%s,"result":' % (
         job.canonical_json().encode(),
-        json.dumps(MODEL_VERSION).encode(),
+        _VERSION_JSON,
+    )
+
+
+def _entry(head: bytes, job: SimulationJob, result: JobResult) -> bytes:
+    """The one entry layout: compact sorted-key JSON of ``{"crc32",
+    "job", "model_version", "result"}`` behind the layout's head, then
+    a newline."""
+    member = result.canonical_json().encode()
+    return b"%s%s%s%s%s}\n" % (
+        head, _DIGEST_OPEN, _digest(member), _after_digest(job), member
     )
 
 
@@ -127,21 +156,27 @@ def _check(job: SimulationJob, data: bytes, head: bytes) -> JobResult | str:
     """The result ``data`` holds if it is the entry the writer lays out
     for ``job`` behind ``head``, else why it is not.
 
-    The prefix is compared as bytes and only the result member is
-    parsed: it must parse whole and be followed by ``}`` and a newline.
+    Nothing is parsed: the bytes around the digest and the result
+    member are compared with what the writer lays out, and the member
+    with its digest.  The member, so verified, is the hit's memoized
+    canonical text (:meth:`JobResult.from_canonical_json`).
     """
-    prefix = _prefix(head, job)
-    if not data.startswith(prefix):
+    at = len(head) + len(_DIGEST_OPEN)
+    after = _after_digest(job)
+    if not (
+        data.startswith(head)
+        and data.startswith(_DIGEST_OPEN, len(head))
+        and data.startswith(after, at + _DIGEST_LEN)
+    ):
         return "not the entry put writes for this job (layout, job or model version)"
     if not data.endswith(b"}\n"):
         return "torn: no closing brace and newline"
+    member = data[at + _DIGEST_LEN + len(after) : -2]
+    if _digest(member) != data[at : at + _DIGEST_LEN]:
+        return "result member does not match its crc32"
     try:
-        member = data[len(prefix) : -2].decode()
-        parsed, end = _DECODER.raw_decode(member)
-        if end != len(member):
-            return "data after the result member"
-        return JobResult.from_dict(parsed)
-    except (ValueError, KeyError, TypeError, AttributeError) as error:
+        return JobResult.from_canonical_json(member.decode("ascii"))
+    except UnicodeDecodeError as error:
         return f"malformed result ({error})"
 
 
@@ -149,8 +184,11 @@ def _audit(key: str, head: bytes, data: bytes) -> str | None:
     """Why a stored entry is unsound under ``key``, or None if sound:
     the job is rebuilt from the entry's ``"job"`` member, checked
     against the key, and then :func:`_check` decides."""
+    if not data.startswith(_DIGEST_OPEN, len(head)):
+        return "no crc32 where put writes it (an older layout or version)"
+    start = len(head) + len(_DIGEST_OPEN) + _DIGEST_LEN + len(b'","job":')
     try:
-        member, _ = _DECODER.raw_decode(data[len(head) + len(b'"job":') :].decode())
+        member, _ = _DECODER.raw_decode(data[start:].decode())
         job = SimulationJob.from_dict(member)
     except (ValueError, KeyError, TypeError, AttributeError) as error:
         return f"no job member where put writes it ({error})"
@@ -247,12 +285,15 @@ class ResultCache:
     def get(self, job: SimulationJob) -> JobResult | None:
         """Return the cached result, or None on a miss.
 
-        An entry that is not byte for byte what the writer lays out
-        for ``job`` — torn, re-spaced, another model version, a
-        mismatched spec, a result that does not parse — is a miss and
-        is quarantined to ``*.corrupt`` (a packed one takes its whole
-        pack along) so the next ``put`` writes a clean entry and the
-        evidence survives for inspection.
+        A hit's :meth:`~repro.parallel.job.JobResult.canonical_json`
+        is the stored result member, checked against its digest and
+        not parsed (the first-passage map is, on first read).  An
+        entry that is not byte for byte what the writer lays out for
+        ``job`` — torn, re-spaced, another model version, a mismatched
+        spec, a result member that does not match its digest — is a
+        miss and is quarantined to ``*.corrupt`` (a packed one takes
+        its whole pack along) so the next ``put`` writes a clean entry
+        and the evidence survives for inspection.
 
         With the obs runtime on, hit/miss counts and lookup latency
         land in ``cache.hits`` / ``cache.misses`` /
@@ -472,8 +513,7 @@ class ResultCache:
         path = self._pack_dir / f"{first}.pack" if packed else self.root / f"{first}.json"
         texts = []
         for key, (job, result) in entries.items():
-            head = _pack_head(key) if packed else _FILE_HEAD
-            text = _prefix(head, job) + result.canonical_json().encode() + b"}\n"
+            text = _entry(_pack_head(key) if packed else _FILE_HEAD, job, result)
             if self.faults is not None and self.faults.corrupts_entry(job):
                 text = text[: len(text) // 3] + b"\n"  # injected torn write
             texts.append(text)

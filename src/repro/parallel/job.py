@@ -42,17 +42,16 @@ __all__ = [
 ]
 
 #: Bump whenever a change alters simulation trajectories (RNG streams,
-#: model semantics, tracker behaviour).  The tag is folded into every
-#: cache key, so stale entries from older model versions simply miss.
-MODEL_VERSION = "fj93-model-1"
+#: model semantics, tracker behaviour), the cache key's derivation or
+#: the cache entry layout.  The tag is folded into every cache key, so
+#: stale entries from older model versions simply miss.
+MODEL_VERSION = "fj93-model-2"
 
 _DIRECTIONS = ("up", "down")
 
-#: The canonical encoder (compact, sorted keys) and the cache key's
-#: (sorted keys, json's default separators).  Shared instances:
+#: The canonical encoder (compact, sorted keys).  A shared instance:
 #: ``json.dumps`` with options builds an encoder per call.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_KEY_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 @functools.lru_cache(maxsize=256)
@@ -194,7 +193,9 @@ class SimulationJob:
     def cache_key(self) -> str:
         """Content hash of the spec plus the model version tag.
 
-        ``json.dumps`` with sorted keys is a canonical encoding, and
+        The SHA-256 of ``{"job":<canonical_json()>,"model_version":...}``
+        — the compact sorted-key JSON of both, spliced around the job's
+        memoized text, so keying a job costs no encode of its own.
         Python's float repr round-trips exactly, so equal jobs hash
         equal across processes and sessions.
 
@@ -207,8 +208,9 @@ class SimulationJob:
         memo = self.__dict__.get("_key_memo")
         if memo is not None and memo[0] == MODEL_VERSION:
             return memo[1]
-        payload = _KEY_ENCODER.encode(
-            {"job": self.to_dict(), "model_version": MODEL_VERSION}
+        payload = '{"job":%s,"model_version":%s}' % (
+            self.canonical_json(),
+            json.dumps(MODEL_VERSION),
         )
         key = hashlib.sha256(payload.encode("ascii")).hexdigest()
         object.__setattr__(self, "_key_memo", (MODEL_VERSION, key))
@@ -259,6 +261,30 @@ class JobResult:
             text = _CANONICAL.encode(self.to_dict())
             object.__setattr__(self, "_json_memo", text)
         return text
+
+    @classmethod
+    def from_canonical_json(cls, text: str) -> "JobResult":
+        """The result whose :meth:`canonical_json` is ``text``.
+
+        ``text`` must be that method's output — a cache entry's result
+        member, checked against the entry's digest.  It becomes the
+        memo, and :attr:`first_passages` is parsed from it on first
+        read, so a result that is only spliced into a payload is
+        neither parsed nor encoded.
+        """
+        result = cls.__new__(cls)
+        object.__setattr__(result, "_json_memo", text)
+        return result
+
+    def __getattr__(self, name: str):
+        # Reached only for names missing from the instance dict: the
+        # one field of a result built by from_canonical_json, parsed
+        # from its memo on first read and kept.
+        if name != "first_passages" or "_json_memo" not in self.__dict__:
+            raise AttributeError(name)
+        passages = JobResult.from_dict(json.loads(self._json_memo)).first_passages
+        object.__setattr__(self, "first_passages", passages)
+        return passages
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobResult":

@@ -52,6 +52,7 @@ import math
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
+    BrokenExecutor,
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
@@ -547,19 +548,26 @@ class ParallelRunner:
         # start minus this is the chunk's pool queueing delay.
         submitted_at: dict[Future, float] = {}
         try:
-            for chunk in chunks:
+            for n, chunk in enumerate(chunks):
                 specs_only = [spec for _index, spec in chunk]
-                if observed:
-                    future = pool.submit(
-                        run_jobs_observed,
-                        specs_only,
-                        self.faults,
-                        0,
-                        o.enabled,
-                        o.profile,
-                    )
-                else:
-                    future = pool.submit(run_jobs, specs_only, self.faults, 0)
+                try:
+                    if observed:
+                        future = pool.submit(
+                            run_jobs_observed,
+                            specs_only,
+                            self.faults,
+                            0,
+                            o.enabled,
+                            o.profile,
+                        )
+                    else:
+                        future = pool.submit(run_jobs, specs_only, self.faults, 0)
+                except BrokenExecutor as error:
+                    # A worker died before every chunk was queued: the
+                    # pool refuses the rest, which go the way of a lost
+                    # chunk.
+                    lost.extend((rest, error, False) for rest in chunks[n:])
+                    break
                 submitted_at[future] = time.monotonic()
                 chunk_of[future] = chunk
             outstanding = set(chunk_of)

@@ -1,4 +1,4 @@
-"""The asyncio simulation server: coalesce → admit → cache → pool.
+"""The asyncio simulation server: cache → coalesce → admit → pool.
 
 A :class:`SimulationServer` turns the existing job/cache/obs stack
 into a long-running JSON-over-HTTP service.  ``/v1/simulate``,
@@ -6,17 +6,21 @@ into a long-running JSON-over-HTTP service.  ``/v1/simulate``,
 (:meth:`SimulationServer._compute`); each route only parses its body
 and wraps the payload bytes:
 
-1. **Coalesce** — every job spec is single-flighted on its content
-   hash (:class:`~repro.serve.coalesce.Coalescer`): N identical
-   concurrent requests, on any route, cost one computation, and all N
-   receive the same bytes.
-2. **Admit** — the specs a request leads pass the bounded
+1. **Cache** — every job spec is looked up in the
+   :class:`~repro.parallel.ResultCache` first, on the event loop.  A
+   hit is the entry's stored result bytes, checked against their
+   digest and spliced into the payload; a request whose specs all hit
+   is answered there, never admitted (so never shed) and never handed
+   to the executor.  Cold results are written through the cache, so a
+   restarted server serves warm immediately.
+2. **Coalesce** — every miss is single-flighted on its content hash
+   (:class:`~repro.serve.coalesce.Coalescer`): N identical concurrent
+   requests, on any route, cost one computation, and all N receive
+   the same bytes.
+3. **Admit** — the misses a request leads pass the bounded
    :class:`~repro.serve.queue.AdmissionQueue` as one batch; over the
    limit they are shed with ``429`` and a jittered, job-keyed
    ``Retry-After``.
-3. **Cache** — cold results are written through the
-   :class:`~repro.parallel.ResultCache`, so a restarted server serves
-   warm immediately.
 4. **Pool** — the simulation runs on a
    :class:`~repro.parallel.ParallelRunner` (process pool when
    ``jobs > 1``) inside the default thread executor, keeping the
@@ -704,27 +708,43 @@ class SimulationServer:
             return pieces
         return HttpResponse(200, pieces[0])
 
-    # -- the one compute path: coalesce -> admit -> await -----------------------
+    # -- the one compute path: cache -> coalesce -> admit -> await ------------
 
     async def _compute(
         self, specs: list[SimulationJob]
     ) -> list[bytes] | HttpResponse:
         """Every job spec a request carries, as payload bytes.
 
-        Claims each spec once on the coalescer, admits the specs this
-        request leads as one batch (one admission, keyed on the first
-        led spec's hash), runs them on the executor and waits for all
-        payloads through :meth:`_await_pieces`.  Specs already in
+        Looks each spec up in the cache first, on the event loop: a hit
+        is its stored bytes spliced into the payload, and a request
+        whose specs all hit is answered with no coalescer claim, no
+        admission and no executor hop.  Only the misses go on: each is
+        claimed once on the coalescer, the ones this request leads are
+        admitted as one batch (one admission, keyed on the first led
+        spec's hash) and run on the executor, and every miss's payload
+        is awaited through :meth:`_await_pieces`.  Misses already in
         flight — a concurrent request on any route, or a duplicate
         within one sweep — coalesce for free.  Returns the payloads in
         spec order, or the draining / failure response.
         """
         if self.draining:
             return self._draining_response()
-        claims = [self.coalescer.claim(spec.cache_key()) for spec in specs]
+        pieces: list[bytes | None] = [None] * len(specs)
+        if self.cache is not None:
+            for i, spec in enumerate(specs):
+                result = self.cache.get(spec)
+                if result is not None:
+                    pieces[i] = simulation_payload(spec, result)
+        missed = [i for i, piece in enumerate(pieces) if piece is None]
+        hits = len(specs) - len(missed)
+        if hits:
+            self.metrics.counter("serve.jobs.cache_hits").inc(hits)
+        if not missed:
+            return pieces
+        claims = [self.coalescer.claim(specs[i].cache_key()) for i in missed]
         futures = [future for future, _ in claims]
-        led = [i for i, (_, leader) in enumerate(claims) if leader]
-        key = specs[led[0] if led else 0].cache_key()
+        led = [i for i, (_, leader) in zip(missed, claims) if leader]
+        key = specs[led[0] if led else missed[0]].cache_key()
         if led:
             led_specs = [specs[i] for i in led]
             loop = asyncio.get_running_loop()
@@ -738,8 +758,15 @@ class SimulationServer:
                     for spec, result in zip(led_specs, results)
                 ]
 
-            self._lead_async([futures[i] for i in led], key, produce)
-        return await self._await_pieces(futures, key)
+            self._lead_async(
+                [future for future, leader in claims if leader], key, produce
+            )
+        computed = await self._await_pieces(futures, key)
+        if isinstance(computed, HttpResponse):
+            return computed
+        for i, piece in zip(missed, computed):
+            pieces[i] = piece
+        return pieces
 
     def _lead_async(self, futures, admission_key: str, produce) -> None:
         """Admit then run ``produce`` as a tracked task; settle

@@ -13,7 +13,7 @@ Architecture::
     parent (Supervisor)                 workers (asyncio, one process each)
     ───────────────────                 ──────────────────────────────────
     bind host:port once  ──inherited──▶ asyncio.start_server(sock=fd)
-    spawn N workers           fd        coalesce → admit → claims → pool
+    spawn N workers           fd        cache → coalesce → admit → claims → pool
     monitor & respawn                   cross-process single-flight via
     SIGTERM → drain all                 ClaimRegistry next to the cache
 

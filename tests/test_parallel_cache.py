@@ -3,6 +3,7 @@
 import json
 import os
 import time
+import zlib
 
 import pytest
 
@@ -51,6 +52,14 @@ class TestHitMiss:
         ResultCache(tmp_path).put(job, result)
         assert ResultCache(tmp_path).get(job) == result
 
+    def test_a_hit_is_the_stored_member_unparsed(self, tmp_path, job, result):
+        ResultCache(tmp_path).put(job, result)
+        hit = ResultCache(tmp_path).get(job)
+        assert "first_passages" not in hit.__dict__
+        entry = ResultCache(tmp_path).path_for(job).read_text()
+        assert entry.endswith(f'"result":{hit.canonical_json()}}}\n')
+        assert hit == result
+
 
 class TestInvalidation:
     def test_model_version_bump_invalidates(self, tmp_path, job, result, monkeypatch):
@@ -87,10 +96,42 @@ class TestInvalidation:
         path.write_text(json.dumps(payload))
         assert cache.get(job) is None
 
+    def test_previous_version_entries_are_clean_misses(self, tmp_path, job, result):
+        # fj93-model-1 keyed a job on the default-separator encode and
+        # stored no digest.  Under its own key such an entry is never
+        # looked up; copied to the new key it is a quarantined miss.
+        import hashlib
+
+        old = {"job": job.to_dict(), "model_version": "fj93-model-1"}
+        old_key = hashlib.sha256(json.dumps(old, sort_keys=True).encode()).hexdigest()
+        assert old_key != job.cache_key()
+        entry = json.dumps(
+            {**old, "result": result.to_dict()}, sort_keys=True, separators=(",", ":")
+        ) + "\n"
+        tmp_path.joinpath(f"{old_key}.json").write_text(entry)
+        cache = ResultCache(tmp_path)
+        assert cache.get(job) is None
+        assert (cache.misses, cache.quarantined) == (1, 0)
+        assert tmp_path.joinpath(f"{old_key}.json").read_text() == entry
+        assert cache.verify()["corrupt"] == {
+            f"{old_key}.json": "no crc32 where put writes it (an older layout or version)"
+        }
+        cache.path_for(job).write_text(entry)
+        assert cache.get(job) is None
+        assert cache.quarantined == 1
+        assert cache.put(job, result) and cache.get(job) == result
+
+
+def crc32(result):
+    """The digest an entry stores for ``result``: the CRC-32 of its
+    canonical member, as eight lower-case hex digits."""
+    return f"{zlib.crc32(result.canonical_json().encode()):08x}"
+
 
 class TestEntryFormat:
     def payload(self, job, result):
         return {
+            "crc32": crc32(result),
             "model_version": MODEL_VERSION,
             "job": job.to_dict(),
             "result": result.to_dict(),
@@ -328,6 +369,7 @@ class TestPacks:
             payload = json.loads(line)
             assert payload == {
                 "cache_key": job.cache_key(),
+                "crc32": crc32(result),
                 "job": job.to_dict(),
                 "model_version": MODEL_VERSION,
                 "result": result.to_dict(),
@@ -622,15 +664,68 @@ class TestBytePath:
         self.assert_defect(tmp_path, jobs, path)
 
     @pytest.mark.parametrize("layout", ["file", "pack"])
-    def test_non_canonical_member_behind_a_valid_prefix_reads(self, tmp_path, layout):
-        # Valid JSON is a hit whatever its spelling; the serve splice
-        # re-encodes it (tests/test_serve_payload.py).
-        jobs, results, _ = self.plant(
+    def test_non_canonical_member_is_a_quarantined_miss(self, tmp_path, layout):
+        # Equal numbers in another spelling are not the member the
+        # digest was taken of: the hit would splice them verbatim.
+        jobs, _, path = self.plant(
             tmp_path, layout, self.member_swap(self.ODD_MEMBER)
         )
+        assert json.loads(self.ODD_MEMBER) == self.RESULT.to_dict()
+        self.assert_defect(tmp_path, jobs, path)
+
+    @staticmethod
+    def flip_digit(data):
+        """The result member's last digit changed: still valid JSON,
+        one first-passage time wrong."""
+        at = data.rindex(b"}}}") - 1
+        digit = data[at] - ord("0")
+        assert 0 <= digit <= 9
+        return data[:at] + b"%d" % ((digit + 1) % 10) + data[at + 1 :]
+
+    @pytest.mark.parametrize("layout", ["file", "pack"])
+    def test_flipped_digit_in_the_result_member(self, tmp_path, layout):
+        jobs, _, path = self.plant(tmp_path, layout, self.flip_digit)
+        assert b'"5":406.26}}' in path.read_bytes()
+        self.assert_defect(tmp_path, jobs, path)
+
+    def test_result_members_swapped_between_pack_lines(self, tmp_path):
+        jobs, results = jobs_for((1, 2)), results_for((1, 2))
+        ResultCache(tmp_path).put_many(zip(jobs, results))
+        (path,) = (tmp_path / "packs").glob("*.pack")
+        lines = path.read_bytes().splitlines(keepends=True)
+        cuts = [line.index(b'"result":') + len(b'"result":') for line in lines]
+        members = [line[cut:-2] for line, cut in zip(lines, cuts)]
+        path.write_bytes(
+            lines[0][: cuts[0]] + members[1] + b"}\n"
+            + lines[1][: cuts[1]] + members[0] + b"}\n"
+        )
+        report = ResultCache(tmp_path).verify()
+        assert report["corrupt"] == {
+            f"packs/{path.name}:{n}": "result member does not match its crc32"
+            for n in (1, 2)
+        }
         reader = ResultCache(tmp_path)
-        assert reader.get(jobs[1]) == results[1]
-        assert (reader.hits, reader.quarantined) == (1, 0)
+        assert [reader.get(job) for job in jobs] == [None, None]
+        assert reader.quarantined == 1
+        assert path.with_name(path.name + ".corrupt").exists()
+
+    @pytest.mark.parametrize("layout", ["file", "pack"])
+    def test_cli_verify_names_a_flipped_digit_and_repair_moves_it_aside(
+        self, tmp_path, layout, capsys
+    ):
+        from repro.experiments.cli import main
+
+        _, _, path = self.plant(tmp_path, layout, self.flip_digit)
+        root = ["--cache-root", str(tmp_path)]
+        label = path.name if layout == "file" else f"packs/{path.name}:2"
+        assert main(["cache", "verify", *root]) == 1
+        out = capsys.readouterr().out
+        assert f"corrupt: {label}: result member does not match its crc32" in out
+        assert main(["cache", "repair", *root]) == 0
+        assert "quarantined 1 corrupt entry" in capsys.readouterr().out
+        assert not path.exists()
+        assert path.with_name(path.name + ".corrupt").exists()
+        assert main(["cache", "verify", *root]) == 0
 
     @staticmethod
     def other_layout(data, spaced):
@@ -656,5 +751,6 @@ class TestBytePath:
             tmp_path, layout, lambda data: self.other_layout(data, spaced)
         )
         entry = path.read_bytes().splitlines()[-1]
-        assert f'"job":{jobs[1].canonical_json()},'.encode() not in entry
+        writer = f'","job":{jobs[1].canonical_json()},"model_version":'
+        assert writer.encode() not in entry
         self.assert_defect(tmp_path, jobs, path)

@@ -165,6 +165,38 @@ class TestJobResult:
         assert result.terminal_time(down) == 2.0
         assert JobResult(first_passages={}).terminal_time(up) is None
 
+    def test_from_canonical_json_parses_on_first_read_only(self):
+        result = JobResult(first_passages={1: 0.5, 12: 3e-5, 5: 123.25})
+        text = result.canonical_json()
+        lazy = JobResult.from_canonical_json(text)
+        assert lazy.canonical_json() is text
+        assert "first_passages" not in lazy.__dict__
+        for clone in (lazy, pickle.loads(pickle.dumps(lazy))):
+            assert clone == result
+            assert repr(clone) == repr(result)
+            assert clone.terminal_time(
+                SimulationJob.from_params(FAST, seed=1, horizon=100.0)
+            ) == 123.25
+        assert lazy.first_passages is lazy.__dict__["first_passages"]
+        with pytest.raises(AttributeError):
+            lazy.not_a_field
+        with pytest.raises(AttributeError):
+            JobResult.__new__(JobResult).first_passages
+
+    def test_key_hashes_the_compact_canonical_text(self):
+        import hashlib
+        import json
+
+        from repro.parallel.job import MODEL_VERSION
+
+        job = SimulationJob.from_params(FAST, seed=3, horizon=100.0, topology="ring")
+        text = json.dumps(
+            {"job": job.to_dict(), "model_version": MODEL_VERSION},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert job.cache_key() == hashlib.sha256(text.encode()).hexdigest()
+
 
 class TestRunJob:
     def test_matches_serial_helpers_both_engines(self):

@@ -127,6 +127,28 @@ class TestDegradation:
         assert runner.stats.fallback == 3
         assert results == ParallelRunner(jobs=1).run(specs)
 
+    def test_pool_broken_mid_submit_reruns_the_rest_in_process(self, monkeypatch):
+        # A worker can die while later chunks are still being queued;
+        # the pool then refuses them, and they must be recovered like
+        # any lost chunk rather than escape from run().
+        from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        class BreaksAfterOneSubmit(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                if getattr(self, "submitted", 0):
+                    raise BrokenProcessPool("a child process terminated abruptly")
+                self.submitted = 1
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", BreaksAfterOneSubmit)
+        specs = specs_for((1, 2, 3, 4))
+        runner = ParallelRunner(jobs=2, chunk_size=1, retries=1, backoff_base=0.0)
+        assert runner.run(specs) == ParallelRunner(jobs=1).run(specs)
+        assert runner.stats.pooled == 1
+        counts = runner.report.counts()
+        assert (counts["ok"], counts["retried"], runner.report.incomplete) == (1, 3, 0)
+
     def test_single_pending_job_stays_in_process(self, monkeypatch):
         # jobs>1 with one pending job must not pay pool startup.
         def exploding_pool(*args, **kwargs):  # pragma: no cover - must not run

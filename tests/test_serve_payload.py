@@ -4,12 +4,14 @@ The payload is built from the job's and the result's canonical text
 instead of re-encoding a dict.  Every case here checks it byte for
 byte against ``canonical_json`` of the dict the server used to encode
 — cold results straight from ``run_job``, warm ones read back through
-the result cache (the byte path that parses only the result member),
-and synthetic first-passage maps with censoring and extreme exponents.
+the result cache (whose hit is the stored member, checked against its
+digest and spliced unparsed), and synthetic first-passage maps with
+censoring and extreme exponents.
 """
 
 import json
 import random
+import zlib
 
 import pytest
 
@@ -146,14 +148,22 @@ def small_job(seed):
 
 
 def odd_entries(job):
-    """Valid entries for ``job`` and ``ODD`` that ``put`` never writes,
-    by name: ``(layout, text)``."""
+    """Valid JSON entries for ``job`` and ``ODD`` that ``put`` never
+    writes, by name: ``(layout, text)``.  Each carries the digest
+    ``put`` stores for ``ODD`` (of its canonical member)."""
     version = json.dumps(MODEL_VERSION)
     job_text = job.canonical_json()
-    sound = f'"job":{job_text},"model_version":{version},"result":{ODD_MEMBER}}}\n'
-    reordered = f'"result":{ODD_MEMBER},"model_version":{version},"job":{job_text}}}\n'
+    crc = f"{zlib.crc32(ODD.canonical_json().encode()):08x}"
+    sound = (
+        f'"crc32":"{crc}","job":{job_text},"model_version":{version},'
+        f'"result":{ODD_MEMBER}}}\n'
+    )
+    reordered = (
+        f'"result":{ODD_MEMBER},"model_version":{version},"job":{job_text},'
+        f'"crc32":"{crc}"}}\n'
+    )
     spaced = {"result": json.loads(ODD_MEMBER), "model_version": MODEL_VERSION,
-              "job": job.to_dict()}
+              "job": job.to_dict(), "crc32": crc}
     head = f'{{"cache_key":"{job.cache_key()}",'
     return {
         "odd-member-file": ("file", "{" + sound),
@@ -178,12 +188,12 @@ def test_entries_in_other_spellings_are_never_spliced_verbatim(tmp_path, case):
         (pack,) = (tmp_path / "packs").glob("*.pack")
         pack.write_text(pack.read_text() + text)
     reader = ResultCache(tmp_path)
-    if not case.startswith("odd-member"):
-        # Not the bytes put writes ahead of the result member: a miss
-        # and a quarantine, never a hit (the cache has one check).
-        assert (reader.get(job), reader.quarantined) == (None, 1)
-        return
-    assert (reader.get(job), reader.quarantined) == (ODD, 0)
-    payload = simulation_payload(job, reader.get(job))
+    # Not the bytes put writes, or a member that is not the one its
+    # digest was taken of: a miss and a quarantine, never a hit (the
+    # cache has one check).
+    assert (reader.get(job), reader.quarantined) == (None, 1)
+    # The recomputed entry is the writer's, and so is the splice.
+    reader.put(job, ODD)
+    payload = simulation_payload(job, ResultCache(tmp_path).get(job))
     assert payload == oracle(job, ODD)
     assert ODD_MEMBER.encode() not in payload

@@ -20,13 +20,21 @@ import time
 
 import pytest
 
-from repro.parallel import ParallelRunner, SimulationJob, deterministic_jitter
+from repro.parallel import (
+    ParallelRunner,
+    ResultCache,
+    SimulationJob,
+    deterministic_jitter,
+    run_job,
+)
 from repro.serve import (
     BackgroundServer,
     ServeClient,
     ServeConfig,
     simulation_payload,
 )
+
+from .test_serve_payload import oracle
 
 
 def spec_dict(seed=1, horizon=1500.0, **overrides):
@@ -319,6 +327,79 @@ class TestBackpressure:
         assert response.json()["deadline"] == 0.2
         assert response.json()["key"] == SimulationJob.from_dict(spec).cache_key()
         assert metrics["serve.timeouts"]["value"] >= 1
+
+
+class TestCacheFirst:
+    """A request whose specs all hit the cache is answered on the event
+    loop: no coalescer claim, no admission, no executor, no runner."""
+
+    def test_warm_sweep_is_answered_while_the_queue_is_full_and_draining(
+        self, tmp_path
+    ):
+        warm = [spec_dict(seed=seed) for seed in (71, 72, 73, 71)]
+        jobs = [SimulationJob.from_dict(spec) for spec in warm]
+        cache = ResultCache(tmp_path / "cache")
+        for job in jobs[:3]:
+            cache.put(job, run_job(job))
+        expected = (
+            b'{"results":['
+            + b",".join(oracle(job, run_job(job)).rstrip(b"\n") for job in jobs)
+            + b"]}\n"
+        )
+        runner = GatedRunner()
+        cfg = config(tmp_path, queue_depth=1)
+        with BackgroundServer(cfg, job_runner=runner) as bg:
+            holder_response = []
+            holder = threading.Thread(
+                target=simulate_into, args=(holder_response, bg, spec_dict(seed=74))
+            )
+            holder.start()
+            assert runner.started.wait(timeout=30)
+            with ServeClient(bg.host, bg.port) as client:
+                before = client.metrics()["serve"]
+                answered = client.sweep(warm)
+                after = client.metrics()["serve"]
+                # A cold spec beside the warm ones still needs the full
+                # queue, and is shed.
+                assert client.sweep([warm[0], spec_dict(seed=75)]).status == 429
+                bg._loop.call_soon_threadsafe(bg.server.begin_drain)
+                deadline = time.monotonic() + 10
+                while client.readyz().status != 503 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                # Draining is checked before the cache.
+                assert client.sweep(warm).status == 503
+            runner.release.set()
+            holder.join(timeout=60)
+
+        assert answered.status == 200
+        assert answered.body == expected
+        hits = "serve.jobs.cache_hits"
+        assert before.get(hits, {}).get("value", 0) == 0
+        assert after[hits]["value"] == len(warm)
+        assert after.get("serve.shed", {}).get("value", 0) == 0
+        assert runner.calls == [[SimulationJob.from_dict(spec_dict(seed=74))]]
+        assert holder_response[0].status == 200
+
+    def test_a_warm_request_never_reaches_the_runner(self, tmp_path, monkeypatch):
+        spec = spec_dict(seed=76)
+        job = SimulationJob.from_dict(spec)
+        ResultCache(tmp_path / "cache").put(job, run_job(job))
+        runner = GatedRunner()
+        runner.release.set()
+        with BackgroundServer(config(tmp_path), job_runner=runner) as bg:
+            server = bg.server
+
+            def no_executor(*args, **kwargs):
+                raise AssertionError("a warm request reached the executor")
+
+            monkeypatch.setattr(server, "_execute_specs", no_executor)
+            monkeypatch.setattr(server.queue, "admit", no_executor)
+            monkeypatch.setattr(server.coalescer, "claim", no_executor)
+            with ServeClient(bg.host, bg.port) as client:
+                responses = [post(client, route, spec) for route in COMPUTE_ROUTES]
+        assert [r.status for r in responses] == [200, 200, 200]
+        assert responses[0].body == oracle(job, run_job(job))
+        assert runner.calls == []
 
 
 class TestDrain:
