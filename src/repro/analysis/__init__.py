@@ -1,17 +1,9 @@
-"""Measurement analysis: autocorrelation, outages, coherence, statistics."""
+"""Measurement analysis: autocorrelation, outages, coherence, ASCII plots."""
 
 from .asciiplot import line, log_safe, scatter
 from .autocorrelation import autocorrelation, dominant_lag, fill_losses
-from .coherence import circular_variance, mean_phase, offsets_to_phases, order_parameter
+from .coherence import offsets_to_phases, order_parameter
 from .outages import Outage, extract_outages, loss_rate_in_windows, periodic_spike_lags
-from .statistics import (
-    SummaryStats,
-    batch_means_ci,
-    geometric_mean,
-    median,
-    summarize,
-)
-from .timeseries import Series, find_peaks, resample_step, runs_of, time_offsets
 
 __all__ = [
     "line",
@@ -20,22 +12,10 @@ __all__ = [
     "autocorrelation",
     "dominant_lag",
     "fill_losses",
-    "circular_variance",
-    "mean_phase",
     "offsets_to_phases",
     "order_parameter",
     "Outage",
     "extract_outages",
     "loss_rate_in_windows",
     "periodic_spike_lags",
-    "SummaryStats",
-    "batch_means_ci",
-    "geometric_mean",
-    "median",
-    "summarize",
-    "Series",
-    "find_peaks",
-    "resample_step",
-    "runs_of",
-    "time_offsets",
 ]

@@ -15,7 +15,7 @@ import cmath
 import math
 from typing import Sequence
 
-__all__ = ["order_parameter", "mean_phase", "offsets_to_phases", "circular_variance"]
+__all__ = ["order_parameter", "offsets_to_phases"]
 
 
 def offsets_to_phases(offsets: Sequence[float], period: float) -> list[float]:
@@ -35,18 +35,3 @@ def order_parameter(phases: Sequence[float]) -> float:
         raise ValueError("order_parameter of empty phase list")
     total = sum(cmath.exp(1j * phase) for phase in phases)
     return abs(total) / len(phases)
-
-
-def mean_phase(phases: Sequence[float]) -> float:
-    """Circular mean angle in ``[0, 2*pi)`` (undefined inputs raise)."""
-    if not phases:
-        raise ValueError("mean_phase of empty phase list")
-    total = sum(cmath.exp(1j * phase) for phase in phases)
-    if abs(total) < 1e-12:
-        raise ValueError("mean phase undefined: phasors cancel")
-    return cmath.phase(total) % (2.0 * math.pi)
-
-
-def circular_variance(phases: Sequence[float]) -> float:
-    """Circular variance ``1 - R`` in [0, 1]."""
-    return 1.0 - order_parameter(phases)

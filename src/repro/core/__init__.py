@@ -2,7 +2,7 @@
 
 Exposes the discrete-event model (:class:`PeriodicMessagesModel`),
 cluster tracking, timer policies, the paper's canonical parameters,
-and sweep/transition-finding helpers.
+and sweep helpers.
 """
 
 from .batch import BatchCascade, BatchMember
@@ -25,7 +25,6 @@ from .parameters import (
 )
 from .sweeps import (
     SweepResult,
-    find_transition_n,
     sweep_nodes,
     sweep_tr,
     time_to_break_up,
@@ -37,7 +36,6 @@ from .timers import (
     RecommendedJitterTimer,
     TimerPolicy,
     UniformJitterTimer,
-    make_paper_timer,
 )
 
 __all__ = [
@@ -65,7 +63,6 @@ __all__ = [
     "PAPER_TP",
     "RouterTimingParameters",
     "SweepResult",
-    "find_transition_n",
     "sweep_nodes",
     "sweep_tr",
     "time_to_break_up",
@@ -75,5 +72,4 @@ __all__ = [
     "RecommendedJitterTimer",
     "TimerPolicy",
     "UniformJitterTimer",
-    "make_paper_timer",
 ]

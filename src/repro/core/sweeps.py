@@ -1,16 +1,14 @@
-"""Parameter sweeps and phase-transition estimation on the simulation.
+"""Parameter sweeps on the simulation.
 
 These helpers run families of Periodic Messages simulations — over the
 random component ``Tr``, over the node count ``N``, or over seeds —
 and extract the quantities the paper's evaluation reports: time to
-synchronize, time to break up, and the location of the abrupt
-transition between the two regimes.
+synchronize and time to break up.
 
 All sweep helpers execute through the parallel layer
 (:mod:`repro.parallel`): pass ``jobs=4`` to fan the grid out over four
 worker processes, and/or a :class:`~repro.parallel.ResultCache` so
-repeated sweeps and bisection probes never recompute a completed
-simulation.  Results are independent of ``jobs`` — each (params, seed)
+repeated sweeps never recompute a completed simulation.  Results are independent of ``jobs`` — each (params, seed)
 point derives its own RNG streams.
 """
 
@@ -31,7 +29,6 @@ __all__ = [
     "time_to_break_up",
     "sweep_tr",
     "sweep_nodes",
-    "find_transition_n",
 ]
 
 
@@ -245,63 +242,3 @@ def sweep_nodes(
         points, horizon, direction, seeds, engine, jobs, cache,
         checkpoint=checkpoint, topology=topology,
     )
-
-
-def find_transition_n(
-    base: RouterTimingParameters,
-    horizon: float,
-    n_low: int = 2,
-    n_high: int = 40,
-    seed: int = 1,
-    engine: str = "cascade",
-    cache=None,
-    topology: str = "clique",
-) -> int:
-    """Smallest N that synchronizes within the horizon (bisection).
-
-    The paper's headline: "the addition of a single router will convert
-    a completely unsynchronized traffic stream into a completely
-    synchronized one".  This estimates that critical router count for
-    the given timing parameters.  Assumes monotonicity in N (larger
-    networks synchronize faster), which holds throughout the paper's
-    parameter ranges.
-
-    Bisection is inherently sequential, so there is no ``jobs``
-    parameter — but with a ``cache`` every probe is remembered, so
-    repeated, overlapping or killed-and-restarted searches converge
-    almost for free.  (Each probe is a one-job batch, so there is no
-    journal to resume: the cache is the search's memory.)
-    """
-    from ..parallel import ParallelRunner, SimulationJob
-
-    resolve_engine(engine)
-    from ..topo import ensure_spec
-
-    topology = ensure_spec(topology).canonical()
-    runner = ParallelRunner(jobs=1, cache=cache)
-
-    def synchronizes(n: int) -> bool:
-        from ..obs import obs
-
-        spec = SimulationJob.from_params(
-            base.with_nodes(n), seed=seed, horizon=horizon,
-            direction="up", engine=engine, topology=topology,
-        )
-        with obs().span("transition.probe", n=n) as span:
-            (result,) = runner.run([spec])
-            synced = result.terminal_time(spec) is not None
-            span.set(synchronized=synced)
-        return synced
-
-    if not synchronizes(n_high):
-        raise ValueError(f"no synchronization even at N={n_high} within horizon {horizon}")
-    if synchronizes(n_low):
-        return n_low
-    lo, hi = n_low, n_high  # invariant: lo does not synchronize, hi does
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if synchronizes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

@@ -19,7 +19,6 @@ __all__ = [
     "FixedTimer",
     "RecommendedJitterTimer",
     "DistinctPeriodTimer",
-    "make_paper_timer",
 ]
 
 
@@ -128,8 +127,3 @@ class DistinctPeriodTimer:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DistinctPeriodTimer(n={len(self.periods)})"
-
-
-def make_paper_timer(tp: float, tr: float) -> UniformJitterTimer:
-    """The timer used throughout the paper's simulations."""
-    return UniformJitterTimer(tp, tr)

@@ -1,21 +1,19 @@
 """The Section 5 Markov chain model and its analysis."""
 
-from .calibration import estimate_f2_diffusion, estimate_f2_simulation
+from .calibration import estimate_f2_diffusion
 from .chain import BirthDeathChain
-from .critical import critical_n, critical_tr, fraction_unsynchronized_at
+from .critical import critical_tr, fraction_unsynchronized_at
 from .equilibrium import (
     RandomizationRegion,
     classify_randomization,
     fraction_unsynchronized_sweep,
     fraction_unsynchronized_vs_nodes,
-    stationary_fraction_below,
     transition_sharpness,
 )
 from .hitting_times import (
     SynchronizationTimes,
     conditional_step_rounds,
     conditional_step_rounds_paper_printed,
-    expected_rounds_to_state,
     f_values,
     f_values_paper_recursion,
     g_values,
@@ -31,21 +29,17 @@ from .transitions import (
 
 __all__ = [
     "estimate_f2_diffusion",
-    "estimate_f2_simulation",
     "BirthDeathChain",
-    "critical_n",
     "critical_tr",
     "fraction_unsynchronized_at",
     "RandomizationRegion",
     "classify_randomization",
     "fraction_unsynchronized_sweep",
     "fraction_unsynchronized_vs_nodes",
-    "stationary_fraction_below",
     "transition_sharpness",
     "SynchronizationTimes",
     "conditional_step_rounds",
     "conditional_step_rounds_paper_printed",
-    "expected_rounds_to_state",
     "f_values",
     "f_values_paper_recursion",
     "g_values",

@@ -5,30 +5,24 @@ cluster of size two forms out of N lone routers — "as a variable",
 fitting ``f(2) = 19`` rounds for the Figure 10 parameters from
 "simulations and an approximate analysis that is not given here".
 
-This module provides both routes:
-
-* :func:`estimate_f2_simulation` measures the first-passage time to a
-  size-2 cluster directly on the Periodic Messages DES.
-* :func:`estimate_f2_diffusion` is a documented approximate analysis:
-  the minimum gap among N uniform offsets on ``[0, Tp]`` has mean
-  about ``Tp / N^2``; per round each adjacent gap diffuses with the
-  step of a difference of two uniforms on ``[-Tr, Tr]`` (standard
-  deviation ``Tr * sqrt(2/3)``), and the first cluster forms when the
-  closest pair drifts to within ``Tc``.  Treating that as an unbiased
-  random walk gives ``f(2) ~ (max(0, Tp/N^2 - Tc) / step_std)^2 + 1``.
-  For the paper's Figure 10 parameters this yields the right order of
-  magnitude (a handful to a few tens of rounds).
+:func:`estimate_f2_diffusion` is a documented approximate analysis:
+the minimum gap among N uniform offsets on ``[0, Tp]`` has mean about
+``Tp / N^2``; per round each adjacent gap diffuses with the step of a
+difference of two uniforms on ``[-Tr, Tr]`` (standard deviation
+``Tr * sqrt(2/3)``), and the first cluster forms when the closest pair
+drifts to within ``Tc``.  Treating that as an unbiased random walk
+gives ``f(2) ~ (max(0, Tp/N^2 - Tc) / step_std)^2 + 1``.  For the
+paper's Figure 10 parameters this yields the right order of magnitude
+(a handful to a few tens of rounds).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
-from ..core.model import ModelConfig, PeriodicMessagesModel
 from ..core.parameters import RouterTimingParameters
 
-__all__ = ["estimate_f2_diffusion", "estimate_f2_simulation"]
+__all__ = ["estimate_f2_diffusion"]
 
 
 def estimate_f2_diffusion(params: RouterTimingParameters) -> float:
@@ -49,39 +43,3 @@ def estimate_f2_diffusion(params: RouterTimingParameters) -> float:
     if step_std == 0.0:
         return math.inf
     return (distance / step_std) ** 2 + 1.0
-
-
-def estimate_f2_simulation(
-    params: RouterTimingParameters,
-    seeds: Sequence[int] = tuple(range(1, 21)),
-    horizon_rounds: float = 10_000.0,
-) -> float:
-    """Measure ``f(2)`` by simulation: mean rounds to the first 2-cluster.
-
-    Runs one Periodic Messages simulation per seed from an
-    unsynchronized start and records the first time a cluster of size
-    two appears.  Runs that never form a cluster within the horizon
-    contribute the full horizon (biasing the estimate low, which is
-    reported honestly by callers comparing against the paper's fit).
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    round_length = params.round_length
-    horizon = horizon_rounds * round_length
-    total_rounds = 0.0
-    for seed in seeds:
-        config = ModelConfig.from_parameters(params, seed=seed, keep_cluster_history=False)
-        model = PeriodicMessagesModel(config, initial_phases="unsynchronized")
-        model.sim._stopped = False  # fresh run
-        # Stop as soon as a 2-cluster forms: reuse the tracker's
-        # first-passage record by polling in chunks.
-        chunk = 50 * round_length
-        elapsed = 0.0
-        formed: float | None = None
-        while elapsed < horizon:
-            elapsed = model.run(until=min(horizon, elapsed + chunk))
-            formed = model.tracker.time_to_cluster_size(2)
-            if formed is not None:
-                break
-        total_rounds += (formed if formed is not None else horizon) / round_length
-    return total_rounds / len(seeds)

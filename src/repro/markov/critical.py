@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..core.parameters import RouterTimingParameters
 from .hitting_times import synchronization_times
 
-__all__ = ["fraction_unsynchronized_at", "critical_tr", "critical_n"]
+__all__ = ["fraction_unsynchronized_at", "critical_tr"]
 
 
 def fraction_unsynchronized_at(params: RouterTimingParameters, f2: float | None = None) -> float:
@@ -56,33 +56,3 @@ def critical_tr(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def critical_n(
-    params: RouterTimingParameters,
-    n_low: int = 2,
-    n_high: int = 200,
-    f2: float | None = None,
-) -> int:
-    """The smallest N at which the network ends up synchronized.
-
-    The fraction-unsynchronized estimator is monotone non-increasing
-    in N; returns the first N with fraction below one half — the
-    paper's "addition of a single router will convert a completely
-    unsynchronized traffic stream into a completely synchronized one"
-    expressed as a number.
-    """
-    if not 2 <= n_low < n_high:
-        raise ValueError("need 2 <= n_low < n_high")
-    if fraction_unsynchronized_at(params.with_nodes(n_low), f2=f2) < 0.5:
-        return n_low
-    if fraction_unsynchronized_at(params.with_nodes(n_high), f2=f2) >= 0.5:
-        raise ValueError(f"no transition up to N={n_high}")
-    lo, hi = n_low, n_high  # invariant: lo unsync, hi sync
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fraction_unsynchronized_at(params.with_nodes(mid), f2=f2) < 0.5:
-            hi = mid
-        else:
-            lo = mid
-    return hi

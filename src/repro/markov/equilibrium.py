@@ -4,11 +4,6 @@ The paper estimates the fraction of time the system spends
 unsynchronized as ``f(N) / (f(N) + g(1))`` and shows that, as either
 the random component ``Tr`` or the node count ``N`` is varied, this
 fraction switches abruptly between ~1 and ~0 — the phase transition.
-
-Because the chain is an honest Markov chain, we can also compute the
-*exact* stationary distribution (the paper notes it "was only able to
-estimate" it) and integrate the mass at low cluster sizes; both
-estimators agree on the location and abruptness of the transition.
 """
 
 from __future__ import annotations
@@ -17,14 +12,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..core.parameters import RouterTimingParameters
-from .hitting_times import SynchronizationTimes, synchronization_times
+from .hitting_times import synchronization_times
 
 __all__ = [
     "RandomizationRegion",
     "classify_randomization",
     "fraction_unsynchronized_sweep",
     "fraction_unsynchronized_vs_nodes",
-    "stationary_fraction_below",
     "transition_sharpness",
 ]
 
@@ -92,22 +86,6 @@ def fraction_unsynchronized_vs_nodes(
         times = synchronization_times(params.with_nodes(n), f2=f2)
         results.append((n, times.fraction_unsynchronized()))
     return results
-
-
-def stationary_fraction_below(
-    times: SynchronizationTimes,
-    max_cluster_size: int = 2,
-) -> float:
-    """Exact stationary mass at cluster sizes ``<= max_cluster_size``.
-
-    An extension beyond the paper: the equilibrium distribution of the
-    chain, computed exactly, integrated over the unsynchronized
-    states.
-    """
-    if not 1 <= max_cluster_size <= times.chain.n:
-        raise ValueError("max_cluster_size outside state space")
-    pi = times.chain.stationary_distribution()
-    return float(pi[:max_cluster_size].sum())
 
 
 def transition_sharpness(

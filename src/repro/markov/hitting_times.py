@@ -24,7 +24,6 @@ from .transitions import build_chain
 
 __all__ = [
     "conditional_step_rounds_paper_printed",
-    "expected_rounds_to_state",
     "f_values",
     "g_values",
     "f_values_paper_recursion",
@@ -161,15 +160,6 @@ def g_values_paper_recursion(chain: BirthDeathChain) -> list[float]:
         values_rev.append(g_i)
         g_next, g_next2 = g_i, g_next
     return list(reversed(values_rev))
-
-
-def expected_rounds_to_state(
-    chain: BirthDeathChain,
-    start: int,
-    target: int,
-) -> float:
-    """Expected rounds from ``start`` to ``target`` (thin wrapper)."""
-    return chain.hitting_time(start, target)
 
 
 class SynchronizationTimes:

@@ -1,7 +1,10 @@
-"""Packet-level network substrate: nodes, links, and topologies."""
+"""Packet-level network substrate: nodes, links, LANs, and topologies.
+
+Links, LANs and routers count their own traffic and drops
+(:class:`LinkStats`, :class:`RouterStats`).
+"""
 
 from .lan import Lan
-from .monitor import DropRecord, NetworkMonitor
 from .link import Link, LinkStats
 from .node import (
     BROADCAST,
@@ -16,8 +19,6 @@ from .packet import Packet, PacketKind
 from .topology import Network
 
 __all__ = [
-    "DropRecord",
-    "NetworkMonitor",
     "Lan",
     "Link",
     "LinkStats",

@@ -16,7 +16,7 @@ frame and discard it, as an Ethernet NIC would.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..des import Simulator
 from .link import LinkStats
@@ -68,7 +68,6 @@ class Lan:
         self.up = True
         self.stations: list["Node"] = []
         self.stats = LinkStats()
-        self.drop_hooks: list[Callable[[Packet, "Node | None"], None]] = []
         self._backlog: list[tuple[Packet, "Node"]] = []
         self._transmitting = False
 
@@ -100,11 +99,9 @@ class Lan:
         if from_node not in self.stations:
             raise ValueError(f"{from_node.name} is not attached to {self.name}")
         if not self.up:
-            self._notify_drop(packet, None)
             return False
         if len(self._backlog) >= self.queue_packets:
             self.stats.packets_dropped += 1
-            self._notify_drop(packet, None)
             return False
         self._backlog.append((packet, from_node))
         if not self._transmitting:
@@ -141,10 +138,6 @@ class Lan:
             self._backlog.clear()
         for station in self.stations:
             station.on_channel_state(self, up)
-
-    def _notify_drop(self, packet: Packet, toward: "Node | None") -> None:
-        for hook in self.drop_hooks:
-            hook(packet, toward)
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "up" if self.up else "down"

@@ -9,7 +9,7 @@ the substrate besides routers deliberately discarding.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..des import Simulator
 from .packet import Packet
@@ -58,7 +58,6 @@ class _Direction:
         """Queue a packet for transmission; False if it was dropped."""
         if len(self.queue) >= self.queue_packets:
             self.stats.packets_dropped += 1
-            self.owner.notify_drop(packet, self.receiver)
             return False
         self.queue.append(packet)
         if not self.transmitting:
@@ -120,7 +119,6 @@ class Link:
         self.up = True
         self._ab = _Direction(sim, self, b, bandwidth_bps, delay_s, queue_packets)
         self._ba = _Direction(sim, self, a, bandwidth_bps, delay_s, queue_packets)
-        self.drop_hooks: list[Callable[[Packet, "Node"], None]] = []
         a.attach_link(self)
         b.attach_link(self)
 
@@ -134,12 +132,11 @@ class Link:
 
     def send(self, packet: Packet, from_node: "Node") -> bool:
         """Transmit toward the opposite end; False if dropped or link down."""
-        if not self.up:
-            self.notify_drop(packet, self.other_end(from_node))
-            return False
-        direction = self._ab if from_node is self.a else self._ba
         if from_node is not self.a and from_node is not self.b:
             raise ValueError(f"{from_node!r} is not an endpoint of this link")
+        if not self.up:
+            return False
+        direction = self._ab if from_node is self.a else self._ba
         return direction.enqueue(packet)
 
     def set_up(self, up: bool) -> None:
@@ -157,11 +154,6 @@ class Link:
             self._ba.queue.clear()
         for node in (self.a, self.b):
             node.on_link_state(self, up)
-
-    def notify_drop(self, packet: Packet, toward: "Node") -> None:
-        """Invoke drop hooks (measurement taps)."""
-        for hook in self.drop_hooks:
-            hook(packet, toward)
 
     def stats_toward(self, node: "Node") -> LinkStats:
         """Counters for the direction whose receiver is ``node``."""

@@ -1,16 +1,15 @@
 """Parallel execution layer for simulation fan-out.
 
 Every headline quantity in the paper is an embarrassingly parallel
-aggregate: Figures 10/11 average twenty independent seeds, Figures
-12-15 sweep ``Tr``/``N`` grids, and the transition finder bisects over
-``N``.  This package turns each of those unit simulations into a
-:class:`SimulationJob` — a hashable, serializable spec of (parameters,
+aggregate: Figures 10/11 average twenty independent seeds and Figures
+12-15 sweep ``Tr``/``N`` grids.  This package turns each of those unit
+simulations into a :class:`SimulationJob` — a hashable, serializable spec of (parameters,
 seed, horizon, direction, engine) — and executes batches of them
 through a :class:`ParallelRunner` that fans out over a process pool,
 falls back to in-process execution when ``jobs=1`` (or when the
 platform cannot spawn workers), and consults a content-addressed
-on-disk :class:`ResultCache` so repeated figure runs and bisection
-probes never recompute a completed simulation.
+on-disk :class:`ResultCache` so repeated figure runs never recompute
+a completed simulation.
 
 Resilience layer (practicing what the paper preaches): the runner
 retries lost work with deterministically-jittered exponential backoff

@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from statistics import fmean, stdev
 
-from ..core.parameters import RouterTimingParameters
 from ..parallel import ParallelRunner, ResultCache
 from ..parallel.job import SimulationJob
 from .surrogate import OK, SurrogateEvaluator
@@ -45,7 +44,6 @@ __all__ = [
     "BOUND_SEM_MULTIPLIER",
     "cell_bound",
     "in_phase",
-    "phase_fraction",
     "verify_table",
 ]
 
@@ -57,21 +55,14 @@ BOUND_SEM_MULTIPLIER = 4.0
 BOUND_FLOOR = 0.10
 
 
-def phase_fraction(params: RouterTimingParameters) -> float:
-    """The equilibrium estimator ``f(N)/(f(N)+g(1))`` at one point."""
-    from ..markov.critical import fraction_unsynchronized_at
-
-    return fraction_unsynchronized_at(params)
-
-
-def in_phase(params: RouterTimingParameters, direction: str = "up") -> bool:
-    """Whether ``direction``'s passage is the dominant one here.
+def in_phase(fraction: float, direction: str = "up") -> bool:
+    """Whether ``direction``'s passage is the dominant one at a point
+    whose equilibrium estimator ``f(N)/(f(N)+g(1))`` is ``fraction``.
 
     ``"up"`` (time to synchronize) is trustworthy on the synchronized
     side of the transition (fraction below one half); ``"down"`` (time
     to break up) on the unsynchronized side.
     """
-    fraction = phase_fraction(params)
     return fraction < 0.5 if direction == "up" else fraction > 0.5
 
 

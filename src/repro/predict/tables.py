@@ -44,7 +44,7 @@ from ..campaign.spec import CampaignSpec
 from ..core.parameters import RouterTimingParameters
 from ..parallel import ResultCache
 from ..parallel.job import MODEL_VERSION
-from .bounds import cell_bound
+from .bounds import cell_bound, in_phase
 from .surrogate import markov_expected_rounds
 
 __all__ = [
@@ -136,7 +136,7 @@ def _cell(
     fit_observed, fit_censored = family(fit_jobs)
     holdout_observed, holdout_censored = family(holdout_jobs)
     markov_rounds, fraction = markov_expected_rounds(params, spec.direction)
-    in_phase = fraction < 0.5 if spec.direction == "up" else fraction > 0.5
+    dominant = in_phase(fraction, spec.direction)
     round_length = params.round_length
     fit_mean = fmean(fit_observed) if fit_observed else None
     pred_rounds = fit_mean / round_length if fit_mean is not None else None
@@ -152,7 +152,7 @@ def _cell(
         else None
     )
     valid = (
-        in_phase
+        dominant
         and fit_censored == 0
         and holdout_censored == 0
         and markov_rounds != float("inf")
@@ -168,7 +168,7 @@ def _cell(
         "tr_ratio": params.tr / params.tp,
         "markov_rounds": None if markov_rounds == float("inf") else markov_rounds,
         "phase_fraction": fraction,
-        "in_phase": in_phase,
+        "in_phase": dominant,
         "fit": {
             "seeds": len(fit_jobs),
             "observed": len(fit_observed),

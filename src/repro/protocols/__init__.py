@@ -1,7 +1,7 @@
 """Periodic distance-vector routing protocols (RIP, IGRP, DECnet, EGP, Hello)."""
 
 from .base import DistanceVectorAgent, ProtocolSpec, RouteEntry
-from .presets import DECNET_DNA4, EGP, HELLO, IGRP, PRESETS, RIP, preset
+from .presets import DECNET_DNA4, EGP, HELLO, IGRP, PRESETS, RIP
 
 __all__ = [
     "DistanceVectorAgent",
@@ -13,5 +13,4 @@ __all__ = [
     "IGRP",
     "PRESETS",
     "RIP",
-    "preset",
 ]

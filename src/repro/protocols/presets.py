@@ -22,7 +22,6 @@ __all__ = [
     "EGP",
     "HELLO",
     "PRESETS",
-    "preset",
 ]
 
 #: RIP (RFC 1058): 30 s updates, infinity 16, split horizon, triggered
@@ -77,13 +76,3 @@ HELLO = ProtocolSpec(
 PRESETS: dict[str, ProtocolSpec] = {
     spec.name: spec for spec in (RIP, IGRP, DECNET_DNA4, EGP, HELLO)
 }
-
-
-def preset(name: str) -> ProtocolSpec:
-    """Look up a preset by name (``"rip"``, ``"igrp"``, ...)."""
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown protocol {name!r}; choose from {sorted(PRESETS)}"
-        ) from None

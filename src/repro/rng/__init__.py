@@ -6,7 +6,7 @@ Carta's division-free variant cited by the paper as [Ca90]) and a
 need, with reproducible stream splitting.
 """
 
-from .distributions import RandomSource, ScriptedSource
+from .distributions import RandomSource
 from .lehmer import (
     MODULUS,
     MULTIPLIER,
@@ -24,5 +24,4 @@ __all__ = [
     "SchrageGenerator",
     "minimal_standard_check",
     "RandomSource",
-    "ScriptedSource",
 ]

@@ -13,7 +13,7 @@ from typing import Protocol, Sequence
 
 from .lehmer import CartaGenerator, LehmerGenerator
 
-__all__ = ["RandomSource", "ScriptedSource"]
+__all__ = ["RandomSource"]
 
 
 class _UniformStream(Protocol):
@@ -32,8 +32,8 @@ class RandomSource:
         ``generator`` is given.
     generator:
         An explicit uniform stream (any object with ``random()``),
-        e.g. a :class:`~repro.rng.lehmer.LehmerGenerator` or a
-        :class:`ScriptedSource` in tests.
+        e.g. a :class:`~repro.rng.lehmer.LehmerGenerator`, or a
+        scripted list of values in tests.
     """
 
     def __init__(self, seed: int = 1, generator: _UniformStream | None = None) -> None:
@@ -147,30 +147,3 @@ class RandomSource:
         base = self._gen.next_int() if isinstance(self._gen, LehmerGenerator) else int(self.random() * (2**31 - 2)) + 1
         mixed = (base * 2654435761 + (stream_id + 1) * 40503) % (2**31 - 1)
         return RandomSource(seed=mixed or 1)
-
-
-class ScriptedSource:
-    """A deterministic uniform stream fed from a list, for tests.
-
-    Raises :class:`IndexError` when exhausted so a test that consumes
-    more randomness than scripted fails loudly rather than silently.
-    """
-
-    def __init__(self, values: Sequence[float]) -> None:
-        for v in values:
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"scripted uniforms must lie in (0, 1), got {v}")
-        self._values = list(values)
-        self._index = 0
-
-    def random(self) -> float:
-        if self._index >= len(self._values):
-            raise IndexError("ScriptedSource exhausted")
-        value = self._values[self._index]
-        self._index += 1
-        return value
-
-    @property
-    def remaining(self) -> int:
-        """Number of unconsumed scripted values."""
-        return len(self._values) - self._index

@@ -24,7 +24,6 @@ from .spec import (
     ensure_spec,
     mean_degree,
     parse_topology,
-    tree_size,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "ensure_spec",
     "mean_degree",
     "parse_topology",
-    "tree_size",
 ]

@@ -37,7 +37,6 @@ __all__ = [
     "ensure_spec",
     "mean_degree",
     "parse_topology",
-    "tree_size",
 ]
 
 #: The topology families a spec can name.  ``switching`` is the
@@ -323,19 +322,6 @@ def adjacency(spec: "TopologySpec | str", n: int) -> tuple[frozenset[int], ...]:
     else:  # pragma: no cover - __post_init__ rejects unknown kinds
         raise ValueError(f"unknown topology kind {spec.kind!r}")
     return tuple(frozenset(nbrs) for nbrs in neighbors)
-
-
-def tree_size(b: int, d: int) -> int:
-    """Node count of the complete ``b``-ary tree of depth ``d``.
-
-    Depth 0 is the root alone.  Used by fig16 to pick ``n`` values
-    whose tree diameters grow one level at a time.
-    """
-    if b < 1 or d < 0:
-        raise ValueError("need b >= 1 and d >= 0")
-    if b == 1:
-        return d + 1
-    return (b ** (d + 1) - 1) // (b - 1)
 
 
 # -- graph measures (exact, for the fig16/fig17 axes) ----------------------

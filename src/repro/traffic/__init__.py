@@ -1,14 +1,11 @@
-"""Traffic generators: ping probes, CBR audio, VBR video, background load."""
+"""Traffic generators: ping probes, CBR audio and VBR video."""
 
 from .audio import AudioSession
-from .background import PeriodicScriptSource, PoissonSource
 from .ping import LOSS_RTT, PingClient, PingResponder
 from .video import VBRVideoSession
 
 __all__ = [
     "AudioSession",
-    "PeriodicScriptSource",
-    "PoissonSource",
     "LOSS_RTT",
     "PingClient",
     "PingResponder",

@@ -9,12 +9,7 @@ import math
 
 import pytest
 
-from repro.analysis.coherence import (
-    circular_variance,
-    mean_phase,
-    offsets_to_phases,
-    order_parameter,
-)
+from repro.analysis.coherence import offsets_to_phases, order_parameter
 
 
 class TestOffsetsToPhases:
@@ -62,35 +57,3 @@ class TestOrderParameter:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             order_parameter([])
-
-
-class TestMeanPhase:
-    def test_mean_of_a_tight_cluster(self):
-        assert mean_phase([1.0, 1.2, 0.8]) == pytest.approx(1.0)
-
-    def test_wraps_into_canonical_range(self):
-        # Cluster symmetric about 0 -> mean 0 (not negative).
-        mean = mean_phase([2 * math.pi - 0.1, 0.1])
-        assert mean == pytest.approx(0.0, abs=1e-12) or mean == pytest.approx(
-            2 * math.pi, abs=1e-9
-        )
-
-    def test_cancelling_phasors_are_undefined(self):
-        with pytest.raises(ValueError):
-            mean_phase([0.0, math.pi])
-        with pytest.raises(ValueError):
-            mean_phase([])
-
-
-class TestCircularVariance:
-    def test_complements_the_order_parameter(self):
-        phases = [0.2, 1.1, 3.0, 4.6]
-        assert circular_variance(phases) == pytest.approx(
-            1.0 - order_parameter(phases)
-        )
-
-    def test_zero_for_perfect_sync_one_for_uniform(self):
-        assert circular_variance([2.0] * 4) == pytest.approx(0.0)
-        n = 12
-        uniform = [2 * math.pi * k / n for k in range(n)]
-        assert circular_variance(uniform) == pytest.approx(1.0, abs=1e-12)

@@ -1,4 +1,4 @@
-"""Tests for coherence, statistics, and time-series helpers."""
+"""Tests for the coherence helpers through the ``repro.analysis`` package."""
 
 import math
 
@@ -6,21 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    Series,
-    batch_means_ci,
-    circular_variance,
-    find_peaks,
-    geometric_mean,
-    mean_phase,
-    median,
-    offsets_to_phases,
-    order_parameter,
-    resample_step,
-    runs_of,
-    summarize,
-    time_offsets,
-)
+from repro.analysis import offsets_to_phases, order_parameter
 
 
 class TestCoherence:
@@ -37,17 +23,6 @@ class TestCoherence:
         assert phases[1] == pytest.approx(math.pi)
         assert phases[2] == pytest.approx(0.0)
 
-    def test_mean_phase_of_cluster(self):
-        assert mean_phase([0.5, 0.5, 0.5]) == pytest.approx(0.5)
-
-    def test_mean_phase_undefined_when_cancelling(self):
-        with pytest.raises(ValueError):
-            mean_phase([0.0, math.pi])
-
-    def test_circular_variance_complements_r(self):
-        phases = [0.0, 0.1, -0.1]
-        assert circular_variance(phases) == pytest.approx(1 - order_parameter(phases))
-
     def test_empty_inputs_raise(self):
         with pytest.raises(ValueError):
             order_parameter([])
@@ -58,77 +33,3 @@ class TestCoherence:
     @settings(max_examples=50)
     def test_r_in_unit_interval(self, phases):
         assert 0.0 <= order_parameter(phases) <= 1.0 + 1e-12
-
-
-class TestStatistics:
-    def test_summarize(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s.count == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.minimum == 1.0
-        assert s.maximum == 4.0
-
-    def test_summarize_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_batch_means_recovers_mean(self):
-        observations = [float(i % 10) for i in range(1000)]
-        mean, half = batch_means_ci(observations, batches=10)
-        assert mean == pytest.approx(4.5)
-        assert half >= 0.0
-
-    def test_batch_means_validation(self):
-        with pytest.raises(ValueError):
-            batch_means_ci([1.0, 2.0], batches=1)
-        with pytest.raises(ValueError):
-            batch_means_ci([1.0], batches=2)
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 100.0]) == pytest.approx(10.0)
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, -1.0])
-
-    def test_median_odd_even(self):
-        assert median([3.0, 1.0, 2.0]) == 2.0
-        assert median([4.0, 1.0, 2.0, 3.0]) == pytest.approx(2.5)
-
-
-class TestTimeseries:
-    def test_time_offsets_mod_period(self):
-        offsets = time_offsets([0.0, 121.11, 242.5], 121.11)
-        assert offsets[0] == pytest.approx(0.0)
-        assert offsets[1] == pytest.approx(0.0)
-        assert offsets[2] == pytest.approx(242.5 - 2 * 121.11)
-
-    def test_series_length_invariant(self):
-        with pytest.raises(ValueError):
-            Series((1.0,), (1.0, 2.0))
-
-    def test_resample_step(self):
-        series = Series.from_pairs([(0.0, 1.0), (10.0, 5.0), (20.0, 2.0)])
-        sampled = resample_step(series, [-1.0, 0.0, 9.9, 10.0, 25.0])
-        assert sampled == [1.0, 1.0, 1.0, 5.0, 2.0]
-
-    def test_resample_rejects_decreasing_samples(self):
-        series = Series.from_pairs([(0.0, 1.0)])
-        with pytest.raises(ValueError):
-            resample_step(series, [2.0, 1.0])
-
-    def test_runs_of(self):
-        flags = [False, True, True, False, True]
-        assert runs_of(flags) == [(1, 2), (4, 1)]
-        assert runs_of(flags, target=False) == [(0, 1), (3, 1)]
-
-    def test_runs_of_empty(self):
-        assert runs_of([]) == []
-
-    def test_find_peaks(self):
-        values = [0.0, 3.0, 1.0, 4.0, 4.0, 0.5]
-        assert find_peaks(values, threshold=2.0) == [1, 3]
-
-    def test_find_peaks_endpoints(self):
-        assert find_peaks([5.0, 1.0], threshold=2.0) == [0]
-        assert find_peaks([1.0, 5.0], threshold=2.0) == [1]
-        assert find_peaks([5.0], threshold=2.0) == [0]
-        assert find_peaks([], threshold=1.0) == []

@@ -1,4 +1,4 @@
-"""Tests for sweep and transition-finding helpers.
+"""Tests for the first-passage runners and sweep helpers.
 
 These use small N and short horizons so the suite stays fast; the
 full-scale behaviour is exercised by the benchmarks.
@@ -9,7 +9,6 @@ import pytest
 from repro.core import (
     RouterTimingParameters,
     SweepResult,
-    find_transition_n,
     sweep_nodes,
     sweep_tr,
     time_to_break_up,
@@ -89,38 +88,3 @@ class TestSweeps:
     def test_sweep_nodes_runs(self):
         results = sweep_nodes(BASE, [2, 6], horizon=2000.0)
         assert [int(r.parameter) for r in results] == [2, 6]
-
-
-class TestTransitionFinder:
-    def test_finds_a_threshold(self):
-        # With these parameters a 2-node net does not synchronize in the
-        # horizon but a larger one does; the finder must return the
-        # boundary.
-        n_star = find_transition_n(BASE, horizon=3000.0, n_low=2, n_high=12, seed=3)
-        assert 2 <= n_star <= 12
-        # Verify the defining property on both sides when not at the edge.
-        if n_star > 2:
-            assert time_to_synchronize(BASE.with_nodes(n_star - 1), 3000.0, seed=3) is None
-        assert time_to_synchronize(BASE.with_nodes(n_star), 3000.0, seed=3) is not None
-
-    def test_raises_when_even_largest_does_not_sync(self):
-        calm = BASE.with_tr(8.0)  # enormous jitter: no synchronization
-        with pytest.raises(ValueError):
-            find_transition_n(calm, horizon=500.0, n_low=2, n_high=4, seed=1)
-
-    def test_bisection_probes_are_cached(self, tmp_path):
-        from repro.parallel import ResultCache
-
-        cache = ResultCache(tmp_path)
-        first = find_transition_n(
-            BASE, horizon=3000.0, n_low=2, n_high=12, seed=3, cache=cache
-        )
-        probes = len(cache)
-        assert probes > 0
-        hits_before = cache.hits
-        again = find_transition_n(
-            BASE, horizon=3000.0, n_low=2, n_high=12, seed=3, cache=cache
-        )
-        assert again == first
-        assert len(cache) == probes  # nothing recomputed
-        assert cache.hits > hits_before

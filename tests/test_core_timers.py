@@ -9,7 +9,6 @@ from repro.core import (
     FixedTimer,
     RecommendedJitterTimer,
     UniformJitterTimer,
-    make_paper_timer,
 )
 from repro.rng import RandomSource
 
@@ -99,10 +98,3 @@ class TestDistinctPeriodTimer:
             DistinctPeriodTimer([])
         with pytest.raises(ValueError):
             DistinctPeriodTimer([10.0, -1.0])
-
-
-def test_make_paper_timer():
-    timer = make_paper_timer(121.0, 0.11)
-    assert isinstance(timer, UniformJitterTimer)
-    assert timer.tp == 121.0
-    assert timer.tr == 0.11

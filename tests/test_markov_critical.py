@@ -1,13 +1,9 @@
-"""Tests for the phase-boundary finders."""
+"""Tests for the phase-boundary finder."""
 
 import pytest
 
 from repro.core import RouterTimingParameters
-from repro.markov import (
-    critical_n,
-    critical_tr,
-    fraction_unsynchronized_at,
-)
+from repro.markov import critical_tr, fraction_unsynchronized_at
 
 PAPER = RouterTimingParameters(n_nodes=20, tp=121.0, tc=0.11, tr=0.1)
 
@@ -38,34 +34,3 @@ class TestCriticalTr:
     def test_zero_tc_rejected(self):
         with pytest.raises(ValueError):
             critical_tr(RouterTimingParameters(n_nodes=20, tp=121.0, tc=0.0, tr=0.0))
-
-
-class TestCriticalN:
-    def test_matches_fig15_transition(self):
-        n_star = critical_n(PAPER.with_tr(0.3))
-        assert 23 <= n_star <= 27
-
-    def test_crossing_property(self):
-        params = PAPER.with_tr(0.3)
-        n_star = critical_n(params)
-        assert fraction_unsynchronized_at(params.with_nodes(n_star - 1)) >= 0.5
-        assert fraction_unsynchronized_at(params.with_nodes(n_star)) < 0.5
-
-    def test_more_jitter_raises_the_router_budget(self):
-        low_jitter = critical_n(PAPER.with_tr(0.25))
-        high_jitter = critical_n(PAPER.with_tr(0.30))
-        assert high_jitter > low_jitter
-
-    def test_already_synchronized_at_n_low(self):
-        # At Tr=0.12 the transition sits near N=12, so a bracket that
-        # starts above it returns its lower edge immediately.
-        assert critical_n(PAPER.with_tr(0.12), n_low=15) == 15
-
-    def test_no_transition_raises(self):
-        calm = PAPER.with_tr(5.0)  # enormous jitter
-        with pytest.raises(ValueError):
-            critical_n(calm, n_high=30)
-
-    def test_bounds_validation(self):
-        with pytest.raises(ValueError):
-            critical_n(PAPER, n_low=5, n_high=5)

@@ -8,8 +8,6 @@ from repro.markov import (
     estimate_f2_diffusion,
     fraction_unsynchronized_sweep,
     fraction_unsynchronized_vs_nodes,
-    stationary_fraction_below,
-    synchronization_times,
     transition_sharpness,
 )
 
@@ -78,23 +76,6 @@ class TestFig15Sweep:
             curve[n] - curve[n + 1] for n in range(5, 30)
         )
         assert biggest_single_step > 0.4
-
-
-class TestStationaryFraction:
-    def test_agrees_with_passage_time_estimator_in_extremes(self):
-        # stationary_fraction_below solves the chain with numpy.
-        pytest.importorskip("numpy")
-        low = synchronization_times(PAPER.with_tr(0.5 * TC), f2=19.0)
-        assert stationary_fraction_below(low, 2) < 0.05
-        high = synchronization_times(PAPER.with_tr(4.0 * TC), f2=19.0)
-        assert stationary_fraction_below(high, 2) > 0.9
-
-    def test_threshold_validation(self):
-        times = synchronization_times(PAPER, f2=19.0)
-        with pytest.raises(ValueError):
-            stationary_fraction_below(times, 0)
-        with pytest.raises(ValueError):
-            stationary_fraction_below(times, 21)
 
 
 class TestTransitionSharpness:

@@ -4,15 +4,15 @@ This suite locks down the behaviours fig18 depends on when it observes
 synchronization on *actual* routing traffic: convergence across link
 up/down churn, the split-horizon / poison-reverse defences against
 count-to-infinity, the INFINITY=16 unreachability rule, coalescing of
-triggered-update storms, DV running over a shared LAN under a
-:class:`~repro.net.NetworkMonitor`, and the deterministic BFS
+triggered-update storms, DV running over a shared LAN with its
+traffic and tail drops counted, and the deterministic BFS
 tie-breaking of static routes (neighbour expansion in node-name
 order).
 """
 
 import pytest
 
-from repro.net import Network, NetworkMonitor, Packet, PacketKind
+from repro.net import Network, Packet, PacketKind
 from repro.protocols import RIP, DistanceVectorAgent, ProtocolSpec
 
 
@@ -220,7 +220,7 @@ class TestTriggeredUpdateStorms:
         assert not agents[0].reachable("r2")
 
 
-class TestLanAndMonitor:
+class TestLanSegment:
     def _lan_network(self, n=4, spec=None):
         net = Network()
         routers = [net.add_router(f"r{i}") for i in range(n)]
@@ -243,40 +243,39 @@ class TestLanAndMonitor:
                 if router is not agent.router:
                     assert agent.table[router.name].metric == 1
 
-    def test_monitor_counts_lan_routing_traffic(self):
+    def test_lan_counts_routing_traffic(self):
         net, routers, lan, agents = self._lan_network()
-        monitor = NetworkMonitor(net)
         net.run(until=120.0)
-        router_rows = {row["router"]: row for row in monitor.router_report()}
-        assert set(router_rows) == {r.name for r in routers}
-        assert all(row["updates"] > 0 for row in router_rows.values())
-        lan_rows = [row for row in monitor.link_report() if row["link"] == "lan:ether"]
-        assert len(lan_rows) == 1
-        assert lan_rows[0]["packets"] > 0
-        assert lan_rows[0]["bytes"] > 0
+        assert all(router.stats.delivered_updates > 0 for router in routers)
+        assert lan.stats.packets_sent > 0
+        assert lan.stats.bytes_sent > 0
+        assert lan.stats.packets_dropped == 0
 
-    def test_monitor_records_tail_drops_on_congested_segment(self):
+    def test_congested_segment_counts_tail_drops(self):
         # Six synchronized senders share a one-frame transmit queue:
-        # every round, most updates tail-drop, and the monitor's drop
-        # timeline records each loss (the Figure 1/3 raw material).
-        net = Network()
-        routers = [net.add_router(f"r{i}") for i in range(6)]
-        net.add_lan(
-            "thin", stations=[r.name for r in routers], queue_packets=1
-        )
-        agents = [
-            DistanceVectorAgent(
-                r, RIP.with_jitter(0.0), seed=100 + i, start_offset=2.0
+        # every round, most updates tail-drop (the Figure 1/3 raw
+        # material), so fewer updates arrive than on a roomy segment.
+        def run(queue_packets):
+            net = Network()
+            routers = [net.add_router(f"r{i}") for i in range(6)]
+            lan = net.add_lan(
+                "thin", stations=[r.name for r in routers],
+                queue_packets=queue_packets,
             )
-            for i, r in enumerate(routers)
-        ]
-        monitor = NetworkMonitor(net)
-        net.run(until=40.0)
-        dropped = monitor.drop_times(kind="routing_update")
-        assert dropped, "synchronized updates through a 1-frame queue must drop"
-        lan_rows = [r for r in monitor.link_report() if r["link"] == "lan:thin"]
-        assert lan_rows[0]["queue_drops"] == len(dropped)
-        assert monitor.format_table()  # smoke: report renders
+            for i, r in enumerate(routers):
+                DistanceVectorAgent(
+                    r, RIP.with_jitter(0.0), seed=100 + i, start_offset=2.0
+                )
+            net.run(until=40.0)
+            return lan, sum(r.stats.delivered_updates for r in routers)
+
+        thin, thin_updates = run(queue_packets=1)
+        roomy, roomy_updates = run(queue_packets=64)
+        assert thin.stats.packets_dropped > 0, (
+            "synchronized updates through a 1-frame queue must drop"
+        )
+        assert roomy.stats.packets_dropped == 0
+        assert thin_updates < roomy_updates
 
     def test_segment_failure_poisons_lan_routes(self):
         net, routers, lan, agents = self._lan_network()

@@ -76,15 +76,16 @@ class TestLinkDelivery:
         net, a, b, link = two_hosts()
         got = []
         b.register_handler(PacketKind.DATA, lambda p: got.append(p.payload["n"]))
-        dropped = []
-        link.drop_hooks.append(lambda p, toward: dropped.append(p.payload["n"]))
-        for n in range(6):
+        accepted = [
             a.send(Packet(src="a", dst="b", size_bytes=1000, payload={"n": n}))
+            for n in range(6)
+        ]
         net.run(until=1.0)
         # 1 in flight + 2 queued survive; the rest are tail-dropped.
         assert got == [0, 1, 2]
-        assert dropped == [3, 4, 5]
+        assert accepted == [True, True, True, False, False, False]
         assert link.stats_toward(b).packets_dropped == 3
+        assert link.stats_toward(a).packets_dropped == 0
 
     def test_full_duplex_no_interference(self):
         net, a, b, link = two_hosts()

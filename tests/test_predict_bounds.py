@@ -17,7 +17,7 @@ from repro.predict import (
     in_phase,
     verify_table,
 )
-from repro.predict.bounds import phase_fraction
+from repro.predict.surrogate import markov_expected_rounds
 
 from tests._predict_helpers import build_tiny_table
 
@@ -53,17 +53,19 @@ class TestCellBound:
 class TestValidityRegion:
     def test_synchronizing_parameters_are_up_phase(self):
         params = RouterTimingParameters(10, 20.0, 0.3, 0.05)
-        assert phase_fraction(params) == 0.0  # Tc >= 2 Tr: no break-up
-        assert in_phase(params, "up") is True
-        assert in_phase(params, "down") is False
+        _, fraction = markov_expected_rounds(params)
+        assert fraction == 0.0  # Tc >= 2 Tr: no break-up
+        assert in_phase(fraction, "up") is True
+        assert in_phase(fraction, "down") is False
 
     def test_randomized_parameters_flip_the_phase(self):
         # A large Tr keeps the system unsynchronized: the break-up
         # passage dominates and "up" predictions are invalid.
         params = RouterTimingParameters(4, 20.0, 0.3, 5.0)
-        assert phase_fraction(params) > 0.5
-        assert in_phase(params, "up") is False
-        assert in_phase(params, "down") is True
+        _, fraction = markov_expected_rounds(params)
+        assert fraction > 0.5
+        assert in_phase(fraction, "up") is False
+        assert in_phase(fraction, "down") is True
 
 
 class TestVerifyTable:

@@ -12,7 +12,6 @@ from repro.protocols import (
     RIP,
     DistanceVectorAgent,
     ProtocolSpec,
-    preset,
 )
 
 
@@ -40,11 +39,6 @@ class TestPresets:
         assert IGRP.period == 90.0
         assert DECNET_DNA4.period == 120.0
         assert EGP.period == 180.0
-
-    def test_preset_lookup(self):
-        assert preset("rip") is RIP
-        with pytest.raises(ValueError):
-            preset("ospf")
 
     def test_all_presets_have_positive_route_cost(self):
         for spec in PRESETS.values():

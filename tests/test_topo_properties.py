@@ -37,7 +37,6 @@ from repro.topo import (
     ensure_spec,
     mean_degree,
     parse_topology,
-    tree_size,
 )
 from repro.topo.spec import _er_generator
 
@@ -124,10 +123,6 @@ class TestSpecAndParsing:
         a = adjacency(parse_topology("erdos_renyi(p=0.5,seed=1)"), 12)
         b = adjacency(parse_topology("erdos_renyi(p=0.5,seed=2)"), 12)
         assert a != b
-
-    def test_tree_size(self):
-        assert [tree_size(2, d) for d in range(4)] == [1, 3, 7, 15]
-
 
 class TestAdjacencyShape:
     """The compiled kernel's join test scans the joiner's own CSR row,

@@ -6,10 +6,8 @@ from repro.net import Network, PacketKind
 from repro.traffic import (
     LOSS_RTT,
     AudioSession,
-    PeriodicScriptSource,
     PingClient,
     PingResponder,
-    PoissonSource,
     VBRVideoSession,
 )
 
@@ -135,25 +133,3 @@ class TestVideo:
         net, a, b, r = simple_path()
         with pytest.raises(ValueError):
             VBRVideoSession(a, b, fps=0)
-
-
-class TestBackground:
-    def test_poisson_rate(self):
-        net, a, b, r = simple_path()
-        source = PoissonSource(a, b, rate_pps=50.0, duration=20.0, seed=4)
-        net.run(until=30.0)
-        assert source.packets_sent == pytest.approx(1000, rel=0.15)
-
-    def test_periodic_script_bursts(self):
-        net, a, b, r = simple_path()
-        source = PeriodicScriptSource(a, b, period=5.0, burst_packets=3, duration=20.0)
-        net.run(until=30.0)
-        assert source.burst_times == pytest.approx([0.0, 5.0, 10.0, 15.0, 20.0])
-        assert source.packets_sent == 15
-
-    def test_validation(self):
-        net, a, b, r = simple_path()
-        with pytest.raises(ValueError):
-            PoissonSource(a, b, rate_pps=0.0)
-        with pytest.raises(ValueError):
-            PeriodicScriptSource(a, b, period=-1.0)
